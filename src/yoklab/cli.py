@@ -201,15 +201,15 @@ def cmd_gram(args) -> int:
     field = _field_for(args)
     if args.nil:
         alg = NilAlgebra(args.r, args.n, field)
-        res = alg.frobenius_check()
         keys, rows = alg.gram_matrix()
+        res = alg.frobenius_check(gram=(keys, rows))
         export = {"schema": SCHEMA, "nil": True, "r": args.r, "n": args.n,
                   "basis": [{"a": list(a), "w": list(w)} for a, w in keys],
                   "entries": [[field.render(v) for v in row] for row in rows]}
     else:
         alg = _y_algebra(args)
-        res = structure.frobenius_check(alg)
         keys, rows = structure.gram_matrix(alg)
+        res = structure.frobenius_check(alg, gram=(keys, rows))
         export = {"schema": SCHEMA, **structure.gram_to_json(alg, keys, rows)}
     if args.export:
         with open(args.export, "w") as fh:

@@ -205,13 +205,14 @@ def ideal_power_dims(field, product, sub: Subspace, seeds=None,
                     prod = product(a, b)
                     if not prod:
                         continue
+                    # skip exact repeats up to scaling: the normalized
+                    # vector itself is the key, so equal keys mean equal lines
                     piv = min(prod.keys(), key=nxt.sort_key)
                     inv = prod[piv].inverse()
-                    fp = (piv, tuple(sorted(((k, hash(inv * c)) for k, c in prod.items()),
-                                            key=lambda t: nxt.sort_key(t[0]))))
-                    if fp in seen:
+                    line = frozenset((k, inv * c) for k, c in prod.items())
+                    if line in seen:
                         continue
-                    seen.add(fp)
+                    seen.add(line)
                     nxt.insert(prod)
         dims.append(nxt.dim())
         cur = nxt

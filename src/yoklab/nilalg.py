@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from . import exactla, symgroup as sg
 from .scalars import FieldSpec, make_field
-from .ycore import torus_to_E, torus_to_T
+from .ycore import element_json_terms, torus_to_E, torus_to_T
 
 __all__ = ["NilAlgebra", "NilElement"]
 
@@ -262,8 +262,8 @@ class NilAlgebra:
             rows.append(row)
         return keys, rows
 
-    def frobenius_check(self, permuted_identity: bool = False) -> dict:
-        keys, rows = self.gram_matrix()
+    def frobenius_check(self, permuted_identity: bool = False, gram=None) -> dict:
+        keys, rows = gram if gram is not None else self.gram_matrix()
         ok = True
         one = self.field.one
         for key in keys:
@@ -379,17 +379,10 @@ class NilAlgebra:
         return {"basis": "NIL", "r": self.r, "n": self.n, "terms": items}
 
     def element_from_json(self, obj: dict) -> "NilElement":
-        if obj.get("basis") != "NIL":
-            raise ValueError("expected a NIL-basis element")
-        if obj.get("r", self.r) != self.r or obj.get("n", self.n) != self.n:
-            raise ValueError("element parameters do not match this algebra")
+        _, items = element_json_terms(obj, self.r, self.n, {"NIL": "a"})
         terms: dict = {}
-        for item in obj["terms"]:
-            a = tuple(x % self.r for x in item["a"])
-            w = tuple(item["w"])
-            if sorted(w) != list(range(1, self.n + 1)):
-                raise ValueError(f"not a permutation: {w}")
-            _acc(terms, (a, w), self.field.parse(item["coeff"]))
+        for a, w, coeff in items:
+            _acc(terms, (tuple(x % self.r for x in a), w), self.field.parse(coeff))
         return NilElement(self, terms)
 
     def __repr__(self):

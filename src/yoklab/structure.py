@@ -79,8 +79,10 @@ def frobenius_witness(alg: YAlgebra, key) -> YElement:
 
 
 def frobenius_check(alg: YAlgebra, with_witness: bool = True,
-                    permuted_identity: bool = False) -> dict:
-    keys, rows = gram_matrix(alg)
+                    permuted_identity: bool = False, gram=None) -> dict:
+    """Gram invertibility plus witnesses; gram is (keys, rows) from
+    gram_matrix(alg) when the caller already built it."""
+    keys, rows = gram if gram is not None else gram_matrix(alg)
     result = {
         "dimension": len(keys),
         "gram_invertible": exactla.invertible(alg.field, rows),

@@ -26,6 +26,14 @@ structure constant lies in {0, 1, -1}.
 
 Elements are sparse dicts keyed by (vector, permutation); zero coefficients
 are never stored.
+
+The torus transform between the bases factors over the tensor slots, since
+t^a = prod_k t_k^(a_k) and t_k^x = sum_c zeta^(x c) E^(k)_c.  It therefore
+runs as n passes, each a size-r discrete Fourier transform in one slot of
+the sparse dict.  Within one call, each scalar's r zeta-multiples are
+computed once and shared by every term carrying that scalar (or any
+zeta-multiple of it).  A one-term operand costs about r multiplies, and a
+full block of r^n terms costs n r^(n+1) dict updates instead of r^(2n).
 """
 
 from __future__ import annotations
@@ -48,27 +56,99 @@ def _acc(out: dict, key, val) -> None:
         out[key] = nv
 
 
+def _slot_transform(field, r: int, n: int, terms: dict, targets, sign: int) -> dict:
+    """n size-r DFTs on a sparse dict, one pass per tensor slot.
+
+    Pass k replaces the entry x (0..r) in slot k of every key by each y in
+    targets, weighted by zeta^(sign x y).  The memo maps a scalar c to its
+    zeta-multiples [c, c zeta, ..., c zeta^(r-1)]; it lives for one call and
+    is filled for a whole orbit c zeta^j at once, so no product is formed
+    twice.  Coefficients that cancel after a pass are dropped right away.
+    """
+    zetas = [field.zeta_pow(j) for j in range(r)]
+    weights = [[(sign * x * y) % r for y in targets] for x in range(r + 1)]
+    memo: dict = {}
+    cur = terms
+    for k in range(n):
+        out: dict = {}
+        for (v, w), c in cur.items():
+            mults = memo.get(c)
+            if mults is None:
+                mults = [c] + [c * z for z in zetas[1:]]
+                # c zeta^j has the same multiples, rotated by j
+                for j in range(r):
+                    memo.setdefault(mults[j], mults[j:] + mults[:j])
+            head, tail = v[:k], v[k + 1:]
+            for y, e in zip(targets, weights[v[k]]):
+                _acc(out, (head + (y,) + tail, w), mults[e])
+        cur = out
+    return cur
+
+
 def torus_to_E(field, r: int, colors, terms: dict) -> dict:
-    """Exponent-keyed dict -> color-keyed dict: t^a = sum_chi zeta^(a.chi) E_chi."""
-    out: dict = {}
-    for (a, w), coeff in terms.items():
-        for chi in colors:
-            dot = sum(x * y for x, y in zip(a, chi)) % r
-            _acc(out, (chi, w), coeff * field.zeta_pow(dot))
-    return out
+    """Exponent-keyed dict -> color-keyed dict: t^a = sum_chi zeta^(a.chi) E_chi.
+
+    Runs slot by slot, t_k^(a_k) = sum_c zeta^(a_k c) E^(k)_c, through the
+    memoized kernel _slot_transform: a one-term input costs about r scalar
+    multiplies, a full block of r^n terms n r^(n+1) dict updates.
+    """
+    n = len(colors[0]) if colors else 0
+    return _slot_transform(field, r, n, terms, range(1, r + 1), 1)
 
 
 def torus_to_T(field, r: int, exponents, terms: dict) -> dict:
-    """Color-keyed dict -> exponent-keyed dict (inverse torus transform)."""
+    """Color-keyed dict -> exponent-keyed dict (inverse torus transform).
+
+    E_chi = (1/r^n) sum_a zeta^(-a.chi) t^a, run slot by slot through the
+    same kernel with the conjugate weights; the factor 1/r^n is applied once
+    per output term at the end.
+    """
     n = len(exponents[0]) if exponents else 0
+    out = _slot_transform(field, r, n, terms, range(r), -1)
     inv_rn = field.one / field.from_int(r ** n)
-    out: dict = {}
-    for (chi, w), coeff in terms.items():
-        base = coeff * inv_rn
-        for a in exponents:
-            dot = sum(x * y for x, y in zip(chi, a)) % r
-            _acc(out, (a, w), base * field.zeta_pow((-dot) % r))
-    return out
+    return {k: c * inv_rn for k, c in out.items()}
+
+
+def element_json_terms(obj, r: int, n: int, vec_names: dict) -> tuple[str, list]:
+    """Validate an element's JSON form; return (basis, [(vector, w, coeff)]).
+
+    vec_names maps each accepted basis tag to the name of its vector field.
+    Every malformed piece raises ValueError: a non-object element or term,
+    a vector that is not n integers, a w that is not a permutation, a
+    non-string coeff.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError("an element must be a JSON object")
+    basis = obj.get("basis")
+    if not isinstance(basis, str) or basis not in vec_names:
+        raise ValueError(f"unknown basis tag {basis!r}")
+    if obj.get("r", r) != r or obj.get("n", n) != n:
+        raise ValueError("element parameters do not match this algebra")
+    items = obj.get("terms")
+    if not isinstance(items, list):
+        raise ValueError("'terms' must be a list")
+    out = []
+    for item in items:
+        if not isinstance(item, dict):
+            raise ValueError("each term must be a JSON object")
+        vec = _json_vector(item, vec_names[basis], n)
+        w = _json_vector(item, "w", n)
+        if sorted(w) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation: {w}")
+        coeff = item.get("coeff")
+        if not isinstance(coeff, str):
+            raise ValueError("'coeff' must be a string")
+        out.append((vec, w, coeff))
+    return basis, out
+
+
+def _json_vector(item: dict, name: str, n: int) -> tuple:
+    vec = item.get(name)
+    # bool is an int subclass, but JSON true/false is no vector entry
+    if not (isinstance(vec, list) and len(vec) == n
+            and all(type(x) is int for x in vec)):
+        raise ValueError(f"{name!r} must be a list of {n} integers")
+    return tuple(vec)
 
 
 class YAlgebra:
@@ -278,14 +358,14 @@ class YAlgebra:
         On a T monomial this is (a, w) -> (reversed a, w0 w w0): the torus
         part transforms letterwise, and conjugating by w0 realizes the
         diagram flip i -> n-i on reduced words without creating lower terms.
+        Since t_j E_chi = zeta^{chi_j} E_chi, phi sends E_chi to
+        E_{reversed chi}, so the same key map serves the E basis and no
+        basis change is needed.
         """
-        tt = x.as_T().terms
-        out: dict = {}
-        for (a, w), coeff in tt.items():
-            fw = sg.compose(self.w0, sg.compose(w, self.w0))
-            _acc(out, (tuple(reversed(a)), fw), coeff)
-        res = YElement(self, "T", out)
-        return res if x.basis == "T" else res.as_E()
+        w0 = self.w0
+        out = {(tuple(reversed(vec)), sg.compose(w0, sg.compose(w, w0))): coeff
+               for (vec, w), coeff in x.terms.items()}
+        return YElement(self, x.basis, out)
 
     # -- presentation checks ----------------------------------------------
 
@@ -405,23 +485,14 @@ class YAlgebra:
         return {"basis": x.basis, "r": self.r, "n": self.n, "terms": items}
 
     def element_from_json(self, obj: dict) -> "YElement":
-        basis = obj["basis"]
-        if basis not in ("E", "T"):
-            raise ValueError(f"unknown basis tag {basis!r}")
-        if obj.get("r", self.r) != self.r or obj.get("n", self.n) != self.n:
-            raise ValueError("element parameters do not match this algebra")
-        vec_name = "chi" if basis == "E" else "a"
+        basis, items = element_json_terms(obj, self.r, self.n, {"E": "chi", "T": "a"})
         terms: dict = {}
-        for item in obj["terms"]:
-            vec = tuple(item[vec_name])
-            w = tuple(item["w"])
-            if sorted(w) != list(range(1, self.n + 1)):
-                raise ValueError(f"not a permutation: {w}")
+        for vec, w, coeff in items:
             if basis == "E" and not all(1 <= x <= self.r for x in vec):
                 raise ValueError(f"color entries must lie in 1..{self.r}")
             if basis == "T":
                 vec = tuple(x % self.r for x in vec)
-            _acc(terms, (vec, w), self.field.parse(item["coeff"]))
+            _acc(terms, (vec, w), self.field.parse(coeff))
         return YElement(self, basis, terms)
 
     def __repr__(self):

@@ -154,3 +154,45 @@ def test_field_argument(capsys):
                       "--presentation", "1", "--field", bad])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+GOOD_T = {"basis": "T", "r": 2, "n": 3,
+          "terms": [{"a": [0, 1, 0], "w": [2, 1, 3], "coeff": "1"}]}
+
+
+def mult_rejects(capsys, lhs, *extra):
+    """mult exits 2 with a one-line message and no product on stdout."""
+    code, out, err = run(capsys, "mult", "--r", "2", "--n", "3", *extra,
+                         "--lhs", json.dumps(lhs), "--rhs", json.dumps(GOOD_T))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_mult_rejects_short_color_vector(capsys):
+    mult_rejects(capsys, {"basis": "E", "r": 2, "n": 3,
+                          "terms": [{"chi": [1, 2], "w": [1, 2, 3], "coeff": "1"}]})
+
+
+def test_mult_rejects_non_string_coeff(capsys):
+    mult_rejects(capsys, {**GOOD_T, "terms": [{"a": [0, 1, 0], "w": [2, 1, 3],
+                                               "coeff": 1}]})
+
+
+def test_mult_rejects_non_object_element(capsys):
+    mult_rejects(capsys, [GOOD_T])
+    mult_rejects(capsys, {**GOOD_T, "terms": [["a", [0, 1, 0]]]})
+    mult_rejects(capsys, {**GOOD_T, "terms": {"a": [0, 1, 0]}})
+    mult_rejects(capsys, {**GOOD_T, "basis": ["T"]})
+
+
+def test_mult_rejects_wrong_length_exponents(capsys):
+    # these used to be truncated by zip and multiplied as if well formed
+    for a in ([0, 1, 0, 1], [1]):
+        bad = {**GOOD_T, "terms": [{"a": a, "w": [2, 1, 3], "coeff": "1"}]}
+        mult_rejects(capsys, bad)
+        mult_rejects(capsys, {**bad, "basis": "NIL"}, "--nil")
+    mult_rejects(capsys, {**GOOD_T, "terms": [{"a": [0, 1, True], "w": [2, 1, 3],
+                                               "coeff": "1"}]})
+    mult_rejects(capsys, {**GOOD_T, "terms": [{"a": [0, 1, 0], "w": [2, 1],
+                                               "coeff": "1"}]})

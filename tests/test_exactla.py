@@ -106,3 +106,36 @@ def test_seeded_recurrence_matches_pairwise():
                               seeds=modrep.commutator_seeds(alg),
                               right_maps=alg.rmul_gen_maps())
     assert pairwise == seeded == [30, 10, 0]
+
+
+
+def test_power_dims_dedup_survives_hash_collisions(monkeypatch):
+    # the brute-force path skips repeated products; with every scalar hashing
+    # alike, only exact comparison tells apart two products on the same keys
+    from yoklab.scalars import CycScalar, FpScalar
+    monkeypatch.setattr(CycScalar, "__hash__", lambda self: 0)
+    monkeypatch.setattr(FpScalar, "__hash__", lambda self: 0)
+
+    # J = span(e1..e4) with e1 e1 = e3 + e4 and e1 e2 = e3 + 2 e4, all else 0
+    table = {(1, 1): {3: 1, 4: 1}, (1, 2): {3: 1, 4: 2}}
+
+    def product(x, y):
+        out: dict = {}
+        for kx, cx in x.items():
+            for ky, cy in y.items():
+                for k, c in table.get((kx, ky), {}).items():
+                    out[k] = out.get(k, F.zero) + cx * cy * F.from_int(c)
+        return {k: c for k, c in out.items() if not c.is_zero()}
+
+    sub = Subspace(F)
+    for k in (1, 2, 3, 4):
+        sub.insert({k: F.one})
+    assert ideal_power_dims(F, product, sub) == [4, 2, 0]
+
+    # nil radical powers against the closed form r^n #{w : length(w) >= k}
+    for kind in (H.CYC, H.FP13):
+        nil = H.nilalg(2, 3, kind)
+        lengths = [nil._len[w] for w in nil.perms]
+        closed = [nil.r ** nil.n * sum(1 for ln in lengths if ln >= k)
+                  for k in range(1, max(lengths) + 2)]
+        assert nil.radical_power_dims() == closed == [40, 24, 8, 0]

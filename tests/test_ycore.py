@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from yoklab import YAlgebra, symgroup as sg
+from yoklab.ycore import torus_to_E, torus_to_T
 
 import _helpers as H
 
@@ -211,3 +212,107 @@ def test_product_against_regular_representation():
                     else:
                         expect[keys[i]] = cur
         assert (x * y).as_E().terms == expect
+
+
+# -- slot-wise torus transform against the dense double loop -----------------
+
+def _dense_acc(out, key, val):
+    nv = val if key not in out else out[key] + val
+    if nv.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = nv
+
+
+def dense_to_E(field, r, colors, terms):
+    out = {}
+    for (a, w), coeff in terms.items():
+        for chi in colors:
+            dot = sum(x * y for x, y in zip(a, chi)) % r
+            _dense_acc(out, (chi, w), coeff * field.zeta_pow(dot))
+    return out
+
+
+def dense_to_T(field, r, exponents, terms):
+    n = len(exponents[0])
+    inv_rn = field.one / field.from_int(r ** n)
+    out = {}
+    for (chi, w), coeff in terms.items():
+        base = coeff * inv_rn
+        for a in exponents:
+            dot = sum(x * y for x, y in zip(chi, a)) % r
+            _dense_acc(out, (a, w), base * field.zeta_pow((-dot) % r))
+    return out
+
+
+TRANSFORM_CASES = [(r, n, kind) for r in range(1, 5) for n in range(1, 5)
+                   for kind in (H.CYC, H.FP13)]
+
+
+def _random_terms(alg, rng, vectors, count):
+    perms = alg.perms
+    terms = {}
+    for _ in range(count):
+        key = (vectors[rng.randrange(len(vectors))], perms[rng.randrange(len(perms))])
+        c = alg.field.from_int(rng.choice([-2, -1, 1, 3])) * alg.field.zeta_pow(rng.randrange(alg.r))
+        _dense_acc(terms, key, c)
+    return terms
+
+
+@pytest.mark.parametrize("r,n,kind", TRANSFORM_CASES)
+def test_slot_transform_matches_dense(r, n, kind):
+    alg = H.yalg(r, n, kind)
+    f = alg.field
+    rng = random.Random(100 * r + 10 * n + len(kind))
+    # sparse operands of 1-4 terms
+    for count in (1, 2, 3, 4):
+        tt = _random_terms(alg, rng, alg.exponents, count)
+        assert torus_to_E(f, r, alg.colors, tt) == dense_to_E(f, r, alg.colors, tt)
+        et = _random_terms(alg, rng, alg.colors, count)
+        assert torus_to_T(f, r, alg.exponents, et) == dense_to_T(f, r, alg.exponents, et)
+    # dense blocks: every vector under one permutation, repeating coefficients
+    w = alg.perms[-1]
+    coeffs = [f.from_int(c) for c in (1, -1, 2)]
+    tt = {(a, w): coeffs[i % 3] for i, a in enumerate(alg.exponents)}
+    assert torus_to_E(f, r, alg.colors, tt) == dense_to_E(f, r, alg.colors, tt)
+    et = {(c, w): coeffs[i % 3] for i, c in enumerate(alg.colors)}
+    assert torus_to_T(f, r, alg.exponents, et) == dense_to_T(f, r, alg.exponents, et)
+
+
+@pytest.mark.parametrize("r,n", [(1, 1), (1, 3), (2, 1), (4, 1), (3, 2), (2, 4), (3, 3)])
+def test_transform_round_trips(r, n):
+    for kind in (H.CYC, H.FP13):
+        alg = H.yalg(r, n, kind)
+        rng = random.Random(7 * r + n)
+        for count in (1, 3, 6):
+            tt = _random_terms(alg, rng, alg.exponents, count)
+            assert alg.to_T(alg.to_E(tt)) == tt
+            et = _random_terms(alg, rng, alg.colors, count)
+            assert alg.to_E(alg.to_T(et)) == et
+
+
+def phi_via_T(alg, x):
+    """The flip computed in the T basis, converting there and back."""
+    out = {}
+    for (a, w), c in x.as_T().terms.items():
+        out[(tuple(reversed(a)), sg.compose(alg.w0, sg.compose(w, alg.w0)))] = c
+    res = alg.element(out, "T")
+    return res if x.basis == "T" else res.as_E()
+
+
+@pytest.mark.parametrize("r,n,kind", [(1, 3, H.CYC), (2, 3, H.CYC), (3, 3, H.FP13),
+                                      (3, 2, H.CYC), (2, 4, H.FP13)])
+def test_phi_key_map_matches_T_route(r, n, kind):
+    alg = H.yalg(r, n, kind)
+    rng = random.Random(31 * r + n)
+    for _ in range(10):
+        x = alg.random_element(rng)
+        y = alg.random_element(rng)
+        assert x.basis == "E"
+        px = alg.phi(x)
+        assert px.basis == "E" and px.terms == phi_via_T(alg, x).terms
+        xt = x.as_T()
+        pxt = alg.phi(xt)
+        assert pxt.basis == "T" and pxt.terms == phi_via_T(alg, xt).terms
+        assert alg.phi(px).terms == x.terms
+        assert alg.phi(x * y) == px * alg.phi(y)

@@ -2,10 +2,11 @@
 Ariki-Koike-Shoji presentation, and the associated nil algebra."""
 
 from .scalars import CyclotomicField, FieldSpec, PrimeField, make_field
-from .ycore import YAlgebra, YElement
-from .aks import AKSAlgebra, AKSElement
-from .nilalg import NilAlgebra, NilElement
-from . import exactla, modrep, structure, symgroup
+from .algebra import SparseAlgebra, SparseElement
+from .ycore import YAlgebra
+from .aks import AKSAlgebra
+from .nilalg import NilAlgebra
+from . import algebra, exactla, modrep, structure, symgroup
 
 __version__ = "0.1.0"
 
@@ -14,12 +15,12 @@ __all__ = [
     "PrimeField",
     "FieldSpec",
     "make_field",
+    "SparseAlgebra",
+    "SparseElement",
     "YAlgebra",
-    "YElement",
     "AKSAlgebra",
-    "AKSElement",
     "NilAlgebra",
-    "NilElement",
+    "algebra",
     "exactla",
     "modrep",
     "structure",

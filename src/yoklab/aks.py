@@ -18,75 +18,35 @@ of the left factor through the right factor.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from . import symgroup as sg
-from .scalars import FieldSpec, make_field
+from .algebra import SparseAlgebra, SparseElement
+from .exactla import _acc
 
-__all__ = ["AKSAlgebra", "AKSElement"]
-
-
-def _acc(out: dict, key, val) -> None:
-    cur = out.get(key)
-    nv = val if cur is None else cur + val
-    if nv.is_zero():
-        out.pop(key, None)
-    else:
-        out[key] = nv
+__all__ = ["AKSAlgebra"]
 
 
-class AKSAlgebra:
+class AKSAlgebra(SparseAlgebra):
+    bases = {"AKS": "c"}
+    mul_basis = "AKS"
+
     def __init__(self, r: int, n: int, field=None, q=None):
-        if r < 1 or n < 1:
-            raise ValueError("need r >= 1 and n >= 1")
-        if field is None:
-            field = make_field(FieldSpec("CyclotomicRational", r))
-        if field.r != r:
-            raise ValueError(f"field carries r = {field.r}, algebra wants r = {r}")
-        self.r = r
-        self.n = n
-        self.field = field
-        if q is None:
-            q = field.zero
-        elif isinstance(q, (int, Fraction)):
-            q = field.from_fraction(Fraction(q))
-        self.q = q
-        self.qm1 = q - field.one
-        self.perms = sg.all_permutations(n)
-        self.ident = sg.identity(n)
-        self._inv = {w: sg.inverse(w) for w in self.perms}
-        self._rword = {w: sg.reduced_word(w) for w in self.perms}
-        self.colors = [tuple(c) for c in itertools.product(range(1, r + 1), repeat=n)]
+        super().__init__(r, n, field)
+        self._set_q(q)
 
-    @property
-    def dimension(self) -> int:
-        out = self.r ** self.n
-        for k in range(2, self.n + 1):
-            out *= k
-        return out
-
-    def element(self, terms: dict) -> "AKSElement":
-        return AKSElement(self, {k: v for k, v in terms.items() if not v.is_zero()})
-
-    def zero(self) -> "AKSElement":
-        return AKSElement(self, {})
-
-    def one(self) -> "AKSElement":
-        return AKSElement(self, {(c, self.ident): self.field.one for c in self.colors})
-
-    def gen_L(self, c) -> "AKSElement":
+    def gen_L(self, c) -> SparseElement:
         c = tuple(c)
         if not (len(c) == self.n and all(1 <= x <= self.r for x in c)):
             raise ValueError(f"not a color vector: {c}")
-        return AKSElement(self, {(c, self.ident): self.field.one})
+        return SparseElement(self, "AKS", {(c, self.ident): self.field.one})
 
-    def gen_h(self, i: int) -> "AKSElement":
+    def gen_h(self, i: int) -> SparseElement:
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"h index {i} out of range")
-        return AKSElement(self, self._lmul_h(self.one().terms, i))
+        return SparseElement(self, "AKS", self._lmul_h(self.one().terms, i))
 
-    def basis_monomial(self, c, w) -> "AKSElement":
-        return AKSElement(self, {(tuple(c), tuple(w)): self.field.one})
+    def basis_monomial(self, c, w) -> SparseElement:
+        return SparseElement(self, "AKS", {(tuple(c), tuple(w)): self.field.one})
 
     # -- engine ----------------------------------------------------------
 
@@ -146,9 +106,6 @@ class AKSAlgebra:
 
     def _h_terms(self, i: int) -> dict:
         return self._lmul_h({(c, self.ident): self.field.one for c in self.colors}, i)
-
-    def all_generator_maps(self):
-        return self.lmul_gen_maps() + self.rmul_gen_maps()
 
     # -- presentation ------------------------------------------------------
 
@@ -249,94 +206,5 @@ class AKSAlgebra:
                 seeds.append((h[i] * lc - lc * h[i]).terms)
         return [s for s in seeds if s]
 
-    def element_to_json(self, x: "AKSElement") -> dict:
-        items = []
-        for key in sorted(x.terms.keys()):
-            c, w = key
-            items.append({"c": list(c), "w": list(w),
-                          "coeff": self.field.render(x.terms[key])})
-        return {"basis": "AKS", "r": self.r, "n": self.n, "terms": items}
-
     def __repr__(self):
         return f"AKSAlgebra(r={self.r}, n={self.n}, q={self.field.render(self.q)})"
-
-
-class AKSElement:
-    __slots__ = ("alg", "terms")
-
-    def __init__(self, alg: AKSAlgebra, terms: dict):
-        self.alg = alg
-        self.terms = terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check_mate(self, other):
-        if other.alg is not self.alg:
-            raise ValueError("elements live in different algebras")
-
-    def __add__(self, other):
-        if not isinstance(other, AKSElement):
-            return NotImplemented
-        self._check_mate(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            _acc(out, k, v)
-        return AKSElement(self.alg, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, AKSElement):
-            return NotImplemented
-        self._check_mate(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            _acc(out, k, -v)
-        return AKSElement(self.alg, out)
-
-    def __neg__(self):
-        return AKSElement(self.alg, {k: -v for k, v in self.terms.items()})
-
-    def _scale(self, c):
-        if c.is_zero():
-            return AKSElement(self.alg, {})
-        return AKSElement(self.alg, {k: c * v for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, AKSElement):
-            self._check_mate(other)
-            return AKSElement(self.alg, self.alg.mul_terms(self.terms, other.terms))
-        if isinstance(other, (int, Fraction)):
-            return self._scale(self.alg.field.from_fraction(Fraction(other)))
-        if hasattr(other, "is_zero") and hasattr(other, "field"):
-            return self._scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scale(self.alg.field.from_fraction(Fraction(other)))
-        if hasattr(other, "is_zero") and hasattr(other, "field"):
-            return self._scale(other)
-        return NotImplemented
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers are not defined here")
-        out = self.alg.one()
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, AKSElement):
-            return NotImplemented
-        return other.alg is self.alg and self.terms == other.terms
-
-    __hash__ = None
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        render = self.alg.field.render
-        bits = [f"({render(v)})*L{c}h{w}" for (c, w), v in sorted(self.terms.items())[:8]]
-        more = "" if len(self.terms) <= 8 else f" ... ({len(self.terms)} terms)"
-        return " + ".join(bits) + more

@@ -110,12 +110,8 @@ def cmd_mult(args) -> int:
         print(f"error: bad element JSON: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.nil:
-            alg = NilAlgebra(args.r, args.n, _field_for(args))
-            prod = alg.element_from_json(lhs_obj) * alg.element_from_json(rhs_obj)
-        else:
-            alg = _y_algebra(args)
-            prod = alg.element_from_json(lhs_obj) * alg.element_from_json(rhs_obj)
+        alg = NilAlgebra(args.r, args.n, _field_for(args)) if args.nil else _y_algebra(args)
+        prod = alg.element_from_json(lhs_obj) * alg.element_from_json(rhs_obj)
         out = alg.element_to_json(prod)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -198,19 +194,12 @@ def cmd_radical(args) -> int:
 
 
 def cmd_gram(args) -> int:
-    field = _field_for(args)
+    alg = NilAlgebra(args.r, args.n, _field_for(args)) if args.nil else _y_algebra(args)
+    keys, rows = structure.gram_matrix(alg)
+    res = structure.frobenius_check(alg, gram=(keys, rows))
+    export = {"schema": SCHEMA, **structure.gram_to_json(alg, keys, rows)}
     if args.nil:
-        alg = NilAlgebra(args.r, args.n, field)
-        keys, rows = alg.gram_matrix()
-        res = alg.frobenius_check(gram=(keys, rows))
-        export = {"schema": SCHEMA, "nil": True, "r": args.r, "n": args.n,
-                  "basis": [{"a": list(a), "w": list(w)} for a, w in keys],
-                  "entries": [[field.render(v) for v in row] for row in rows]}
-    else:
-        alg = _y_algebra(args)
-        keys, rows = structure.gram_matrix(alg)
-        res = structure.frobenius_check(alg, gram=(keys, rows))
-        export = {"schema": SCHEMA, **structure.gram_to_json(alg, keys, rows)}
+        export["nil"] = True
     if args.export:
         with open(args.export, "w") as fh:
             json.dump(export, fh, indent=2, sort_keys=True)
@@ -224,15 +213,9 @@ def cmd_gram(args) -> int:
 
 
 def cmd_nakayama(args) -> int:
-    field = _field_for(args)
-    if args.nil:
-        alg = NilAlgebra(args.r, args.n, field)
-        res = alg.nakayama_check(exhaustive=args.exhaustive,
-                                 samples=args.samples, seed=args.seed)
-    else:
-        alg = _y_algebra(args)
-        res = structure.nakayama_check(alg, exhaustive=args.exhaustive,
-                                       samples=args.samples, seed=args.seed)
+    alg = NilAlgebra(args.r, args.n, _field_for(args)) if args.nil else _y_algebra(args)
+    res = structure.nakayama_check(alg, exhaustive=args.exhaustive,
+                                   samples=args.samples, seed=args.seed)
     lines = [f"trace symmetry ({res['mode']}, {res['pairs']} pairs): "
              f"{'ok' if res['ok'] else 'FAILED'}"]
     payload = {"schema": SCHEMA, "r": args.r, "n": args.n, **res}
@@ -325,7 +308,7 @@ def cmd_report(args) -> int:
     naka = structure.nakayama_check(y, samples=50, seed=args.seed)
     match = structure.classification_match(y)
     tri = structure.triangularity_check(y)
-    nil_frob = nil.frobenius_check()
+    nil_frob = structure.frobenius_check(nil)
     nil_dims = nil.radical_power_dims()
 
     report = {

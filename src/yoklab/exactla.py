@@ -10,15 +10,21 @@ from __future__ import annotations
 
 __all__ = [
     "vec_addmul",
-    "vec_scale",
     "Subspace",
-    "echelonize",
     "closure_under",
-    "quotient_coordinates",
-    "matrix_rank",
     "invertible",
     "ideal_power_dims",
 ]
+
+
+def _acc(out: dict, key, val) -> None:
+    """out[key] += val, in place, dropping the key when it cancels."""
+    cur = out.get(key)
+    nv = val if cur is None else cur + val
+    if nv.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = nv
 
 
 def vec_addmul(target: dict, coeff, source: dict) -> None:
@@ -32,12 +38,6 @@ def vec_addmul(target: dict, coeff, source: dict) -> None:
             target.pop(k, None)
         else:
             target[k] = nv
-
-
-def vec_scale(v: dict, coeff) -> dict:
-    if coeff.is_zero():
-        return {}
-    return {k: coeff * x for k, x in v.items()}
 
 
 class Subspace:
@@ -58,17 +58,11 @@ class Subspace:
     def reduce(self, v: dict) -> dict:
         """Residue of v modulo the subspace (a fresh dict)."""
         out = dict(v)
-        for piv in list(out.keys() & self.rows.keys()):
-            c = out.get(piv)
-            if c is not None and not c.is_zero():
-                vec_addmul(out, -c, self.rows[piv])
-        # eliminating one pivot can reintroduce another
-        while True:
-            hit = out.keys() & self.rows.keys()
-            if not hit:
-                return out
-            for piv in hit:
-                vec_addmul(out, -out[piv], self.rows[piv])
+        # no row holds another row's pivot, so eliminating one pivot never
+        # touches the coefficient at another: one pass clears them all
+        for piv in out.keys() & self.rows.keys():
+            vec_addmul(out, -out[piv], self.rows[piv])
+        return out
 
     def insert(self, v: dict):
         """Add v to the span.  Returns the stored normalized row, or None
@@ -92,18 +86,6 @@ class Subspace:
 
     def basis_rows(self) -> list[dict]:
         return [dict(r) for r in self.rows.values()]
-
-    def copy(self) -> "Subspace":
-        out = Subspace(self.field, self.sort_key)
-        out.rows = {p: dict(r) for p, r in self.rows.items()}
-        return out
-
-
-def echelonize(field, vectors, sort_key=None) -> Subspace:
-    sub = Subspace(field, sort_key)
-    for v in vectors:
-        sub.insert(v)
-    return sub
 
 
 def closure_under(field, maps, seed, sort_key=None) -> Subspace:
@@ -131,44 +113,16 @@ def closure_under(field, maps, seed, sort_key=None) -> Subspace:
     return sub
 
 
-def quotient_coordinates(sub: Subspace, ambient_keys, v: dict):
-    """Coordinates of v's residue on the non-pivot keys, in ambient order."""
-    red = sub.reduce(v)
-    zero = sub.field.zero
-    return tuple(red.get(k, zero) for k in ambient_keys if k not in sub.rows)
-
-
-def matrix_rank(field, rows) -> int:
-    """Exact rank of a dense matrix given as a list of scalar lists."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(mat)):
-            if not mat[i][col].is_zero():
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = mat[rank][col].inverse()
-        mat[rank] = [inv * x for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and not mat[i][col].is_zero():
-                c = mat[i][col]
-                mat[i] = [a - c * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
-
-
 def invertible(field, rows) -> bool:
+    """A matrix, given as a list of scalar lists, is invertible when it is
+    square and every row inserts into a Subspace (no row depends on the
+    rows before it)."""
     n = len(rows)
-    return n > 0 and all(len(r) == n for r in rows) and matrix_rank(field, rows) == n
+    if n == 0 or any(len(row) != n for row in rows):
+        return False
+    sub = Subspace(field)
+    return all(sub.insert({j: c for j, c in enumerate(row) if not c.is_zero()})
+               is not None for row in rows)
 
 
 def ideal_power_dims(field, product, sub: Subspace, seeds=None,

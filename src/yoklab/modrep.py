@@ -210,21 +210,14 @@ def semisimplicity_certificate(alg: YAlgebra, ideal=None, labels=None) -> dict:
     keys = [(c, w) for c in alg.colors for w in alg.perms]
     dim_match = alg.dimension - ideal.dim() == len(labels)
 
-    one_scal = field.one
+    one_scal, minus_one = field.one, -field.one
     commutative = True
     for k1 in keys:
         x1 = {k1: one_scal}
         for k2 in keys:
             x2 = {k2: one_scal}
             ab = alg.mul_terms(x1, x2)
-            ba = alg.mul_terms(x2, x1)
-            for k, v in ba.items():
-                cur = ab.get(k)
-                nv = -v if cur is None else cur - v
-                if nv.is_zero():
-                    ab.pop(k, None)
-                else:
-                    ab[k] = nv
+            exactla.vec_addmul(ab, minus_one, alg.mul_terms(x2, x1))
             if ab and not ideal.contains(ab):
                 commutative = False
                 break

@@ -377,28 +377,6 @@ class CyclotomicField:
         inv = (inv + [Fraction(0)] * d)[:d]
         return CycScalar(self, tuple(inv))
 
-    # -- spec surface --------------------------------------------------
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def div(self, a, b):
-        return a / b
-
-    def negate(self, a):
-        return -a
-
-    def equals(self, a, b):
-        return a == b
-
-    def is_zero(self, a):
-        return a.is_zero()
-
     # -- text format ---------------------------------------------------
     def parse(self, text: str) -> CycScalar:
         out = self.zero
@@ -563,27 +541,6 @@ class PrimeField:
             self._zeta_pows = [FpScalar(self, pow(self.zeta.value, j, self.p))
                                for j in range(self.r)]
         return self._zeta_pows[k % self.r]
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def div(self, a, b):
-        return a / b
-
-    def negate(self, a):
-        return -a
-
-    def equals(self, a, b):
-        return a == b
-
-    def is_zero(self, a):
-        return a.is_zero()
 
     def parse(self, text: str) -> FpScalar:
         out = self.zero

@@ -7,6 +7,11 @@ expansion that is (1/r^n) times the sum of the coefficients sitting on
 h = t^a g_w the element j = g_{w0 w^{-1}} t^{-a} pairs to exactly 1,
 because the permutation parts multiply length-additively straight to w0.
 
+The trace, Gram, Frobenius, Nakayama and flip checks take any engine whose
+default basis is keyed by torus exponents: the Y algebra, and the nil
+algebra with T_i in place of g_i.  They multiply the default-basis keys in
+the engine's multiplication basis and read tau off the product there.
+
 Cells: basis monomials (chi, w) are ranked by (length(w), w, chi).  At q = 0
 multiplication by any generator sends a basis monomial to monomials of the
 same or higher rank, and the square of E_chi g_w touches the (chi, w)
@@ -20,8 +25,9 @@ from __future__ import annotations
 import random
 
 from . import exactla, symgroup as sg
+from .algebra import SparseAlgebra, SparseElement
 from .modrep import enumerate_labels, require_q0
-from .ycore import YAlgebra, YElement
+from .ycore import YAlgebra
 
 __all__ = [
     "tau",
@@ -42,9 +48,9 @@ __all__ = [
 ]
 
 
-def tau_terms(alg: YAlgebra, terms: dict, basis: str):
+def tau_terms(alg: SparseAlgebra, terms: dict, basis: str):
     field = alg.field
-    if basis == "T":
+    if basis != "E":
         return terms.get(((0,) * alg.n, alg.w0), field.zero)
     acc = field.zero
     for (chi, w), v in terms.items():
@@ -53,32 +59,49 @@ def tau_terms(alg: YAlgebra, terms: dict, basis: str):
     return acc / field.from_int(alg.r ** alg.n)
 
 
-def tau(alg: YAlgebra, x: YElement):
+def tau(alg: SparseAlgebra, x: SparseElement):
     return tau_terms(alg, x.terms, x.basis)
 
 
-def t_basis_keys(alg: YAlgebra) -> list:
+def t_basis_keys(alg: SparseAlgebra) -> list:
     return sorted((a, w) for a in alg.exponents for w in alg.perms)
 
 
-def gram_matrix(alg: YAlgebra):
+def _mul_forms(alg: SparseAlgebra, keys) -> dict:
+    """Each default-basis key as a term dict in the multiplication basis."""
+    one = alg.field.one
+    return {k: alg.element({k: one}).in_basis(alg.mul_basis).terms for k in keys}
+
+
+def _flipped(alg: SparseAlgebra, forms: dict) -> dict:
+    """phi of each form, in the same basis."""
+    return {k: alg.phi(SparseElement(alg, alg.mul_basis, f)).terms for k, f in forms.items()}
+
+
+def gram_matrix(alg: SparseAlgebra):
     """Gram matrix of tau(b_i b_j) over the sorted T-basis monomials."""
     keys = t_basis_keys(alg)
-    e_forms = [alg.to_E({k: alg.field.one}) for k in keys]
+    forms = list(_mul_forms(alg, keys).values())
+    mb = alg.mul_basis
     rows = []
-    for x in e_forms:
-        rows.append([tau_terms(alg, alg.mul_terms(x, y), "E") for y in e_forms])
+    for x in forms:
+        rows.append([tau_terms(alg, alg.mul_terms(x, y), mb) for y in forms])
     return keys, rows
 
 
-def frobenius_witness(alg: YAlgebra, key) -> YElement:
-    """Element j with tau(j * t^a g_w) = 1 for the given T-basis key."""
+def frobenius_witness(alg: SparseAlgebra, key, forms=None) -> SparseElement:
+    """Element j = g_{w0 w^-1} t^{-a} with tau(j * t^a g_w) = 1 for the
+    T-basis key (a, w), in the multiplication basis.  forms maps T-basis
+    keys to their multiplication-basis dicts when the caller has them."""
     a, w = key
-    u = sg.compose(alg.w0, sg.inverse(w))
-    return alg.g_w(u) * alg.t_monomial(tuple((-x) % alg.r for x in a))
+    g = ((0,) * alg.n, sg.compose(alg.w0, sg.inverse(w)))
+    t = (tuple((-x) % alg.r for x in a), alg.ident)
+    if forms is None:
+        forms = _mul_forms(alg, (g, t))
+    return SparseElement(alg, alg.mul_basis, alg.mul_terms(forms[g], forms[t]))
 
 
-def frobenius_check(alg: YAlgebra, with_witness: bool = True,
+def frobenius_check(alg: SparseAlgebra, with_witness: bool = True,
                     permuted_identity: bool = False, gram=None) -> dict:
     """Gram invertibility plus witnesses; gram is (keys, rows) from
     gram_matrix(alg) when the caller already built it."""
@@ -87,45 +110,36 @@ def frobenius_check(alg: YAlgebra, with_witness: bool = True,
         "dimension": len(keys),
         "gram_invertible": exactla.invertible(alg.field, rows),
     }
+    mb, one = alg.mul_basis, alg.field.one
+    forms = _mul_forms(alg, keys) if with_witness or permuted_identity else {}
     if with_witness:
-        ok = True
-        one = alg.field.one
-        for key in keys:
-            j = frobenius_witness(alg, key)
-            h = YElement(alg, "T", {key: one})
-            if not (tau(alg, j * h) == one):
-                ok = False
-                break
-        result["witness_ok"] = ok
+        result["witness_ok"] = all(
+            tau_terms(alg, alg.mul_terms(frobenius_witness(alg, k, forms).terms, forms[k]), mb)
+            == one for k in keys)
     if permuted_identity:
         # the Gram matrix is not symmetric; the honest symmetry statement is
         # G[x][y] = tau(phi(b_y) b_x), checked entry by entry
-        one = alg.field.one
-        ok = True
-        elems = [YElement(alg, "T", {k: one}) for k in keys]
-        for ix, x in enumerate(elems):
-            for iy, y in enumerate(elems):
-                if not (rows[ix][iy] == tau(alg, alg.phi(y) * x)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        result["permuted_identity_ok"] = ok
+        flipped = list(_flipped(alg, forms).values())
+        result["permuted_identity_ok"] = all(
+            row[iy] == tau_terms(alg, alg.mul_terms(flipped[iy], x), mb)
+            for row, x in zip(rows, forms.values()) for iy in range(len(keys)))
     return result
 
 
-def nakayama_check(alg: YAlgebra, exhaustive: bool = False, samples: int = 200,
+def nakayama_check(alg: SparseAlgebra, exhaustive: bool = False, samples: int = 200,
                    seed: int = 0) -> dict:
     """tau(x y) = tau(phi(y) x), exhaustively on basis pairs or sampled."""
     pairs = 0
     if exhaustive:
         keys = t_basis_keys(alg)
-        one = alg.field.one
+        forms = _mul_forms(alg, keys)
+        flipped = _flipped(alg, forms)
+        mb = alg.mul_basis
         for k1 in keys:
-            x = YElement(alg, "T", {k1: one})
+            x = forms[k1]
             for k2 in keys:
-                y = YElement(alg, "T", {k2: one})
-                if not (tau(alg, x * y) == tau(alg, alg.phi(y) * x)):
+                if not (tau_terms(alg, alg.mul_terms(x, forms[k2]), mb)
+                        == tau_terms(alg, alg.mul_terms(flipped[k2], x), mb)):
                     return {"mode": "exhaustive", "pairs": pairs, "ok": False}
                 pairs += 1
         return {"mode": "exhaustive", "pairs": pairs, "ok": True}
@@ -139,15 +153,19 @@ def nakayama_check(alg: YAlgebra, exhaustive: bool = False, samples: int = 200,
     return {"mode": "sampled", "pairs": pairs, "ok": True}
 
 
-def phi_checks(alg: YAlgebra, samples: int = 50, seed: int = 1) -> dict:
+def phi_checks(alg: SparseAlgebra, samples: int = 50, seed: int = 1) -> dict:
     """phi sends generators where it should, preserves products, squares to id."""
-    n = alg.n
-    gens_ok = all(alg.phi(alg.gen_g(i)) == alg.gen_g(n - i) for i in range(1, n))
+    n, one = alg.n, alg.field.one
+
+    def g(i):   # g_i, or T_i on the nil algebra
+        return alg.element({((0,) * n, sg.right_mult_s(alg.ident, i)): one})
+
+    gens_ok = all(alg.phi(g(i)) == g(n - i) for i in range(1, n))
     gens_ok = gens_ok and all(alg.phi(alg.gen_t(j)) == alg.gen_t(n + 1 - j)
                               for j in range(1, n + 1))
     rng = random.Random(seed)
     mult_ok = True
-    invol_ok = all(alg.phi(alg.phi(alg.gen_g(i))) == alg.gen_g(i) for i in range(1, n))
+    invol_ok = all(alg.phi(alg.phi(g(i))) == g(i) for i in range(1, n))
     for _ in range(samples):
         x = alg.random_element(rng)
         y = alg.random_element(rng)
@@ -252,7 +270,7 @@ def proof_identities(alg: YAlgebra) -> list[dict]:
     return out
 
 
-def gram_to_json(alg: YAlgebra, keys, rows) -> dict:
+def gram_to_json(alg: SparseAlgebra, keys, rows) -> dict:
     render = alg.field.render
     return {
         "r": alg.r,

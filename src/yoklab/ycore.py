@@ -38,22 +38,11 @@ full block of r^n terms costs n r^(n+1) dict updates instead of r^(2n).
 
 from __future__ import annotations
 
-import itertools
-from fractions import Fraction
-
 from . import symgroup as sg
-from .scalars import FieldSpec, make_field
+from .algebra import SparseAlgebra, SparseElement
+from .exactla import _acc
 
-__all__ = ["YAlgebra", "YElement", "torus_to_E", "torus_to_T"]
-
-
-def _acc(out: dict, key, val) -> None:
-    cur = out.get(key)
-    nv = val if cur is None else cur + val
-    if nv.is_zero():
-        out.pop(key, None)
-    else:
-        out[key] = nv
+__all__ = ["YAlgebra", "torus_to_E", "torus_to_T"]
 
 
 def _slot_transform(field, r: int, n: int, terms: dict, targets, sign: int) -> dict:
@@ -109,86 +98,22 @@ def torus_to_T(field, r: int, exponents, terms: dict) -> dict:
     return {k: c * inv_rn for k, c in out.items()}
 
 
-def element_json_terms(obj, r: int, n: int, vec_names: dict) -> tuple[str, list]:
-    """Validate an element's JSON form; return (basis, [(vector, w, coeff)]).
-
-    vec_names maps each accepted basis tag to the name of its vector field.
-    Every malformed piece raises ValueError: a non-object element or term,
-    a vector that is not n integers, a w that is not a permutation, a
-    non-string coeff.
-    """
-    if not isinstance(obj, dict):
-        raise ValueError("an element must be a JSON object")
-    basis = obj.get("basis")
-    if not isinstance(basis, str) or basis not in vec_names:
-        raise ValueError(f"unknown basis tag {basis!r}")
-    if obj.get("r", r) != r or obj.get("n", n) != n:
-        raise ValueError("element parameters do not match this algebra")
-    items = obj.get("terms")
-    if not isinstance(items, list):
-        raise ValueError("'terms' must be a list")
-    out = []
-    for item in items:
-        if not isinstance(item, dict):
-            raise ValueError("each term must be a JSON object")
-        vec = _json_vector(item, vec_names[basis], n)
-        w = _json_vector(item, "w", n)
-        if sorted(w) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation: {w}")
-        coeff = item.get("coeff")
-        if not isinstance(coeff, str):
-            raise ValueError("'coeff' must be a string")
-        out.append((vec, w, coeff))
-    return basis, out
-
-
-def _json_vector(item: dict, name: str, n: int) -> tuple:
-    vec = item.get(name)
-    # bool is an int subclass, but JSON true/false is no vector entry
-    if not (isinstance(vec, list) and len(vec) == n
-            and all(type(x) is int for x in vec)):
-        raise ValueError(f"{name!r} must be a list of {n} integers")
-    return tuple(vec)
-
-
-class YAlgebra:
+class YAlgebra(SparseAlgebra):
     """Container for one (r, n, field, q) instance plus its caches."""
 
-    def __init__(self, r: int, n: int, field=None, q=None):
-        if r < 1 or n < 1:
-            raise ValueError("need r >= 1 and n >= 1")
-        if field is None:
-            field = make_field(FieldSpec("CyclotomicRational", r))
-        if field.r != r:
-            raise ValueError(f"field carries r = {field.r}, algebra wants r = {r}")
-        self.r = r
-        self.n = n
-        self.field = field
-        if q is None:
-            q = field.zero
-        elif isinstance(q, (int, Fraction)):
-            q = field.from_fraction(Fraction(q))
-        self.q = q
-        self.qm1 = q - field.one
+    bases = {"T": "a", "E": "chi"}
+    mul_basis = "E"
+    # the shared codec, bound on this class as well so that per-class method
+    # tables (such as perfbench's per-layer spans) list Y's JSON I/O here
+    element_to_json = SparseAlgebra.element_to_json
+    element_from_json = SparseAlgebra.element_from_json
 
-        self.perms = sg.all_permutations(n)
-        self.ident = sg.identity(n)
-        self.w0 = sg.longest_element(n)
-        self._len = {w: sg.length(w) for w in self.perms}
-        self._inv = {w: sg.inverse(w) for w in self.perms}
-        self._rword = {w: sg.reduced_word(w) for w in self.perms}
-        self.colors = [tuple(c) for c in itertools.product(range(1, r + 1), repeat=n)]
-        self.exponents = [tuple(a) for a in itertools.product(range(r), repeat=n)]
+    def __init__(self, r: int, n: int, field=None, q=None):
+        super().__init__(r, n, field)
+        self._set_q(q)
         self._act_cache: dict = {}
         self._mono_cache: dict = {}
-        self._zeta = field.zeta_pow
-
-    @property
-    def dimension(self) -> int:
-        out = self.r ** self.n
-        for k in range(2, self.n + 1):
-            out *= k
-        return out
+        self._zeta = self.field.zeta_pow
 
     def act(self, w, c):
         key = (w, c)
@@ -199,45 +124,37 @@ class YAlgebra:
         return got
 
     # -- element constructors ------------------------------------------
+    # gen_t and t_monomial build default-basis elements keyed by torus
+    # exponents; the nil engine's default basis is keyed the same way and
+    # shares them, as it shares phi
 
-    def element(self, terms: dict, basis: str) -> "YElement":
-        return YElement(self, basis, {k: v for k, v in terms.items() if not v.is_zero()})
-
-    def zero(self, basis: str = "T") -> "YElement":
-        return YElement(self, basis, {})
-
-    def one(self, basis: str = "T") -> "YElement":
-        if basis == "T":
-            return YElement(self, "T", {((0,) * self.n, self.ident): self.field.one})
-        return YElement(self, "E", {(c, self.ident): self.field.one for c in self.colors})
-
-    def gen_t(self, j: int) -> "YElement":
+    def gen_t(self, j: int) -> SparseElement:
         if not 1 <= j <= self.n:
             raise ValueError(f"t index {j} out of range")
-        a = tuple(1 if k == j - 1 else 0 for k in range(self.n))
-        return YElement(self, "T", {(tuple(x % self.r for x in a), self.ident): self.field.one})
+        a = tuple(1 % self.r if k == j - 1 else 0 for k in range(self.n))
+        return self.element({(a, self.ident): self.field.one})
 
-    def gen_g(self, i: int) -> "YElement":
+    def gen_g(self, i: int) -> SparseElement:
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"g index {i} out of range")
         w = sg.right_mult_s(self.ident, i)
-        return YElement(self, "T", {((0,) * self.n, w): self.field.one})
+        return SparseElement(self, "T", {((0,) * self.n, w): self.field.one})
 
-    def t_monomial(self, a) -> "YElement":
+    def t_monomial(self, a) -> SparseElement:
         a = tuple(x % self.r for x in a)
         if len(a) != self.n:
             raise ValueError("exponent vector has wrong length")
-        return YElement(self, "T", {(a, self.ident): self.field.one})
+        return self.element({(a, self.ident): self.field.one})
 
-    def g_w(self, w) -> "YElement":
+    def g_w(self, w) -> SparseElement:
         # prefixes of a reduced word stay reduced, so every step is length-up
         cur = self.ident
         for i in self._rword[tuple(w)]:
             cur = sg.right_mult_s(cur, i)
         assert cur == tuple(w)
-        return YElement(self, "T", {((0,) * self.n, cur): self.field.one})
+        return SparseElement(self, "T", {((0,) * self.n, cur): self.field.one})
 
-    def e_idem(self, i: int) -> "YElement":
+    def e_idem(self, i: int) -> SparseElement:
         """e_i = (1/r) sum_s t_i^s t_{i+1}^{-s} in the T basis."""
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"e index {i} out of range")
@@ -248,18 +165,19 @@ class YAlgebra:
             a[i - 1] = s
             a[i] = (-s) % self.r
             _acc(terms, (tuple(a), self.ident), inv_r)
-        return YElement(self, "T", terms)
+        return SparseElement(self, "T", terms)
 
-    def E_idem(self, chi) -> "YElement":
+    def E_idem(self, chi) -> SparseElement:
         chi = tuple(chi)
         if chi not in set(self.colors):
             raise ValueError(f"not a color vector: {chi}")
-        return YElement(self, "E", {(chi, self.ident): self.field.one})
-
-    def standard_basis_element(self, chi, w) -> "YElement":
-        return YElement(self, "E", {(tuple(chi), tuple(w)): self.field.one})
+        return SparseElement(self, "E", {(chi, self.ident): self.field.one})
 
     # -- basis conversion ------------------------------------------------
+
+    def convert(self, terms: dict, basis: str) -> dict:
+        """terms, written in the other basis, rewritten in basis."""
+        return self.to_E(terms) if basis == "E" else self.to_T(terms)
 
     def to_E(self, tt: dict) -> dict:
         return torus_to_E(self.field, self.r, self.colors, tt)
@@ -347,12 +265,9 @@ class YAlgebra:
         maps += [(lambda t, j=j: self._rmul_t(t, j)) for j in range(1, self.n + 1)]
         return maps
 
-    def all_generator_maps(self):
-        return self.lmul_gen_maps() + self.rmul_gen_maps()
-
     # -- the flip automorphism -------------------------------------------
 
-    def phi(self, x: "YElement") -> "YElement":
+    def phi(self, x: SparseElement) -> SparseElement:
         """Algebra automorphism with phi(g_i) = g_{n-i}, phi(t_j) = t_{n+1-j}.
 
         On a T monomial this is (a, w) -> (reversed a, w0 w w0): the torus
@@ -360,12 +275,13 @@ class YAlgebra:
         diagram flip i -> n-i on reduced words without creating lower terms.
         Since t_j E_chi = zeta^{chi_j} E_chi, phi sends E_chi to
         E_{reversed chi}, so the same key map serves the E basis and no
-        basis change is needed.
+        basis change is needed.  It is also the nil algebra's flip, with
+        T_i in place of g_i.
         """
         w0 = self.w0
         out = {(tuple(reversed(vec)), sg.compose(w0, sg.compose(w, w0))): coeff
                for (vec, w), coeff in x.terms.items()}
-        return YElement(self, x.basis, out)
+        return SparseElement(self, x.basis, out)
 
     # -- presentation checks ----------------------------------------------
 
@@ -422,7 +338,7 @@ class YAlgebra:
                     a[i - 1] = s
                     _acc(factor, (tuple(a), self.ident),
                          inv_r * self._zeta((-chi[i - 1] * s) % self.r))
-                prod = prod * YElement(self, "T", factor)
+                prod = prod * SparseElement(self, "T", factor)
             idems[chi] = prod
         g = [None] + [self.gen_g(i) for i in range(1, n)]
         t = [None] + [self.gen_t(j) for j in range(1, n + 1)]
@@ -460,150 +376,5 @@ class YAlgebra:
                 rels.append((f"g{i} g{k} = g{k} g{i}", g[i] * g[k] - g[k] * g[i]))
         return rels
 
-    # -- misc ------------------------------------------------------------
-
-    def random_element(self, rng, nterms: int = 4, basis: str = "E") -> "YElement":
-        keys = [(c, w) for c in self.colors for w in self.perms]
-        terms: dict = {}
-        while not terms:
-            for _ in range(nterms):
-                key = keys[rng.randrange(len(keys))]
-                c = rng.randint(-4, 4)
-                if c == 0:
-                    continue
-                _acc(terms, key, self.field.from_int(c) * self._zeta(rng.randrange(self.r)))
-        el = YElement(self, "E", terms)
-        return el if basis == "E" else el.as_T()
-
-    def element_to_json(self, x: "YElement") -> dict:
-        vec_name = "chi" if x.basis == "E" else "a"
-        items = []
-        for key in sorted(x.terms.keys()):
-            vec, w = key
-            items.append({vec_name: list(vec), "w": list(w),
-                          "coeff": self.field.render(x.terms[key])})
-        return {"basis": x.basis, "r": self.r, "n": self.n, "terms": items}
-
-    def element_from_json(self, obj: dict) -> "YElement":
-        basis, items = element_json_terms(obj, self.r, self.n, {"E": "chi", "T": "a"})
-        terms: dict = {}
-        for vec, w, coeff in items:
-            if basis == "E" and not all(1 <= x <= self.r for x in vec):
-                raise ValueError(f"color entries must lie in 1..{self.r}")
-            if basis == "T":
-                vec = tuple(x % self.r for x in vec)
-            _acc(terms, (vec, w), self.field.parse(coeff))
-        return YElement(self, basis, terms)
-
     def __repr__(self):
         return f"YAlgebra(r={self.r}, n={self.n}, q={self.field.render(self.q)}, {self.field!r})"
-
-
-class YElement:
-    """Sparse element of a fixed YAlgebra, tagged with its current basis."""
-
-    __slots__ = ("alg", "basis", "terms")
-
-    def __init__(self, alg: YAlgebra, basis: str, terms: dict):
-        self.alg = alg
-        self.basis = basis
-        self.terms = terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def as_E(self) -> "YElement":
-        if self.basis == "E":
-            return self
-        return YElement(self.alg, "E", self.alg.to_E(self.terms))
-
-    def as_T(self) -> "YElement":
-        if self.basis == "T":
-            return self
-        return YElement(self.alg, "T", self.alg.to_T(self.terms))
-
-    def in_basis(self, basis: str) -> "YElement":
-        return self.as_E() if basis == "E" else self.as_T()
-
-    def coeff(self, key, basis: str | None = None):
-        src = self if basis is None else self.in_basis(basis)
-        return src.terms.get(key, self.alg.field.zero)
-
-    def _check_mate(self, other):
-        if other.alg is not self.alg:
-            raise ValueError("elements live in different algebras")
-
-    def __add__(self, other):
-        if not isinstance(other, YElement):
-            return NotImplemented
-        self._check_mate(other)
-        out = dict(self.terms)
-        for k, v in other.in_basis(self.basis).terms.items():
-            _acc(out, k, v)
-        return YElement(self.alg, self.basis, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, YElement):
-            return NotImplemented
-        self._check_mate(other)
-        out = dict(self.terms)
-        for k, v in other.in_basis(self.basis).terms.items():
-            _acc(out, k, -v)
-        return YElement(self.alg, self.basis, out)
-
-    def __neg__(self):
-        return YElement(self.alg, self.basis, {k: -v for k, v in self.terms.items()})
-
-    def _scale(self, c):
-        if c.is_zero():
-            return YElement(self.alg, self.basis, {})
-        return YElement(self.alg, self.basis, {k: c * v for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, YElement):
-            self._check_mate(other)
-            prod = self.alg.mul_terms(self.as_E().terms, other.as_E().terms)
-            out = YElement(self.alg, "E", prod)
-            return out if self.basis == "E" else out.as_T()
-        if isinstance(other, (int, Fraction)):
-            return self._scale(self.alg.field.from_fraction(Fraction(other)))
-        if hasattr(other, "is_zero") and hasattr(other, "field"):
-            return self._scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scale(self.alg.field.from_fraction(Fraction(other)))
-        if hasattr(other, "is_zero") and hasattr(other, "field"):
-            return self._scale(other)
-        return NotImplemented
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers are not defined here")
-        out = self.alg.one(self.basis)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, YElement):
-            return NotImplemented
-        if other.alg is not self.alg:
-            return False
-        a, b = self.as_E().terms, other.as_E().terms
-        return a.keys() == b.keys() and all(a[k] == b[k] for k in a)
-
-    __hash__ = None  # defining __eq__ without hash keeps these unhashable
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        render = self.alg.field.render
-        bits = []
-        for key in sorted(self.terms.keys())[:8]:
-            vec, w = key
-            tag = "E" if self.basis == "E" else "t^"
-            bits.append(f"({render(self.terms[key])})*{tag}{vec}g{w}")
-        more = "" if len(self.terms) <= 8 else f" ... ({len(self.terms)} terms)"
-        return " + ".join(bits) + more

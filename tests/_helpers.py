@@ -83,7 +83,7 @@ def cells_analysis(r: int, n: int, kind: str = CYC) -> dict:
 def nil_analysis(r: int, n: int, kind: str = CYC) -> dict:
     alg = nilalg(r, n, kind)
     dims = alg.radical_power_dims()
-    frob = alg.frobenius_check()
+    frob = structure.frobenius_check(alg)
     reps = alg.one_dim_reps()
     cells = alg.nonzero_cells()
     minimal = all(alg.minimal_ideal_check(chi)["ok"] for chi in alg.colors)
@@ -108,3 +108,32 @@ def aks_ideal_power_dims(r: int, n: int, kind: str = CYC) -> list:
     return ideal_power_dims(a.field, a.mul_terms, ideal,
                             seeds=a.commutator_seeds(),
                             right_maps=a.rmul_gen_maps())
+
+
+def dense_rank(field, rows) -> int:
+    """Exact rank of a dense matrix (a list of scalar lists) by Gauss-Jordan
+    elimination: an oracle for the sparse Subspace rank."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return 0
+    ncols = len(mat[0])
+    rank = 0
+    for col in range(ncols):
+        piv = None
+        for i in range(rank, len(mat)):
+            if not mat[i][col].is_zero():
+                piv = i
+                break
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = mat[rank][col].inverse()
+        mat[rank] = [inv * x for x in mat[rank]]
+        for i in range(len(mat)):
+            if i != rank and not mat[i][col].is_zero():
+                c = mat[i][col]
+                mat[i] = [a - c * b for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+        if rank == len(mat):
+            break
+    return rank

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from yoklab import exactla, modrep
-from yoklab.exactla import Subspace, closure_under, ideal_power_dims, matrix_rank
+from yoklab.exactla import Subspace, closure_under, ideal_power_dims
 
 import _helpers as H
 
@@ -45,7 +45,7 @@ def test_rank_against_dense_oracle():
         for row in rows:
             sub.insert(dict(row))
         dense = [[row.get(k, F.zero) for k in keys] for row in rows]
-        assert sub.dim() == matrix_rank(F, dense)
+        assert sub.dim() == H.dense_rank(F, dense)
 
 
 def test_closure_under():
@@ -71,17 +71,6 @@ def test_invertible():
     assert exactla.invertible(F, [[F.one, F.zero], [F.zero, F.one]])
     assert not exactla.invertible(F, [[F.one, F.one], [F.one, F.one]])
     assert exactla.invertible(F, [[F.zero, F.one], [F.one, -F.one]])
-
-
-def test_quotient_coordinates():
-    sub = Subspace(F)
-    sub.insert({"a": F.one, "b": F.one})
-    # a is the pivot, so b and c are the surviving coordinates; the residue
-    # of a basis vector on the pivot spreads onto b with a sign
-    coords = exactla.quotient_coordinates(sub, ["a", "b", "c"], {"a": F.one})
-    assert coords == (-F.one, F.zero)
-    assert exactla.quotient_coordinates(sub, ["a", "b", "c"], {"c": F.one}) \
-        == (F.zero, F.one)
 
 
 def test_power_dims_nonnilpotent_raises():

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 
 from . import symgroup as sg
-from .algebra import SparseAlgebra, SparseElement
+from .algebra import SparseAlgebra, SparseElement, relation_report
 from .exactla import _acc
 
 __all__ = ["AKSAlgebra"]
@@ -143,9 +143,7 @@ class AKSAlgebra(SparseAlgebra):
         for i in range(1, self.n):
             for k in range(i + 2, self.n):
                 rels.append((f"h{i} h{k} = h{k} h{i}", h[i] * h[k] - h[k] * h[i]))
-        report = [{"name": name, "zero": residual.is_zero()} for name, residual in rels]
-        return {"presentation": 4, "relations": report,
-                "all_zero": all(item["zero"] for item in report)}
+        return relation_report(4, rels)
 
     # -- structural invariants for cross-checks ----------------------------
 

@@ -11,8 +11,9 @@ An engine subclasses ``SparseAlgebra`` and supplies
 * ``convert(terms, basis)``, only when it has two bases (Y's T <-> E).
 
 Everything else is shared: the element class, the construction preamble,
-the unit, random elements and the element JSON codec.  Keys are pairs
-(vector, permutation) and stored coefficients are never zero.
+the unit, random elements, the element JSON codec and the relation report
+of ``verify_presentation``.  Keys are pairs (vector, permutation) and stored
+coefficients are never zero.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from . import symgroup as sg
 from .exactla import _acc
 from .scalars import FieldSpec, make_field
 
-__all__ = ["SparseAlgebra", "SparseElement", "element_json_terms"]
+__all__ = ["SparseAlgebra", "SparseElement", "element_json_terms", "relation_report"]
 
 
 def element_json_terms(obj, r: int, n: int, vec_names: dict) -> tuple[str, list]:
@@ -68,6 +69,14 @@ def _json_vector(item: dict, name: str, n: int) -> tuple:
             and all(type(x) is int for x in vec)):
         raise ValueError(f"{name!r} must be a list of {n} integers")
     return tuple(vec)
+
+
+def relation_report(presentation, rels) -> dict:
+    """A verify_presentation result: whether each named residual in rels,
+    a list of (name, element) pairs, is zero, and whether all of them are."""
+    report = [{"name": name, "zero": residual.is_zero()} for name, residual in rels]
+    return {"presentation": presentation, "relations": report,
+            "all_zero": all(item["zero"] for item in report)}
 
 
 class SparseAlgebra:

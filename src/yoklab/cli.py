@@ -61,13 +61,12 @@ def _emit(args, human_lines, payload) -> None:
             print(line)
 
 
-def _y_algebra(args):
-    field = _field_for(args)
+def _q_for(args, field):
+    """The --q scalar of verify and mult, parsed in field."""
     try:
-        q = field.parse(args.q)
+        return field.parse(args.q)
     except ValueError as exc:
         _config_exit(str(exc))
-    return YAlgebra(args.r, args.n, field, q)
 
 
 def cmd_dim(args) -> int:
@@ -79,10 +78,7 @@ def cmd_dim(args) -> int:
 
 def cmd_verify(args) -> int:
     field = _field_for(args)
-    try:
-        q = field.parse(args.q)
-    except ValueError as exc:
-        _config_exit(str(exc))
+    q = _q_for(args, field)
     if args.presentation == "nil":
         report = NilAlgebra(args.r, args.n, field).verify_presentation()
     elif args.presentation == "4":
@@ -110,7 +106,9 @@ def cmd_mult(args) -> int:
         print(f"error: bad element JSON: {exc}", file=sys.stderr)
         return 2
     try:
-        alg = NilAlgebra(args.r, args.n, _field_for(args)) if args.nil else _y_algebra(args)
+        field = _field_for(args)
+        alg = (NilAlgebra(args.r, args.n, field) if args.nil
+               else YAlgebra(args.r, args.n, field, _q_for(args, field)))
         prod = alg.element_from_json(lhs_obj) * alg.element_from_json(rhs_obj)
         out = alg.element_to_json(prod)
     except (ValueError, KeyError) as exc:
@@ -121,8 +119,9 @@ def cmd_mult(args) -> int:
 
 
 def cmd_simples(args) -> int:
+    field = _field_for(args)
     if args.nil:
-        alg = NilAlgebra(args.r, args.n, _field_for(args))
+        alg = NilAlgebra(args.r, args.n, field)
         reps = alg.one_dim_reps()
         count = len(reps)
         expected = args.r ** args.n
@@ -133,7 +132,7 @@ def cmd_simples(args) -> int:
         _emit(args, lines, payload)
         return 0 if ok else 1
 
-    alg = _y_algebra(args)
+    alg = YAlgebra(args.r, args.n, field)
     labels = modrep.enumerate_labels(args.r, args.n)
     formula = modrep.count_labels(args.r, args.n)
     ok = len(labels) == formula
@@ -174,7 +173,7 @@ def cmd_radical(args) -> int:
         _emit(args, lines, payload)
         return 0 if ok else 1
 
-    alg = _y_algebra(args)
+    alg = YAlgebra(args.r, args.n, field)
     ideal = modrep.commutator_ideal(alg)
     try:
         dims = modrep.power_dims(alg, ideal)
@@ -194,7 +193,7 @@ def cmd_radical(args) -> int:
 
 
 def cmd_gram(args) -> int:
-    alg = NilAlgebra(args.r, args.n, _field_for(args)) if args.nil else _y_algebra(args)
+    alg = (NilAlgebra if args.nil else YAlgebra)(args.r, args.n, _field_for(args))
     keys, rows = structure.gram_matrix(alg)
     res = structure.frobenius_check(alg, gram=(keys, rows))
     export = {"schema": SCHEMA, **structure.gram_to_json(alg, keys, rows)}
@@ -213,7 +212,7 @@ def cmd_gram(args) -> int:
 
 
 def cmd_nakayama(args) -> int:
-    alg = NilAlgebra(args.r, args.n, _field_for(args)) if args.nil else _y_algebra(args)
+    alg = (NilAlgebra if args.nil else YAlgebra)(args.r, args.n, _field_for(args))
     res = structure.nakayama_check(alg, exhaustive=args.exhaustive,
                                    samples=args.samples, seed=args.seed)
     lines = [f"trace symmetry ({res['mode']}, {res['pairs']} pairs): "
@@ -238,7 +237,7 @@ def cmd_cells(args) -> int:
         _emit(args, lines, payload)
         return 0 if ok else 1
 
-    alg = _y_algebra(args)
+    alg = YAlgebra(args.r, args.n, field)
     tri = structure.triangularity_check(alg)
     match = structure.classification_match(alg)
     ok = tri["ok"] and match["match"] and match["beta_signs_ok"]
@@ -348,60 +347,55 @@ def build_parser() -> argparse.ArgumentParser:
                     "at q = 0, their idempotent presentation, and the nil variant.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_q=True):
+    def common(p):
         p.add_argument("--r", type=int, required=True, help="torus order")
         p.add_argument("--n", type=int, required=True, help="number of strands")
         p.add_argument("--field", default="cyclotomic",
                        help="'cyclotomic' (default) or 'fp:<p>' with p prime, p = 1 mod r")
-        if with_q:
-            p.add_argument("--q", default="0", help="deformation scalar (default 0)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--allow-large", action="store_true",
                        help=f"lift the r <= {MAX_R}, n <= {MAX_N} guard")
 
     p = sub.add_parser("dim", help="dimension of the algebra")
-    common(p, with_q=False)
+    common(p)
     p.add_argument("--nil", action="store_true")
     p.set_defaults(fn=cmd_dim)
 
     p = sub.add_parser("verify", help="check a defining presentation relation by relation")
     common(p)
+    p.add_argument("--q", default="0", help="deformation scalar (default 0)")
     p.add_argument("--presentation", choices=["1", "2", "4", "nil"], default="1")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("mult", help="multiply two elements given as JSON")
     common(p)
+    p.add_argument("--q", default="0", help="deformation scalar (default 0)")
     p.add_argument("--lhs", required=True, help="left factor, element JSON")
     p.add_argument("--rhs", required=True, help="right factor, element JSON")
     p.add_argument("--nil", action="store_true")
     p.set_defaults(fn=cmd_mult)
 
     p = sub.add_parser("simples", help="classify one-dimensional simple modules (q = 0)")
-    common(p, with_q=False)
-    p.add_argument("--q", default="0", help=argparse.SUPPRESS)
+    common(p)
     p.add_argument("--list", action="store_true", help="print every label")
-    p.add_argument("--count", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--bruteforce", action="store_true",
                    help="cross-check against the exhaustive scalar sweep")
     p.add_argument("--nil", action="store_true")
     p.set_defaults(fn=cmd_simples)
 
     p = sub.add_parser("radical", help="commutator ideal (or nil radical) and its powers")
-    common(p, with_q=False)
-    p.add_argument("--q", default="0", help=argparse.SUPPRESS)
+    common(p)
     p.add_argument("--nil", action="store_true")
     p.set_defaults(fn=cmd_radical)
 
     p = sub.add_parser("gram", help="Gram matrix of the trace form plus witnesses")
-    common(p, with_q=False)
-    p.add_argument("--q", default="0", help=argparse.SUPPRESS)
+    common(p)
     p.add_argument("--export", help="write the matrix to this JSON file")
     p.add_argument("--nil", action="store_true")
     p.set_defaults(fn=cmd_gram)
 
     p = sub.add_parser("nakayama", help="trace symmetry against the flip automorphism")
-    common(p, with_q=False)
-    p.add_argument("--q", default="0", help=argparse.SUPPRESS)
+    common(p)
     p.add_argument("--exhaustive", action="store_true", help="all basis pairs")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
@@ -409,20 +403,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_nakayama)
 
     p = sub.add_parser("cells", help="triangularity and the nonzero-cell classification")
-    common(p, with_q=False)
-    p.add_argument("--q", default="0", help=argparse.SUPPRESS)
+    common(p)
     p.add_argument("--nil", action="store_true")
     p.set_defaults(fn=cmd_cells)
 
     p = sub.add_parser("aks-compare",
                        help="structural agreement between the two presentations")
-    common(p, with_q=False)
-    p.add_argument("--q", default="0", help=argparse.SUPPRESS)
+    common(p)
     p.set_defaults(fn=cmd_aks_compare)
 
     p = sub.add_parser("report", help="full structural report as JSON")
-    common(p, with_q=False)
-    p.add_argument("--q", default="0", help=argparse.SUPPRESS)
+    common(p)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_report)
 

@@ -1,9 +1,11 @@
 """Sparse exact linear algebra over the scalar backends.
 
-Vectors are plain dicts mapping hashable keys to nonzero scalars.  A
-``Subspace`` keeps a reduced row echelon basis keyed by pivot, where pivots
-are chosen minimal under a caller-supplied sort key.  Everything is exact;
-no floats anywhere.
+Vectors are plain dicts mapping hashable, mutually comparable keys to
+nonzero scalars.  A ``Subspace`` keeps a reduced row echelon basis keyed by
+pivot, each pivot the least key of its row.  ``closure_under`` grows a span
+until it is stable under linear maps, and ``ideal_power_dims`` runs the one
+recurrence for the powers of an ideal given by generators, shared by the Y,
+AKS and nil engines.  Everything is exact; no floats anywhere.
 """
 
 from __future__ import annotations
@@ -47,9 +49,8 @@ class Subspace:
     and pivot keys of other rows eliminated, so reduction is a single pass.
     """
 
-    def __init__(self, field, sort_key=None):
+    def __init__(self, field):
         self.field = field
-        self.sort_key = sort_key if sort_key is not None else lambda k: k
         self.rows: dict = {}
 
     def dim(self) -> int:
@@ -70,7 +71,7 @@ class Subspace:
         red = self.reduce(v)
         if not red:
             return None
-        piv = min(red.keys(), key=self.sort_key)
+        piv = min(red)
         inv = red[piv].inverse()
         row = {k: inv * c for k, c in red.items()}
         row[piv] = self.field.one
@@ -88,14 +89,14 @@ class Subspace:
         return [dict(r) for r in self.rows.values()]
 
 
-def closure_under(field, maps, seed, sort_key=None) -> Subspace:
+def closure_under(field, maps, seed) -> Subspace:
     """Smallest subspace containing seed and stable under each map.
 
     maps take a row dict to a row dict.  Worklist style; mutating already
     stored rows during back-elimination is harmless because the maps are
     linear and the span only ever grows.
     """
-    sub = Subspace(field, sort_key)
+    sub = Subspace(field)
     work = []
     for v in seed:
         row = sub.insert(v)
@@ -125,52 +126,25 @@ def invertible(field, rows) -> bool:
                is not None for row in rows)
 
 
-def ideal_power_dims(field, product, sub: Subspace, seeds=None,
-                     right_maps=None, sort_key=None) -> list[int]:
+def ideal_power_dims(field, product, sub: Subspace, seeds, right_maps) -> list[int]:
     """Dimensions of J, J^2, J^3, ... down to 0 for a nilpotent ideal J.
 
-    product multiplies two row dicts.  The default path squares by brute
-    force over basis pairs.  When J is the two-sided ideal generated by
-    ``seeds`` and ``right_maps`` are right multiplications by algebra
-    generators, the cheaper recurrence J^(k+1) = closure(J^k . seeds) under
-    the right maps is used instead (left factors of the ideal generators are
-    absorbed into J^k, which is itself a right ideal).
+    Precondition: sub is J, the two-sided ideal generated by ``seeds``, and
+    ``right_maps`` are the right multiplications by the algebra generators.
+    Then J^(k+1) = closure(J^k . seeds) under the right maps: left factors
+    of the ideal generators are absorbed into J^k, itself a two-sided
+    ideal, and the closure supplies the right factors.  product multiplies
+    two row dicts.
 
     Raises if no power vanishes within dim(J) + 1 steps, which would mean J
     is not nilpotent.
     """
     dims = [sub.dim()]
     cur = sub
-    base_rows = sub.basis_rows()
-    use_seeds = seeds is not None and right_maps is not None
-    for _ in range(sub.dim() + 1):
-        if dims[-1] == 0:
-            break
-        if use_seeds:
-            step = [product(a, s) for a in cur.basis_rows() for s in seeds]
-            nxt = closure_under(field, right_maps,
-                                [v for v in step if v],
-                                sort_key if sort_key is not None else sub.sort_key)
-        else:
-            nxt = Subspace(field, sort_key if sort_key is not None else sub.sort_key)
-            seen = set()
-            for a in cur.basis_rows():
-                for b in base_rows:
-                    prod = product(a, b)
-                    if not prod:
-                        continue
-                    # skip exact repeats up to scaling: the normalized
-                    # vector itself is the key, so equal keys mean equal lines
-                    piv = min(prod.keys(), key=nxt.sort_key)
-                    inv = prod[piv].inverse()
-                    line = frozenset((k, inv * c) for k, c in prod.items())
-                    if line in seen:
-                        continue
-                    seen.add(line)
-                    nxt.insert(prod)
-        dims.append(nxt.dim())
-        cur = nxt
-    else:
-        if dims[-1] != 0:
+    while dims[-1]:
+        if len(dims) > dims[0] + 1:
             raise ArithmeticError("ideal is not nilpotent within expected bound")
+        step = [product(a, s) for a in cur.basis_rows() for s in seeds]
+        cur = closure_under(field, right_maps, [v for v in step if v])
+        dims.append(cur.dim())
     return dims

@@ -9,7 +9,10 @@ Normal-form basis: t^a T_w.  Products are monomial or zero:
     (t^a T_u)(t^b T_v) = t^(a + u.b) T_{uv}   if length(uv) = length(u) + length(v)
                        = 0                    otherwise.
 
-The span of all t^a T_w with w != identity is the radical; its k-th power is
+The radical is computed as the two-sided ideal generated by T_1..T_{n-1},
+the span of all t^a T_w with w != identity, and its powers by the recurrence
+J^(k+1) = closure(J^k . seeds) of exactla.ideal_power_dims, as for the Y and
+AKS commutator ideals.  The tests hold them against the closed form: J^k is
 spanned by the keys with length(w) >= k, so the nilpotency index is
 length(w0) + 1.  The r^n one-dimensional simples send t_i to zeta^{c_i} and
 every T_i to 0, and each color chi yields a one-dimensional two-sided ideal
@@ -26,7 +29,7 @@ from __future__ import annotations
 import itertools
 
 from . import exactla, symgroup as sg
-from .algebra import SparseAlgebra, SparseElement
+from .algebra import SparseAlgebra, SparseElement, relation_report
 from .exactla import _acc
 from .ycore import YAlgebra, torus_to_E, torus_to_T
 
@@ -145,21 +148,20 @@ class NilAlgebra(SparseAlgebra):
         for i in range(1, n):
             for k in range(i + 2, n):
                 rels.append((f"T{i} T{k} = T{k} T{i}", T[i] * T[k] - T[k] * T[i]))
-        report = [{"name": name, "zero": residual.is_zero()} for name, residual in rels]
-        return {"presentation": "nil", "relations": report,
-                "all_zero": all(item["zero"] for item in report)}
+        return relation_report("nil", rels)
+
+    def radical_seeds(self) -> list[dict]:
+        """T_1, ..., T_{n-1}, whose two-sided ideal is the radical."""
+        return [self.gen_T(i).terms for i in range(1, self.n)]
 
     def radical(self) -> exactla.Subspace:
-        sub = exactla.Subspace(self.field)
-        one = self.field.one
-        for a in self.exponents:
-            for w in self.perms:
-                if w != self.ident:
-                    sub.insert({(a, w): one})
-        return sub
+        return exactla.closure_under(self.field, self.all_generator_maps(),
+                                     self.radical_seeds())
 
     def radical_power_dims(self) -> list[int]:
-        return exactla.ideal_power_dims(self.field, self.mul_terms, self.radical())
+        return exactla.ideal_power_dims(self.field, self.mul_terms, self.radical(),
+                                        seeds=self.radical_seeds(),
+                                        right_maps=self.rmul_gen_maps())
 
     def one_dim_reps(self):
         """t_i -> zeta^{c_i}, T_i -> 0; brute force confirms these are all.

@@ -39,7 +39,7 @@ full block of r^n terms costs n r^(n+1) dict updates instead of r^(2n).
 from __future__ import annotations
 
 from . import symgroup as sg
-from .algebra import SparseAlgebra, SparseElement
+from .algebra import SparseAlgebra, SparseElement, relation_report
 from .exactla import _acc
 
 __all__ = ["YAlgebra", "torus_to_E", "torus_to_T"]
@@ -292,12 +292,7 @@ class YAlgebra(SparseAlgebra):
             rels = self._presentation_idem()
         else:
             raise ValueError(f"unknown presentation {which!r} for this algebra")
-        report = [{"name": name, "zero": residual.is_zero()} for name, residual in rels]
-        return {
-            "presentation": which,
-            "relations": report,
-            "all_zero": all(item["zero"] for item in report),
-        }
+        return relation_report(which, rels)
 
     def _presentation_tg(self):
         n, one = self.n, self.one()

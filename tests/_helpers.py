@@ -11,7 +11,7 @@ from functools import lru_cache
 from yoklab import AKSAlgebra, NilAlgebra, YAlgebra, make_field
 from yoklab.scalars import FieldSpec
 from yoklab import modrep, structure
-from yoklab.exactla import closure_under, ideal_power_dims
+from yoklab.exactla import Subspace, closure_under, ideal_power_dims
 
 FP13 = "fp13"
 CYC = "cyc"
@@ -137,3 +137,21 @@ def dense_rank(field, rows) -> int:
         if rank == len(mat):
             break
     return rank
+
+
+def pairwise_power_dims(field, product, sub) -> list:
+    """Dimensions of J, J^2, ... down to 0, each power spanned by all
+    products of a basis row of the last one with a basis row of J: an
+    oracle for the seeded recurrence of exactla.ideal_power_dims."""
+    dims = [sub.dim()]
+    cur, base = sub, sub.basis_rows()
+    while dims[-1]:
+        nxt = Subspace(field)
+        for a in cur.basis_rows():
+            for b in base:
+                nxt.insert(product(a, b))
+        if nxt.dim() == dims[-1]:
+            raise ArithmeticError("ideal is not nilpotent")
+        dims.append(nxt.dim())
+        cur = nxt
+    return dims

@@ -48,7 +48,7 @@ def test_verify(capsys):
 
 
 def test_simples(capsys):
-    code, out, _ = run(capsys, "simples", "--count", "--r", "2", "--n", "2")
+    code, out, _ = run(capsys, "simples", "--r", "2", "--n", "2")
     assert code == 0
     assert "6" in out
     code, out, _ = run(capsys, "simples", "--r", "2", "--n", "2",
@@ -57,6 +57,28 @@ def test_simples(capsys):
     payload = json.loads(out)
     assert payload["count"] == 6 and payload["bruteforce"] == 6
     assert len(payload["labels"]) == 6
+
+
+Q0_COMMANDS = [
+    ["report", "--r", "1", "--n", "2"],
+    ["aks-compare", "--r", "1", "--n", "2"],
+    ["simples", "--r", "2", "--n", "2"],
+    ["radical", "--nil", "--r", "2", "--n", "2"],
+    ["radical", "--r", "2", "--n", "2"],
+    ["gram", "--r", "2", "--n", "2"],
+    ["nakayama", "--r", "2", "--n", "2"],
+    ["cells", "--r", "2", "--n", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", [[*cmd, "--q", q] for cmd in Q0_COMMANDS for q in ("5", "0")]
+                         + [["simples", "--count", "--r", "2", "--n", "2"]])
+def test_removed_flags_exit_2(capsys, argv):
+    # only verify and mult take --q; the other commands compute at q = 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --" in capsys.readouterr().err
 
 
 def test_mult_roundtrip(capsys):

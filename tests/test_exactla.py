@@ -83,48 +83,42 @@ def test_power_dims_nonnilpotent_raises():
         return {} if c.is_zero() else {0: c}
 
     with pytest.raises(ArithmeticError):
-        ideal_power_dims(F, product, sub)
+        ideal_power_dims(F, product, sub, seeds=[{0: F.one}], right_maps=[])
+    with pytest.raises(ArithmeticError):
+        H.pairwise_power_dims(F, product, sub)
 
 
 def test_seeded_recurrence_matches_pairwise():
-    # same power dims through the generic pairwise path and the seeded one
-    alg = H.yalg(2, 3)
-    ideal = modrep.commutator_ideal(alg)
-    pairwise = ideal_power_dims(alg.field, alg.mul_terms, ideal)
-    seeded = ideal_power_dims(alg.field, alg.mul_terms, ideal,
-                              seeds=modrep.commutator_seeds(alg),
-                              right_maps=alg.rmul_gen_maps())
-    assert pairwise == seeded == [30, 10, 0]
+    # the seeded recurrence against the pairwise products of the test oracle
+    y = H.yalg(2, 3)
+    y_ideal = modrep.commutator_ideal(y)
+    assert H.pairwise_power_dims(y.field, y.mul_terms, y_ideal) \
+        == modrep.power_dims(y, y_ideal) == [30, 10, 0]
 
+    nil = H.nilalg(2, 3)
+    assert H.pairwise_power_dims(nil.field, nil.mul_terms, nil.radical()) \
+        == nil.radical_power_dims() == [40, 24, 8, 0]
 
+    a = H.aksalg(2, 2)
+    a_ideal = closure_under(a.field, a.all_generator_maps(), a.commutator_seeds())
+    assert H.pairwise_power_dims(a.field, a.mul_terms, a_ideal) \
+        == H.aks_ideal_power_dims(2, 2) == [2, 0]
 
-def test_power_dims_dedup_survives_hash_collisions(monkeypatch):
-    # the brute-force path skips repeated products; with every scalar hashing
-    # alike, only exact comparison tells apart two products on the same keys
-    from yoklab.scalars import CycScalar, FpScalar
-    monkeypatch.setattr(CycScalar, "__hash__", lambda self: 0)
-    monkeypatch.setattr(FpScalar, "__hash__", lambda self: 0)
+    # upper triangular 4x4 matrices, J generated by s = e12 + e23: J . s
+    # spans only e13, and the right closure must add e14 = e13 e34 to J^2
+    units = [(i, j) for i in range(1, 5) for j in range(i, 5)]
 
-    # J = span(e1..e4) with e1 e1 = e3 + e4 and e1 e2 = e3 + 2 e4, all else 0
-    table = {(1, 1): {3: 1, 4: 1}, (1, 2): {3: 1, 4: 2}}
-
-    def product(x, y):
+    def matmul(x, y):
         out: dict = {}
-        for kx, cx in x.items():
-            for ky, cy in y.items():
-                for k, c in table.get((kx, ky), {}).items():
-                    out[k] = out.get(k, F.zero) + cx * cy * F.from_int(c)
-        return {k: c for k, c in out.items() if not c.is_zero()}
+        for (i, j), cx in x.items():
+            for (k, l), cy in y.items():
+                if j == k:
+                    exactla.vec_addmul(out, cx * cy, {(i, l): F.one})
+        return out
 
-    sub = Subspace(F)
-    for k in (1, 2, 3, 4):
-        sub.insert({k: F.one})
-    assert ideal_power_dims(F, product, sub) == [4, 2, 0]
-
-    # nil radical powers against the closed form r^n #{w : length(w) >= k}
-    for kind in (H.CYC, H.FP13):
-        nil = H.nilalg(2, 3, kind)
-        lengths = [nil._len[w] for w in nil.perms]
-        closed = [nil.r ** nil.n * sum(1 for ln in lengths if ln >= k)
-                  for k in range(1, max(lengths) + 2)]
-        assert nil.radical_power_dims() == closed == [40, 24, 8, 0]
+    s = {(1, 2): F.one, (2, 3): F.one}
+    rmaps = [lambda x, u=u: matmul(x, {u: F.one}) for u in units]
+    lmaps = [lambda x, u=u: matmul({u: F.one}, x) for u in units]
+    ideal = closure_under(F, lmaps + rmaps, [s])
+    assert ideal_power_dims(F, matmul, ideal, seeds=[s], right_maps=rmaps) \
+        == H.pairwise_power_dims(F, matmul, ideal) == [5, 2, 0]

@@ -73,14 +73,29 @@ def test_radical_power_dims_frozen():
         assert len(dims) <= n * (n - 1) + 1 + 1  # index bound plus the zero entry
 
 
+def test_radical_power_dims_closed_form():
+    # the seeded recurrence against r^n #{w : length(w) >= k}
+    sizes = [(r, n, kind) for r in range(1, 5) for n in range(1, 4)
+             for kind in (H.CYC, H.FP13)]
+    sizes += [(2, 4, H.CYC), (2, 4, H.FP13), (3, 4, H.FP13)]
+    for r, n, kind in sizes:
+        alg = H.nilalg(r, n, kind)
+        lengths = [alg._len[w] for w in alg.perms]
+        closed = [r ** n * sum(1 for ln in lengths if ln >= k)
+                  for k in range(1, max(lengths) + 2)]
+        assert alg.radical_power_dims() == closed, (r, n, kind)
+
+
 def test_radical_is_span_of_nonidentity_words():
-    alg = H.nilalg(2, 2)
-    rad = alg.radical()
-    one = alg.field.one
-    for a in alg.exponents:
-        for w in alg.perms:
-            inside = rad.contains({(a, w): one})
-            assert inside == (w != alg.ident)
+    for r, n, kind in [(2, 2, H.CYC), (1, 3, H.CYC), (2, 3, H.FP13), (3, 3, H.CYC)]:
+        alg = H.nilalg(r, n, kind)
+        rad = alg.radical()
+        assert rad.dim() == alg.dimension - r ** n
+        one = alg.field.one
+        for a in alg.exponents:
+            for w in alg.perms:
+                inside = rad.contains({(a, w): one})
+                assert inside == (w != alg.ident), (r, n, a, w)
 
 
 def test_one_dim_reps():

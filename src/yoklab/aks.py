@@ -20,10 +20,21 @@ from __future__ import annotations
 import itertools
 
 from . import symgroup as sg
-from .algebra import SparseAlgebra, SparseElement, relation_report
+from .algebra import (SparseAlgebra, SparseElement, braid_relations, far_relations,
+                      idempotent_relations, relation_report)
 from .exactla import _acc
 
 __all__ = ["AKSAlgebra"]
+
+
+def _straightening(c, i, L, zero):
+    """D_i(c) = -L_c, 0 or L_{s_i c} as c_i <, = or > c_{i+1}; L(d) is the
+    value of L_d and zero the value 0.  _lmul_h inlines the same rule."""
+    if c[i - 1] < c[i]:
+        return -L(c)
+    if c[i - 1] > c[i]:
+        return L(sg.right_mult_s(c, i))
+    return zero
 
 
 class AKSAlgebra(SparseAlgebra):
@@ -112,37 +123,17 @@ class AKSAlgebra(SparseAlgebra):
     def verify_presentation(self) -> dict:
         one, zero = self.one(), self.zero()
         h = [None] + [self.gen_h(i) for i in range(1, self.n)]
-        rels = []
-        total = zero
-        for c in self.colors:
-            total = total + self.gen_L(c)
-        rels.append(("sum_c L_c = 1", total - one))
-        for c in self.colors:
-            for c2 in self.colors:
-                expect = self.gen_L(c) if c == c2 else zero
-                rels.append((f"L{c} L{c2} orthogonal", self.gen_L(c) * self.gen_L(c2) - expect))
+        L = {c: self.gen_L(c) for c in self.colors}
+        rels = idempotent_relations(L, "L", "c")
         for i in range(1, self.n):
             for c in self.colors:
-                sc = list(c)
-                sc[i - 1], sc[i] = sc[i], sc[i - 1]
-                sc = tuple(sc)
-                if c[i - 1] < c[i]:
-                    straight = -self.gen_L(c)
-                elif c[i - 1] == c[i]:
-                    straight = zero
-                else:
-                    straight = self.gen_L(sc)
-                rhs = self.gen_L(sc) * h[i] - straight * self.qm1
-                rels.append((f"h{i} L{c} straightening", h[i] * self.gen_L(c) - rhs))
+                straight = _straightening(c, i, L.__getitem__, zero)
+                rhs = L[sg.right_mult_s(c, i)] * h[i] - straight * self.qm1
+                rels.append((f"h{i} L{c} straightening", h[i] * L[c] - rhs))
         for i in range(1, self.n):
             rels.append((f"h{i}^2 = q + (q-1) h{i}",
                          h[i] * h[i] - (one * self.q + h[i] * self.qm1)))
-        for i in range(1, self.n - 1):
-            rels.append((f"h{i} h{i+1} h{i} braid",
-                         h[i] * h[i + 1] * h[i] - h[i + 1] * h[i] * h[i + 1]))
-        for i in range(1, self.n):
-            for k in range(i + 2, self.n):
-                rels.append((f"h{i} h{k} = h{k} h{i}", h[i] * h[k] - h[k] * h[i]))
+        rels += braid_relations(h, "h") + far_relations(h, "h")
         return relation_report(4, rels)
 
     # -- structural invariants for cross-checks ----------------------------
@@ -178,16 +169,8 @@ class AKSAlgebra(SparseAlgebra):
             if not (x * x - (self.q + self.qm1 * x)).is_zero():
                 return False
             for c in self.colors:
-                sc = list(c)
-                sc[i - 1], sc[i] = sc[i], sc[i - 1]
-                sc = tuple(sc)
-                if c[i - 1] < c[i]:
-                    d = -lval(c)
-                elif c[i - 1] == c[i]:
-                    d = zero
-                else:
-                    d = lval(sc)
-                if not (x * lval(c) - lval(sc) * x + self.qm1 * d).is_zero():
+                d = _straightening(c, i, lval, zero)
+                if not (x * lval(c) - lval(sg.right_mult_s(c, i)) * x + self.qm1 * d).is_zero():
                     return False
         # braid and far commutation are automatic for commuting scalars
         return True

@@ -11,9 +11,9 @@ An engine subclasses ``SparseAlgebra`` and supplies
 * ``convert(terms, basis)``, only when it has two bases (Y's T <-> E).
 
 Everything else is shared: the element class, the construction preamble,
-the unit, random elements, the element JSON codec and the relation report
-of ``verify_presentation``.  Keys are pairs (vector, permutation) and stored
-coefficients are never zero.
+the unit, random elements, the element JSON codec, and the relation
+families and report of ``verify_presentation``.  Keys are pairs (vector,
+permutation) and stored coefficients are never zero.
 """
 
 from __future__ import annotations
@@ -26,7 +26,9 @@ from . import symgroup as sg
 from .exactla import _acc
 from .scalars import FieldSpec, make_field
 
-__all__ = ["SparseAlgebra", "SparseElement", "element_json_terms", "relation_report"]
+__all__ = ["SparseAlgebra", "SparseElement", "element_json_terms", "relation_report",
+           "torus_relations", "generator_torus_relations", "braid_relations",
+           "far_relations", "idempotent_relations"]
 
 
 def element_json_terms(obj, r: int, n: int, vec_names: dict) -> tuple[str, list]:
@@ -77,6 +79,54 @@ def relation_report(presentation, rels) -> dict:
     report = [{"name": name, "zero": residual.is_zero()} for name, residual in rels]
     return {"presentation": presentation, "relations": report,
             "all_zero": all(item["zero"] for item in report)}
+
+
+# -- relation families shared by the presentations -------------------------
+# Each takes 1-indexed generator lists (entry 0 unused) and, where the names
+# carry it, the generator's name (g, T, h; E, L for idempotents keyed by
+# color); it returns (name, residual) pairs in the order they are reported.
+
+def torus_relations(t: list) -> list:
+    """t_j^r = 1 and t_j t_k = t_k t_j."""
+    alg = t[1].alg
+    rels = [(f"t{j}^{alg.r} = 1", t[j] ** alg.r - alg.one()) for j in range(1, len(t))]
+    rels += [(f"t{j} t{k} = t{k} t{j}", t[j] * t[k] - t[k] * t[j])
+             for j in range(1, len(t)) for k in range(j + 1, len(t))]
+    return rels
+
+
+def generator_torus_relations(g: list, t: list, name: str) -> list:
+    """g_i t_j = t_{s_i(j)} g_i."""
+    rels = []
+    for i in range(1, len(g)):
+        for j in range(1, len(t)):
+            sj = i + 1 if j == i else i if j == i + 1 else j
+            rels.append((f"{name}{i} t{j} = t{sj} {name}{i}", g[i] * t[j] - t[sj] * g[i]))
+    return rels
+
+
+def braid_relations(g: list, name: str) -> list:
+    """g_i g_{i+1} g_i = g_{i+1} g_i g_{i+1}."""
+    return [(f"{name}{i} {name}{i+1} {name}{i} braid",
+             g[i] * g[i + 1] * g[i] - g[i + 1] * g[i] * g[i + 1])
+            for i in range(1, len(g) - 1)]
+
+
+def far_relations(g: list, name: str) -> list:
+    """g_i g_k = g_k g_i for |i - k| >= 2."""
+    return [(f"{name}{i} {name}{k} = {name}{k} {name}{i}", g[i] * g[k] - g[k] * g[i])
+            for i in range(1, len(g)) for k in range(i + 2, len(g))]
+
+
+def idempotent_relations(idems: dict, name: str, index: str) -> list:
+    """The idempotents idems, keyed by color vector, sum to 1 and are
+    pairwise orthogonal; index names the color in the sum relation."""
+    alg = next(iter(idems.values())).alg
+    zero = alg.zero()
+    rels = [(f"sum_{index} {name}_{index} = 1", sum(idems.values(), zero) - alg.one())]
+    rels += [(f"{name}{c} {name}{c2} orthogonal", x * y - (x if c == c2 else zero))
+             for c, x in idems.items() for c2, y in idems.items()]
+    return rels
 
 
 class SparseAlgebra:
@@ -141,14 +191,14 @@ class SparseAlgebra:
         vecs = [(0,) * self.n] if self.bases[basis] == "a" else self.colors
         return SparseElement(self, basis, {(v, self.ident): self.field.one for v in vecs})
 
-    def random_element(self, rng, nterms: int = 4, basis=None) -> "SparseElement":
-        """Up to nterms random monomials of mul_basis, written in basis
+    def random_element(self, rng, basis=None) -> "SparseElement":
+        """Up to four random monomials of mul_basis, written in basis
         (mul_basis by default)."""
         vecs = self.exponents if self.bases[self.mul_basis] == "a" else self.colors
         keys = [(v, w) for v in vecs for w in self.perms]
         terms: dict = {}
         while not terms:
-            for _ in range(nterms):
+            for _ in range(4):
                 key = keys[rng.randrange(len(keys))]
                 c = rng.randint(-4, 4)
                 if c == 0:

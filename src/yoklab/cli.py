@@ -62,11 +62,17 @@ def _emit(args, human_lines, payload) -> None:
 
 
 def _q_for(args, field):
-    """The --q scalar of verify and mult, parsed in field."""
+    """The --q scalar of verify and mult, parsed in field; 0 when not given."""
     try:
-        return field.parse(args.q)
+        return field.parse("0" if args.q is None else args.q)
     except ValueError as exc:
         _config_exit(str(exc))
+
+
+def _reject_q(args) -> None:
+    """The nil algebra has no q, so it takes no --q, not even --q 0."""
+    if args.q is not None:
+        _config_exit("the nil algebra has no q; drop --q")
 
 
 def cmd_dim(args) -> int:
@@ -78,19 +84,21 @@ def cmd_dim(args) -> int:
 
 def cmd_verify(args) -> int:
     field = _field_for(args)
-    q = _q_for(args, field)
     if args.presentation == "nil":
+        _reject_q(args)
         report = NilAlgebra(args.r, args.n, field).verify_presentation()
     elif args.presentation == "4":
-        report = AKSAlgebra(args.r, args.n, field, q).verify_presentation()
+        report = AKSAlgebra(args.r, args.n, field, _q_for(args, field)).verify_presentation()
     else:
-        report = YAlgebra(args.r, args.n, field, q).verify_presentation(int(args.presentation))
+        report = YAlgebra(args.r, args.n, field,
+                          _q_for(args, field)).verify_presentation(int(args.presentation))
     lines = [f"presentation {report['presentation']}: "
              f"{'all relations hold' if report['all_zero'] else 'RESIDUAL FOUND'}"]
     for item in report["relations"]:
         if not item["zero"]:
             lines.append(f"  nonzero residual: {item['name']}")
-    payload = {"schema": SCHEMA, "r": args.r, "n": args.n, "q": args.q,
+    payload = {"schema": SCHEMA, "r": args.r, "n": args.n,
+               "q": "0" if args.q is None else args.q,
                "presentation": report["presentation"],
                "all_zero": report["all_zero"],
                "failed": [it["name"] for it in report["relations"] if not it["zero"]]}
@@ -105,6 +113,8 @@ def cmd_mult(args) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: bad element JSON: {exc}", file=sys.stderr)
         return 2
+    if args.nil:
+        _reject_q(args)
     try:
         field = _field_for(args)
         alg = (NilAlgebra(args.r, args.n, field) if args.nil
@@ -202,10 +212,10 @@ def cmd_gram(args) -> int:
     if args.export:
         with open(args.export, "w") as fh:
             json.dump(export, fh, indent=2, sort_keys=True)
-    ok = res["gram_invertible"] and res.get("witness_ok", True)
+    ok = res["gram_invertible"] and res["witness_ok"]
     lines = [f"gram matrix {res['dimension']}x{res['dimension']}: "
              f"{'invertible' if res['gram_invertible'] else 'SINGULAR'}",
-             f"constructive witnesses: {'ok' if res.get('witness_ok') else 'FAILED'}"]
+             f"constructive witnesses: {'ok' if res['witness_ok'] else 'FAILED'}"]
     payload = {"schema": SCHEMA, "r": args.r, "n": args.n, **res}
     _emit(args, lines, payload)
     return 0 if ok else 1
@@ -267,9 +277,9 @@ def cmd_aks_compare(args) -> int:
 
     y_ideal = modrep.commutator_ideal(y)
     y_dims = modrep.power_dims(y, y_ideal)
-    a_ideal = closure_under(field, a.all_generator_maps(), a.commutator_seeds())
-    a_dims = ideal_power_dims(field, a.mul_terms, a_ideal,
-                              seeds=a.commutator_seeds(),
+    a_seeds = a.commutator_seeds()
+    a_ideal = closure_under(field, a.all_generator_maps(), a_seeds)
+    a_dims = ideal_power_dims(field, a.mul_terms, a_ideal, seeds=a_seeds,
                               right_maps=a.rmul_gen_maps())
     dims_ok = y_dims == a_dims
 
@@ -332,7 +342,7 @@ def cmd_report(args) -> int:
                 **nil_frob},
     }
     all_ok = all([p1, p2, p4, pn, cert["certified"], frob["gram_invertible"],
-                  frob.get("witness_ok", True), naka["ok"], tri["ok"], match["match"],
+                  frob["witness_ok"], naka["ok"], tri["ok"], match["match"],
                   match["beta_signs_ok"], nil_frob["gram_invertible"],
                   nil_frob["witness_ok"], nil_dims[-1] == 0])
     report["all_ok"] = all_ok
@@ -363,13 +373,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a defining presentation relation by relation")
     common(p)
-    p.add_argument("--q", default="0", help="deformation scalar (default 0)")
+    p.add_argument("--q", help="deformation scalar (default 0)")
     p.add_argument("--presentation", choices=["1", "2", "4", "nil"], default="1")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("mult", help="multiply two elements given as JSON")
     common(p)
-    p.add_argument("--q", default="0", help="deformation scalar (default 0)")
+    p.add_argument("--q", help="deformation scalar (default 0)")
     p.add_argument("--lhs", required=True, help="left factor, element JSON")
     p.add_argument("--rhs", required=True, help="right factor, element JSON")
     p.add_argument("--nil", action="store_true")

@@ -193,7 +193,7 @@ def nilpotency_index(alg: YAlgebra, sub: exactla.Subspace) -> int:
     return 1 if dims[0] == 0 else len(dims)
 
 
-def semisimplicity_certificate(alg: YAlgebra, ideal=None, labels=None) -> dict:
+def semisimplicity_certificate(alg: YAlgebra, ideal=None) -> dict:
     """Exact certificate that alg / J is split semisimple commutative with
     one simple per label.
 
@@ -204,8 +204,7 @@ def semisimplicity_certificate(alg: YAlgebra, ideal=None, labels=None) -> dict:
     require_q0(alg)
     if ideal is None:
         ideal = commutator_ideal(alg)
-    if labels is None:
-        labels = enumerate_labels(alg.r, alg.n)
+    labels = enumerate_labels(alg.r, alg.n)
     field = alg.field
     keys = [(c, w) for c in alg.colors for w in alg.perms]
     dim_match = alg.dimension - ideal.dim() == len(labels)

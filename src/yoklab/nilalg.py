@@ -29,7 +29,8 @@ from __future__ import annotations
 import itertools
 
 from . import exactla, symgroup as sg
-from .algebra import SparseAlgebra, SparseElement, relation_report
+from .algebra import (SparseAlgebra, SparseElement, braid_relations, far_relations,
+                      generator_torus_relations, relation_report, torus_relations)
 from .exactla import _acc
 from .ycore import YAlgebra, torus_to_E, torus_to_T
 
@@ -127,27 +128,12 @@ class NilAlgebra(SparseAlgebra):
     # -- structure ---------------------------------------------------------
 
     def verify_presentation(self) -> dict:
-        n, one, zero = self.n, self.one(), self.zero()
+        n = self.n
         t = [None] + [self.gen_t(j) for j in range(1, n + 1)]
         T = [None] + [self.gen_T(i) for i in range(1, n)]
-        rels = []
-        for j in range(1, n + 1):
-            rels.append((f"t{j}^{self.r} = 1", t[j] ** self.r - one))
-        for j in range(1, n + 1):
-            for k in range(j + 1, n + 1):
-                rels.append((f"t{j} t{k} = t{k} t{j}", t[j] * t[k] - t[k] * t[j]))
-        for i in range(1, n):
-            for j in range(1, n + 1):
-                sj = i + 1 if j == i else i if j == i + 1 else j
-                rels.append((f"T{i} t{j} = t{sj} T{i}", T[i] * t[j] - t[sj] * T[i]))
-        for i in range(1, n):
-            rels.append((f"T{i}^2 = 0", T[i] * T[i] - zero))
-        for i in range(1, n - 1):
-            rels.append((f"T{i} T{i+1} T{i} braid",
-                         T[i] * T[i + 1] * T[i] - T[i + 1] * T[i] * T[i + 1]))
-        for i in range(1, n):
-            for k in range(i + 2, n):
-                rels.append((f"T{i} T{k} = T{k} T{i}", T[i] * T[k] - T[k] * T[i]))
+        rels = torus_relations(t) + generator_torus_relations(T, t, "T")
+        rels += [(f"T{i}^2 = 0", T[i] * T[i]) for i in range(1, n)]
+        rels += braid_relations(T, "T") + far_relations(T, "T")
         return relation_report("nil", rels)
 
     def radical_seeds(self) -> list[dict]:

@@ -101,8 +101,8 @@ def frobenius_witness(alg: SparseAlgebra, key, forms=None) -> SparseElement:
     return SparseElement(alg, alg.mul_basis, alg.mul_terms(forms[g], forms[t]))
 
 
-def frobenius_check(alg: SparseAlgebra, with_witness: bool = True,
-                    permuted_identity: bool = False, gram=None) -> dict:
+def frobenius_check(alg: SparseAlgebra, permuted_identity: bool = False,
+                    gram=None) -> dict:
     """Gram invertibility plus witnesses; gram is (keys, rows) from
     gram_matrix(alg) when the caller already built it."""
     keys, rows = gram if gram is not None else gram_matrix(alg)
@@ -111,11 +111,10 @@ def frobenius_check(alg: SparseAlgebra, with_witness: bool = True,
         "gram_invertible": exactla.invertible(alg.field, rows),
     }
     mb, one = alg.mul_basis, alg.field.one
-    forms = _mul_forms(alg, keys) if with_witness or permuted_identity else {}
-    if with_witness:
-        result["witness_ok"] = all(
-            tau_terms(alg, alg.mul_terms(frobenius_witness(alg, k, forms).terms, forms[k]), mb)
-            == one for k in keys)
+    forms = _mul_forms(alg, keys)
+    result["witness_ok"] = all(
+        tau_terms(alg, alg.mul_terms(frobenius_witness(alg, k, forms).terms, forms[k]), mb)
+        == one for k in keys)
     if permuted_identity:
         # the Gram matrix is not symmetric; the honest symmetry statement is
         # G[x][y] = tau(phi(b_y) b_x), checked entry by entry

@@ -34,12 +34,18 @@ the sparse dict.  Within one call, each scalar's r zeta-multiples are
 computed once and shared by every term carrying that scalar (or any
 zeta-multiple of it).  A one-term operand costs about r multiplies, and a
 full block of r^n terms costs n r^(n+1) dict updates instead of r^(2n).
+
+Presentation 2 builds each E_chi from its closed form (1/r^n) sum_a
+zeta^(-a.chi) t^a in the T basis and multiplies T-basis operands, so each of
+its relations still runs through T to E and back.
 """
 
 from __future__ import annotations
 
 from . import symgroup as sg
-from .algebra import SparseAlgebra, SparseElement, relation_report
+from .algebra import (SparseAlgebra, SparseElement, braid_relations, far_relations,
+                      generator_torus_relations, idempotent_relations, relation_report,
+                      torus_relations)
 from .exactla import _acc
 
 __all__ = ["YAlgebra", "torus_to_E", "torus_to_T"]
@@ -298,78 +304,41 @@ class YAlgebra(SparseAlgebra):
         n, one = self.n, self.one()
         t = [None] + [self.gen_t(j) for j in range(1, n + 1)]
         g = [None] + [self.gen_g(i) for i in range(1, n)]
-        rels = []
-        for j in range(1, n + 1):
-            rels.append((f"t{j}^{self.r} = 1", t[j] ** self.r - one))
-        for j in range(1, n + 1):
-            for k in range(j + 1, n + 1):
-                rels.append((f"t{j} t{k} = t{k} t{j}", t[j] * t[k] - t[k] * t[j]))
-        for i in range(1, n):
-            for j in range(1, n + 1):
-                sj = i + 1 if j == i else i if j == i + 1 else j
-                rels.append((f"g{i} t{j} = t{sj} g{i}", g[i] * t[j] - t[sj] * g[i]))
-        for i in range(1, n):
-            for k in range(i + 2, n):
-                rels.append((f"g{i} g{k} = g{k} g{i}", g[i] * g[k] - g[k] * g[i]))
-        for i in range(1, n - 1):
-            rels.append((f"g{i} g{i+1} g{i} braid", g[i] * g[i + 1] * g[i] - g[i + 1] * g[i] * g[i + 1]))
+        rels = torus_relations(t) + generator_torus_relations(g, t, "g")
+        rels += far_relations(g, "g") + braid_relations(g, "g")
         for i in range(1, n):
             quad = g[i] * g[i] - (one * self.q + (self.e_idem(i) * g[i]) * self.qm1)
             rels.append((f"g{i}^2 = q + (q-1) e{i} g{i}", quad))
         return rels
 
     def _presentation_idem(self):
-        # E_chi built from the torus averaging product, so these relations
-        # genuinely exercise the T<->E transform, not just the E engine
-        n, one = self.n, self.one()
-        inv_r = self.field.one / self.field.from_int(self.r)
-        idems = {}
-        for chi in self.colors:
-            prod = one
-            for i in range(1, n + 1):
-                factor: dict = {}
-                for s in range(self.r):
-                    a = [0] * n
-                    a[i - 1] = s
-                    _acc(factor, (tuple(a), self.ident),
-                         inv_r * self._zeta((-chi[i - 1] * s) % self.r))
-                prod = prod * SparseElement(self, "T", factor)
-            idems[chi] = prod
+        # E_chi from its closed form (1/r^n) sum_a zeta^(-a.chi) t^a in the T
+        # basis; every product below has T-basis operands, so these relations
+        # exercise T -> E and back, not just the E engine
+        n, r, one = self.n, self.r, self.one()
+        inv_rn = self.field.one / self.field.from_int(r ** n)
+        idems = {chi: SparseElement(self, "T", {
+            (a, self.ident): inv_rn * self._zeta(-sum(x * c for x, c in zip(a, chi)) % r)
+            for a in self.exponents}) for chi in self.colors}
         g = [None] + [self.gen_g(i) for i in range(1, n)]
         t = [None] + [self.gen_t(j) for j in range(1, n + 1)]
-        rels = []
-        total = self.zero()
-        for chi in self.colors:
-            total = total + idems[chi]
-        rels.append(("sum_chi E_chi = 1", total - one))
-        for chi in self.colors:
-            for chi2 in self.colors:
-                expect = idems[chi] if chi == chi2 else self.zero()
-                rels.append((f"E{chi} E{chi2} orthogonal", idems[chi] * idems[chi2] - expect))
+        rels = idempotent_relations(idems, "E", "chi")
         for j in range(1, n + 1):
             for chi in self.colors:
                 rels.append((f"t{j} E{chi} = zeta^{chi[j-1]} E{chi}",
                              t[j] * idems[chi] - idems[chi] * self._zeta(chi[j - 1])))
         for i in range(1, n):
             for chi in self.colors:
-                schi = list(chi)
-                schi[i - 1], schi[i] = schi[i], schi[i - 1]
-                rels.append((f"g{i} E{chi} = E{tuple(schi)} g{i}",
-                             g[i] * idems[chi] - idems[tuple(schi)] * g[i]))
+                schi = sg.right_mult_s(chi, i)
+                rels.append((f"g{i} E{chi} = E{schi} g{i}",
+                             g[i] * idems[chi] - idems[schi] * g[i]))
         for i in range(1, n):
-            esum = self.zero()
-            for chi in self.colors:
-                if chi[i - 1] == chi[i]:
-                    esum = esum + idems[chi]
+            esum = sum((idems[chi] for chi in self.colors if chi[i - 1] == chi[i]),
+                       self.zero())
             rels.append((f"e{i} = sum of diagonal E", self.e_idem(i) - esum))
             quad = g[i] * g[i] - (one * self.q + (esum * g[i]) * self.qm1)
             rels.append((f"g{i}^2 via E form", quad))
-        for i in range(1, n - 1):
-            rels.append((f"g{i} g{i+1} g{i} braid", g[i] * g[i + 1] * g[i] - g[i + 1] * g[i] * g[i + 1]))
-        for i in range(1, n):
-            for k in range(i + 2, n):
-                rels.append((f"g{i} g{k} = g{k} g{i}", g[i] * g[k] - g[k] * g[i]))
-        return rels
+        return rels + braid_relations(g, "g") + far_relations(g, "g")
 
     def __repr__(self):
         return f"YAlgebra(r={self.r}, n={self.n}, q={self.field.render(self.q)}, {self.field!r})"

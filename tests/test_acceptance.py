@@ -197,7 +197,7 @@ def test_criterion_05_frobenius_form(capsys):
     try:
         for r, n in FROBENIUS_INSTANCES:
             t0 = time.perf_counter()
-            res = structure.frobenius_check(H.yalg(r, n), with_witness=True)
+            res = structure.frobenius_check(H.yalg(r, n))
             took = time.perf_counter() - t0
             if not res["gram_invertible"]:
                 failures.append(f"{(r, n)}: Gram matrix of the trace is singular")

@@ -81,6 +81,36 @@ def test_removed_flags_exit_2(capsys, argv):
     assert "unrecognized arguments: --" in capsys.readouterr().err
 
 
+NIL_BLOB = json.dumps({"basis": "NIL", "r": 2, "n": 2,
+                       "terms": [{"a": [1, 0], "w": [2, 1], "coeff": "1"}]})
+
+
+@pytest.mark.parametrize("argv", [
+    [*cmd, "--q", q]
+    for cmd in (["verify", "--r", "2", "--n", "2", "--presentation", "nil", "--json"],
+                ["mult", "--r", "2", "--n", "2", "--nil", "--lhs", NIL_BLOB, "--rhs", NIL_BLOB])
+    for q in ("5", "0")])
+def test_nil_rejects_q(capsys, argv):
+    # the nil algebra has no q; an explicit --q used to be echoed and ignored
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+def test_nil_without_q_unchanged(capsys):
+    code, out, err = run(capsys, "verify", "--r", "2", "--n", "2",
+                         "--presentation", "nil", "--json")
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"schema": "yoklab/1", "r": 2, "n": 2, "q": "0",
+                               "presentation": "nil", "all_zero": True, "failed": []}
+    code, out, _ = run(capsys, "mult", "--r", "2", "--n", "2", "--nil",
+                       "--lhs", NIL_BLOB, "--rhs", NIL_BLOB)
+    assert code == 0 and json.loads(out)["terms"] == []
+
+
 def test_mult_roundtrip(capsys):
     alg = H.yalg(2, 2)
     x = alg.gen_g(1)

@@ -12,7 +12,9 @@ whether c_i < c_{i+1}, c_i = c_{i+1}, or c_i > c_{i+1}.
 
 Basis: L_c h_w, stored as sparse dicts keyed by (c, w).  Left multiplication
 by a single h_i is a two-or-three term rewrite; products fold a reduced word
-of the left factor through the right factor.
+of the left factor through the right factor.  Right multiplication by h_i is
+the Hecke rule on w alone, and by L_d the straightening of h_w L_d, cached
+per (w, d).
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import itertools
 
 from . import symgroup as sg
 from .algebra import (SparseAlgebra, SparseElement, braid_relations, far_relations,
-                      idempotent_relations, relation_report)
-from .exactla import _acc
+                      idempotent_relations, relation_report, sum_block_dims)
+from .exactla import _acc, closure_under, ideal_power_dims, vec_addmul
 
 __all__ = ["AKSAlgebra"]
 
@@ -44,6 +46,7 @@ class AKSAlgebra(SparseAlgebra):
     def __init__(self, r: int, n: int, field=None, q=None):
         super().__init__(r, n, field)
         self._set_q(q)
+        self._hL_cache: dict = {}
 
     def gen_L(self, c) -> SparseElement:
         c = tuple(c)
@@ -84,10 +87,50 @@ class AKSAlgebra(SparseAlgebra):
     def _lmul_L(self, terms: dict, c) -> dict:
         return {k: v for k, v in terms.items() if k[0] == c}
 
-    def _rmul_L(self, terms: dict, c) -> dict:
-        # not diagonal on monomials: h_w L_c picks up straightening terms,
-        # so route through the generic product against the singleton L_c
-        return self.mul_terms(terms, {(c, self.ident): self.field.one})
+    def _rmul_h(self, terms: dict, i: int) -> dict:
+        # (L_c h_w) h_i is the Hecke rule on w alone; colors stay put
+        out: dict = {}
+        for (c, w), a in terms.items():
+            wsi = sg.right_mult_s(w, i)
+            if w[i - 1] < w[i]:
+                _acc(out, (c, wsi), a)
+            else:
+                _acc(out, (c, wsi), a * self.q)
+                _acc(out, (c, w), a * self.qm1)
+        return out
+
+    def _rmul_L(self, terms: dict, d) -> dict:
+        # (L_c h_w) L_d = L_c (h_w L_d): the part of color c of the cached
+        # straightening expansion of h_w L_d
+        out: dict = {}
+        for (c, w), a in terms.items():
+            for k, v in self._straightened(w, d).get(c, ()):
+                _acc(out, k, a * v)
+        return out
+
+    def _right_product(self, x: dict, y: dict) -> dict:
+        """x y as the right action of each term L_d h_v of y on x; the same
+        product as mul_terms, cheaper when y is short and x long."""
+        out: dict = {}
+        for (d, v), b in y.items():
+            z = self._rmul_L(x, d)
+            for i in self._rword[v]:
+                z = self._rmul_h(z, i)
+            vec_addmul(out, b, z)
+        return out
+
+    def _straightened(self, w, d) -> dict:
+        """h_w L_d in the basis, grouped by color: {c: [((c, u), coeff)]}."""
+        got = self._hL_cache.get((w, d))
+        if got is None:
+            z = {(d, self.ident): self.field.one}
+            for i in reversed(self._rword[w]):
+                z = self._lmul_h(z, i)
+            got = {}
+            for k, v in z.items():
+                got.setdefault(k[0], []).append((k, v))
+            self._hL_cache[(w, d)] = got
+        return got
 
     def mul_terms(self, x: dict, y: dict) -> dict:
         out: dict = {}
@@ -110,13 +153,9 @@ class AKSAlgebra(SparseAlgebra):
         return maps
 
     def rmul_gen_maps(self):
-        maps = [(lambda t, ht=self._h_terms(i): self.mul_terms(t, ht))
-                for i in range(1, self.n)]
+        maps = [(lambda t, i=i: self._rmul_h(t, i)) for i in range(1, self.n)]
         maps += [(lambda t, c=c: self._rmul_L(t, c)) for c in self.colors]
         return maps
-
-    def _h_terms(self, i: int) -> dict:
-        return self._lmul_h({(c, self.ident): self.field.one for c in self.colors}, i)
 
     # -- presentation ------------------------------------------------------
 
@@ -186,6 +225,31 @@ class AKSAlgebra(SparseAlgebra):
                 lc = self.gen_L(c)
                 seeds.append((h[i] * lc - lc * h[i]).terms)
         return [s for s in seeds if s]
+
+    def commutator_power_dims(self) -> list[int]:
+        """Power dimensions of the commutator ideal J, one orbit at a time.
+
+        For an orbit O of colors, L_O = sum_{c in O} L_c is central, so
+        J = (+)_O J L_O, and J L_O is the ideal of the block generated by
+        the seeds cut to the colors in O, closed under the h_i and the L_c
+        with c in O (every other L_c kills the block).  The step products
+        J^k . seeds run as right actions of the short seeds.  Every orbit is
+        computed here; none is carried over from another.
+        """
+        seeds = self.commutator_seeds()
+        h_left = [(lambda t, i=i: self._lmul_h(t, i)) for i in range(1, self.n)]
+        h_right = [(lambda t, i=i: self._rmul_h(t, i)) for i in range(1, self.n)]
+        blocks = []
+        for orbit in self.central_color_blocks():
+            inside = set(orbit)
+            cut = [{k: v for k, v in s.items() if k[0] in inside} for s in seeds]
+            cut = closure_under(self.field, [], [s for s in cut if s]).basis_rows()
+            left = h_left + [(lambda t, c=c: self._lmul_L(t, c)) for c in orbit]
+            right = h_right + [(lambda t, c=c: self._rmul_L(t, c)) for c in orbit]
+            ideal = closure_under(self.field, left + right, cut)
+            blocks.append((1, ideal_power_dims(self.field, self._right_product, ideal,
+                                               seeds=cut, right_maps=right)))
+        return sum_block_dims(blocks)
 
     def __repr__(self):
         return f"AKSAlgebra(r={self.r}, n={self.n}, q={self.field.render(self.q)})"

@@ -28,7 +28,7 @@ from .scalars import FieldSpec, make_field
 
 __all__ = ["SparseAlgebra", "SparseElement", "element_json_terms", "relation_report",
            "torus_relations", "generator_torus_relations", "braid_relations",
-           "far_relations", "idempotent_relations"]
+           "far_relations", "idempotent_relations", "color_orbits", "sum_block_dims"]
 
 
 def element_json_terms(obj, r: int, n: int, vec_names: dict) -> tuple[str, list]:
@@ -129,6 +129,25 @@ def idempotent_relations(idems: dict, name: str, index: str) -> list:
     return rels
 
 
+# -- central color blocks ---------------------------------------------------
+
+def color_orbits(colors) -> list[list]:
+    """The S_n-orbits of the color vectors in colors, each in the order of
+    colors, listed by their first member."""
+    orbits: dict = {}
+    for c in colors:
+        orbits.setdefault(tuple(sorted(c)), []).append(c)
+    return list(orbits.values())
+
+
+def sum_block_dims(blocks) -> list[int]:
+    """Power dimensions of a direct sum of ideals, given (multiplicity,
+    dims) for each summand; a summand's dims end at its first 0."""
+    length = max(len(dims) for _, dims in blocks)
+    return [sum(m * dims[k] for m, dims in blocks if k < len(dims))
+            for k in range(length)]
+
+
 class SparseAlgebra:
     """One (r, n, field) instance of an engine: the shared preamble and the
     parts of the protocol that do not depend on the multiplication rule."""
@@ -209,6 +228,21 @@ class SparseAlgebra:
 
     def all_generator_maps(self):
         return self.lmul_gen_maps() + self.rmul_gen_maps()
+
+    def central_color_blocks(self) -> list[list]:
+        """The S_n-orbits O of color vectors, after an exact check that each
+        e_O = sum_{c in O} (c, 1) in a color-keyed mul_basis commutes with
+        every generator; raises ArithmeticError on the first that does not.
+        Each central e_O splits the algebra and its ideals off block by block.
+        """
+        one = self.field.one
+        pairs = list(zip(self.lmul_gen_maps(), self.rmul_gen_maps()))
+        orbits = color_orbits(self.colors)
+        for orbit in orbits:
+            e = {(c, self.ident): one for c in orbit}
+            if any(lm(e) != rm(e) for lm, rm in pairs):
+                raise ArithmeticError(f"the color block of {orbit[0]} is not central")
+        return orbits
 
     # -- element JSON ----------------------------------------------------------
 

@@ -9,14 +9,30 @@ run, the braid generators that act by -1; all other braid generators act by
 The label count is sum over c of 2^(n - runs(c)), and the package checks it
 three independent ways: the label enumeration, a brute-force sweep over all
 scalar systems, and the codimension of the commutator ideal.
+
+The commutator ideal J and its powers are computed block by block.  For an
+S_n-orbit O of color vectors, e_O = sum_{chi in O} E_chi is a central
+idempotent (g_i sends E_chi to E_{s_i chi} inside O), so Y is the direct sum
+of the blocks Y e_O, and J and each J^k split the same way.  In the E basis
+the structure constants see only which colors of a key are equal, so a
+bijection of the color alphabet is an isomorphism between blocks: every
+orbit of one shape (the multiplicities of its colors, a partition of n into
+at most r parts) has the same ideal, up to relabeling.  One block per shape
+is closed and powered; its power dimensions count once per orbit of that
+shape, and its rows, relabeled, give the blocks of J for the other orbits.
+Before relying on the split, an exact check confirms that every e_O
+commutes with every generator (SparseAlgebra.central_color_blocks) and
+raises ArithmeticError if one does not.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from . import exactla, symgroup as sg
+from .algebra import sum_block_dims
 from .ycore import YAlgebra
 
 __all__ = [
@@ -150,41 +166,117 @@ def enumerate_one_dim_bruteforce(alg: YAlgebra) -> list[OneDimRep]:
     return found
 
 
-def commutator_seeds(alg: YAlgebra) -> list[dict]:
-    """Commutators of generators that generate the whole commutator ideal.
+def _shape(c) -> tuple:
+    """Multiplicities of the colors of c, largest first: a partition of n
+    into at most r parts, the same for every vector in the orbit of c."""
+    return tuple(sorted(Counter(c).values(), reverse=True))
 
-    [g_i, g_{i+1}], [g_i, t_i], and [g_i, t_{i+1}] suffice; every other
-    generator commutator is identically zero (torus pairs, far pairs,
-    g_i against a far t_j).
+
+def _shape_groups(alg: YAlgebra) -> list[list]:
+    """The central color blocks of alg grouped by shape, one list of orbits
+    per shape; the first orbit of each group is the one computed."""
+    groups: dict = {}
+    for orbit in alg.central_color_blocks():
+        groups.setdefault(_shape(orbit[0]), []).append(orbit)
+    return list(groups.values())
+
+
+def _g_maps(mul, n: int) -> list:
+    """x -> mul(x, i) for each braid generator index i."""
+    return [(lambda t, i=i: mul(t, i)) for i in range(1, n)]
+
+
+def _relabel(rows: dict, source: list, target: list) -> dict:
+    """Rows of the block of orbit source carried to the block of target.
+
+    A bijection sigma of the color alphabet that matches colors of equal
+    multiplicity carries source onto target, and (chi, w) -> (sigma chi, w)
+    is then an isomorphism of the blocks.  It keeps the order of the keys
+    (chi, w) of fixed chi, so a reduced echelon basis of rows that each have
+    one left color is carried to the reduced echelon basis of the image.
     """
-    n = alg.n
-    g = [None] + [alg.gen_g(i) for i in range(1, n)]
-    t = [None] + [alg.gen_t(j) for j in range(1, n + 1)]
+    def by_multiplicity(c):
+        counts = Counter(c)
+        return sorted(counts, key=lambda x: (-counts[x], x))
+
+    sigma = dict(zip(by_multiplicity(source[0]), by_multiplicity(target[0])))
+    image = {chi: tuple(sigma[x] for x in chi) for chi in source}
+    return {(image[p[0]], p[1]): {(image[chi], w): c for (chi, w), c in row.items()}
+            for p, row in rows.items()}
+
+
+def commutator_seeds(alg: YAlgebra, orbit) -> list[dict]:
+    """Generators of the block J e_O of the commutator ideal J, with orbit O.
+
+    The commutators [g_i, g_{i+1}] e_O and [g_i, E_chi] = E_{s_i chi} g_i -
+    E_chi g_i for chi in O generate J e_O: the t_j are combinations of the
+    E_chi and each E_chi a polynomial in the t_j, so these generate the same
+    ideal as [g_i, t_j], and every other pair of generators commutes.  J e_O
+    is stable under x -> E_a x E_b, so each seed is split into its (left
+    color, right color) components; the span of those is returned as a
+    reduced basis.
+    """
+    one = alg.field.one
+    e = {(chi, alg.ident): one for chi in orbit}
     seeds = []
-    for i in range(1, n - 1):
-        seeds.append((g[i] * g[i + 1] - g[i + 1] * g[i]).as_E().terms)
-    for i in range(1, n):
-        seeds.append((g[i] * t[i] - t[i] * g[i]).as_E().terms)
-        seeds.append((g[i] * t[i + 1] - t[i + 1] * g[i]).as_E().terms)
-    return [s for s in seeds if s]
+    for i in range(1, alg.n - 1):
+        s = alg._lmul_g(alg._lmul_g(e, i + 1), i)
+        exactla.vec_addmul(s, -one, alg._lmul_g(alg._lmul_g(e, i), i + 1))
+        seeds.append(s)
+    for i in range(1, alg.n):
+        for chi in orbit:
+            x = {(chi, alg.ident): one}
+            s = alg._lmul_g(x, i)
+            exactla.vec_addmul(s, -one, alg._rmul_g(x, i))
+            seeds.append(s)
+    parts = []
+    for s in seeds:
+        split: dict = {}
+        for (chi, w), c in s.items():
+            split.setdefault((chi, alg.act(alg._inv[w], chi)), {})[(chi, w)] = c
+        parts += split.values()
+    return exactla.closure_under(alg.field, [], parts).basis_rows()
 
 
 def commutator_ideal(alg: YAlgebra) -> exactla.Subspace:
-    """Two-sided ideal generated by commutators of generators, in the E basis."""
-    return exactla.closure_under(alg.field, alg.all_generator_maps(),
-                                 commutator_seeds(alg))
+    """Two-sided ideal generated by commutators of generators, in the E basis.
+
+    One closure per shape, under left and right multiplication by the g_i,
+    carried to every orbit of that shape.  The seeds each have one (left
+    color, right color) pair and the g_i maps keep it one pair, so the
+    closure is stable under the E_chi projections as well.  The blocks have
+    disjoint supports, so the union of their reduced bases is the reduced
+    basis of J.
+    """
+    ideal = exactla.Subspace(alg.field)
+    maps = _g_maps(alg._lmul_g, alg.n) + _g_maps(alg._rmul_g, alg.n)
+    for orbits in _shape_groups(alg):
+        block = exactla.closure_under(alg.field, maps, commutator_seeds(alg, orbits[0]))
+        for orbit in orbits:
+            ideal.rows.update(_relabel(block.rows, orbits[0], orbit))
+    return ideal
 
 
 def power_dims(alg: YAlgebra, sub: exactla.Subspace) -> list[int]:
     """Power dimensions of the commutator ideal sub down to zero.
 
-    Uses the recurrence J^(k+1) = closure(J^k . seeds) under right
-    multiplications, valid because sub is the two-sided ideal generated by
-    the commutator seeds.
+    Runs the recurrence J^(k+1) = closure(J^k . seeds) under right
+    multiplication by the g_i on the block of sub for one orbit per shape,
+    and counts each shape once per orbit.  The seeds and rows of a block
+    each have one (left color, right color) pair, and so do their products
+    and the images under the g_i, so the right E_chi projections add
+    nothing to the closure.
     """
-    return exactla.ideal_power_dims(alg.field, alg.mul_terms, sub,
-                                    seeds=commutator_seeds(alg),
-                                    right_maps=alg.rmul_gen_maps())
+    blocks = []
+    for orbits in _shape_groups(alg):
+        inside = set(orbits[0])
+        block = exactla.Subspace(alg.field)
+        block.rows = {p: row for p, row in sub.rows.items() if p[0] in inside}
+        dims = exactla.ideal_power_dims(alg.field, alg.mul_terms, block,
+                                        seeds=commutator_seeds(alg, orbits[0]),
+                                        right_maps=_g_maps(alg._rmul_g, alg.n))
+        blocks.append((len(orbits), dims))
+    return sum_block_dims(blocks)
 
 
 def nilpotency_index(alg: YAlgebra, sub: exactla.Subspace) -> int:
@@ -198,8 +290,9 @@ def semisimplicity_certificate(alg: YAlgebra, ideal=None) -> dict:
     one simple per label.
 
     Three ingredients: the label count matches the codimension of J, every
-    commutator of basis elements lies in J, and the character matrix of the
-    labeled scalar reps against a basis of the quotient is invertible.
+    basis element commutes with every generator modulo J, and the character
+    matrix of the labeled scalar reps against a basis of the quotient is
+    invertible.
     """
     require_q0(alg)
     if ideal is None:
@@ -209,15 +302,17 @@ def semisimplicity_certificate(alg: YAlgebra, ideal=None) -> dict:
     keys = [(c, w) for c in alg.colors for w in alg.perms]
     dim_match = alg.dimension - ideal.dim() == len(labels)
 
-    one_scal, minus_one = field.one, -field.one
+    # A / J is commutative when every basis key commutes with every
+    # generator g_i, t_j modulo the two-sided ideal J
+    one, minus_one = field.one, -field.one
+    pairs = list(zip(alg.lmul_gen_maps(), alg.rmul_gen_maps()))
     commutative = True
-    for k1 in keys:
-        x1 = {k1: one_scal}
-        for k2 in keys:
-            x2 = {k2: one_scal}
-            ab = alg.mul_terms(x1, x2)
-            exactla.vec_addmul(ab, minus_one, alg.mul_terms(x2, x1))
-            if ab and not ideal.contains(ab):
+    for k in keys:
+        x = {k: one}
+        for lmul, rmul in pairs:
+            comm = rmul(x)
+            exactla.vec_addmul(comm, minus_one, lmul(x))
+            if comm and not ideal.contains(comm):
                 commutative = False
                 break
         if not commutative:

@@ -101,6 +101,36 @@ def nil_analysis(r: int, n: int, kind: str = CYC) -> dict:
     }
 
 
+def y_full_seeds(alg) -> list:
+    """[g_i, g_{i+1}], [g_i, t_i] and [g_i, t_{i+1}] in the E basis: the
+    commutator seeds of the whole algebra, with no color blocks."""
+    n = alg.n
+    g = [None] + [alg.gen_g(i) for i in range(1, n)]
+    t = [None] + [alg.gen_t(j) for j in range(1, n + 1)]
+    seeds = [(g[i] * g[i + 1] - g[i + 1] * g[i]).as_E().terms for i in range(1, n - 1)]
+    for i in range(1, n):
+        seeds.append((g[i] * t[i] - t[i] * g[i]).as_E().terms)
+        seeds.append((g[i] * t[i + 1] - t[i + 1] * g[i]).as_E().terms)
+    return [s for s in seeds if s]
+
+
+@lru_cache(maxsize=None)
+def y_full_ideal(r: int, n: int, kind: str = CYC) -> Subspace:
+    """The commutator ideal of Y as one closure under every generator map:
+    an oracle for the blocked modrep.commutator_ideal."""
+    alg = yalg(r, n, kind)
+    return closure_under(alg.field, alg.all_generator_maps(), y_full_seeds(alg))
+
+
+@lru_cache(maxsize=None)
+def y_full_power_dims(r: int, n: int, kind: str = CYC) -> list:
+    """Power dimensions of y_full_ideal by the seeded recurrence on the whole
+    algebra: an oracle for the blocked modrep.power_dims."""
+    alg = yalg(r, n, kind)
+    return ideal_power_dims(alg.field, alg.mul_terms, y_full_ideal(r, n, kind),
+                            seeds=y_full_seeds(alg), right_maps=alg.rmul_gen_maps())
+
+
 @lru_cache(maxsize=None)
 def aks_ideal_power_dims(r: int, n: int, kind: str = CYC) -> list:
     a = aksalg(r, n, kind)

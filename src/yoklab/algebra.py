@@ -8,7 +8,8 @@ An engine subclasses ``SparseAlgebra`` and supplies
 * ``mul_basis``: the tag that ``mul_terms`` works in;
 * ``mul_terms(x, y)``: the product of two term dicts in ``mul_basis``;
 * its generator maps, ``lmul_gen_maps`` and ``rmul_gen_maps``;
-* ``convert(terms, basis)``, only when it has two bases (Y's T <-> E).
+* ``convert(terms, basis)``, only when it has two bases (the exponent basis
+  of Y or nil <-> E).
 
 Everything else is shared: the element class, the construction preamble,
 the unit, random elements, the element JSON codec, and the relation

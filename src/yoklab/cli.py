@@ -164,39 +164,22 @@ def cmd_simples(args) -> int:
 
 
 def cmd_radical(args) -> int:
-    field = _field_for(args)
+    alg = (NilAlgebra if args.nil else YAlgebra)(args.r, args.n, _field_for(args))
     if args.nil:
-        alg = NilAlgebra(args.r, args.n, field)
-        try:
-            dims = alg.radical_power_dims()
-        except ArithmeticError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        expected = alg.dimension - args.r ** args.n
-        ok = dims[0] == expected and dims[-1] == 0
-        lines = [f"radical dimension = {dims[0]} (codim {alg.dimension - dims[0]})",
-                 f"power dimensions: {dims}",
-                 f"nilpotency index = {1 if dims[0] == 0 else len(dims)}"]
-        payload = {"schema": SCHEMA, "r": args.r, "n": args.n, "nil": True,
-                   "power_dims": dims, "ok": ok}
-        _emit(args, lines, payload)
-        return 0 if ok else 1
-
-    alg = YAlgebra(args.r, args.n, field)
-    ideal = modrep.commutator_ideal(alg)
-    try:
+        ideal = alg.radical()
+        dims = modrep.block_power_dims(alg, ideal, alg.radical_seeds)
+        name, simples = "radical", args.r ** args.n
+    else:
+        ideal = modrep.commutator_ideal(alg)
         dims = modrep.power_dims(alg, ideal)
-    except ArithmeticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        name, simples = "commutator ideal", modrep.count_labels(args.r, args.n)
     codim = alg.dimension - ideal.dim()
-    ok = codim == modrep.count_labels(args.r, args.n) and dims[-1] == 0
-    lines = [f"commutator ideal dimension = {ideal.dim()} (codim {codim})",
+    ok = codim == simples and dims[-1] == 0
+    lines = [f"{name} dimension = {ideal.dim()} (codim {codim})",
              f"power dimensions: {dims}",
              f"nilpotency index = {1 if dims[0] == 0 else len(dims)}"]
-    payload = {"schema": SCHEMA, "r": args.r, "n": args.n,
-               "ideal_dim": ideal.dim(), "codim": codim,
-               "power_dims": dims, "ok": ok}
+    payload = {"schema": SCHEMA, "r": args.r, "n": args.n, "power_dims": dims, "ok": ok}
+    payload.update({"nil": True} if args.nil else {"ideal_dim": ideal.dim(), "codim": codim})
     _emit(args, lines, payload)
     return 0 if ok else 1
 
@@ -235,7 +218,7 @@ def cmd_cells(args) -> int:
     field = _field_for(args)
     if args.nil:
         alg = NilAlgebra(args.r, args.n, field)
-        cells = alg.nonzero_cells()
+        cells = structure.nonzero_cells(alg)
         expected = args.r ** args.n
         ok = (len(cells) == expected
               and all(w == alg.ident for _, w in cells))

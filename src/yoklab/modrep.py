@@ -23,6 +23,12 @@ shape, and its rows, relabeled, give the blocks of J for the other orbits.
 Before relying on the split, an exact check confirms that every e_O
 commutes with every generator (SparseAlgebra.central_color_blocks) and
 raises ArithmeticError if one does not.
+
+The blocked closure and powers (block_ideal, block_power_dims) take the
+generators of each block as a function of its orbit, so they serve any Y
+engine at q = 0.  The commutator ideal passes commutator_seeds; the nil
+algebra, the Y engine with quadratic pair (0, 0), passes its monomials
+E_chi T_i to get its radical.
 """
 
 from __future__ import annotations
@@ -44,6 +50,9 @@ __all__ = [
     "rep_of_label",
     "check_one_dim",
     "enumerate_one_dim_bruteforce",
+    "commutator_seeds",
+    "block_ideal",
+    "block_power_dims",
     "commutator_ideal",
     "power_dims",
     "nilpotency_index",
@@ -238,45 +247,67 @@ def commutator_seeds(alg: YAlgebra, orbit) -> list[dict]:
     return exactla.closure_under(alg.field, [], parts).basis_rows()
 
 
-def commutator_ideal(alg: YAlgebra) -> exactla.Subspace:
-    """Two-sided ideal generated by commutators of generators, in the E basis.
+def block_ideal(alg: YAlgebra, seeds_of) -> exactla.Subspace:
+    """Two-sided ideal J, in the E basis, whose block J e_O is generated by
+    seeds_of(O): vectors with one (left color, right color) pair in O, given
+    alike for every orbit up to relabeling the colors.
 
     One closure per shape, under left and right multiplication by the g_i,
-    carried to every orbit of that shape.  The seeds each have one (left
-    color, right color) pair and the g_i maps keep it one pair, so the
-    closure is stable under the E_chi projections as well.  The blocks have
-    disjoint supports, so the union of their reduced bases is the reduced
-    basis of J.
-    """
+    carried to every orbit of that shape.  The g_i maps keep a vector at one
+    color pair, so the closure is stable under the t_j and the E_chi
+    projections too.  The blocks have disjoint supports, so the union of
+    their reduced bases is the reduced basis of J."""
     ideal = exactla.Subspace(alg.field)
     maps = _g_maps(alg._lmul_g, alg.n) + _g_maps(alg._rmul_g, alg.n)
     for orbits in _shape_groups(alg):
-        block = exactla.closure_under(alg.field, maps, commutator_seeds(alg, orbits[0]))
+        block = exactla.closure_under(alg.field, maps, seeds_of(orbits[0]))
         for orbit in orbits:
             ideal.rows.update(_relabel(block.rows, orbits[0], orbit))
     return ideal
 
 
-def power_dims(alg: YAlgebra, sub: exactla.Subspace) -> list[int]:
-    """Power dimensions of the commutator ideal sub down to zero.
+def _paired_product(alg: YAlgebra):
+    """alg.mul_terms on vectors that each have one (left color, right color)
+    pair; a pair whose product vanishes, because the row's right color is
+    not the seed's left color, is skipped without a product."""
+    def product(row, seed):
+        chi, w = next(iter(row))
+        if alg.act(alg._inv[w], chi) != next(iter(seed))[0]:
+            return {}
+        return alg.mul_terms(row, seed)
+    return product
+
+
+def block_power_dims(alg: YAlgebra, sub: exactla.Subspace, seeds_of) -> list[int]:
+    """Power dimensions down to zero of sub = block_ideal(alg, seeds_of).
 
     Runs the recurrence J^(k+1) = closure(J^k . seeds) under right
     multiplication by the g_i on the block of sub for one orbit per shape,
     and counts each shape once per orbit.  The seeds and rows of a block
     each have one (left color, right color) pair, and so do their products
-    and the images under the g_i, so the right E_chi projections add
-    nothing to the closure.
-    """
+    and the images under the g_i, so the right t_j and E_chi maps add
+    nothing to the closure."""
     blocks = []
+    product = _paired_product(alg)
     for orbits in _shape_groups(alg):
         inside = set(orbits[0])
         block = exactla.Subspace(alg.field)
         block.rows = {p: row for p, row in sub.rows.items() if p[0] in inside}
-        dims = exactla.ideal_power_dims(alg.field, alg.mul_terms, block,
-                                        seeds=commutator_seeds(alg, orbits[0]),
+        dims = exactla.ideal_power_dims(alg.field, product, block,
+                                        seeds=seeds_of(orbits[0]),
                                         right_maps=_g_maps(alg._rmul_g, alg.n))
         blocks.append((len(orbits), dims))
     return sum_block_dims(blocks)
+
+
+def commutator_ideal(alg: YAlgebra) -> exactla.Subspace:
+    """Two-sided ideal generated by commutators of generators, in the E basis."""
+    return block_ideal(alg, lambda orbit: commutator_seeds(alg, orbit))
+
+
+def power_dims(alg: YAlgebra, sub: exactla.Subspace) -> list[int]:
+    """Power dimensions of the commutator ideal sub down to zero."""
+    return block_power_dims(alg, sub, lambda orbit: commutator_seeds(alg, orbit))
 
 
 def nilpotency_index(alg: YAlgebra, sub: exactla.Subspace) -> int:

@@ -7,10 +7,11 @@ expansion that is (1/r^n) times the sum of the coefficients sitting on
 h = t^a g_w the element j = g_{w0 w^{-1}} t^{-a} pairs to exactly 1,
 because the permutation parts multiply length-additively straight to w0.
 
-The trace, Gram, Frobenius, Nakayama and flip checks take any engine whose
-default basis is keyed by torus exponents: the Y algebra, and the nil
-algebra with T_i in place of g_i.  They multiply the default-basis keys in
-the engine's multiplication basis and read tau off the product there.
+The trace, Gram, Frobenius, Nakayama, flip and cell checks serve the Y
+algebra and the nil algebra, the Y engine with T_i in place of g_i.  They
+read tau off products in the E basis.  The Gram matrix is built from torus
+transforms of monomial products, G[(a, u)][(b, v)] = tau(t^(a + u.b) g_u
+g_v) (see gram_matrix), and the exhaustive Nakayama check reads it.
 
 Cells: basis monomials (chi, w) are ranked by (length(w), w, chi).  At q = 0
 multiplication by any generator sends a basis monomial to monomials of the
@@ -27,7 +28,7 @@ import random
 from . import exactla, symgroup as sg
 from .algebra import SparseAlgebra, SparseElement
 from .modrep import enumerate_labels, require_q0
-from .ycore import YAlgebra
+from .ycore import YAlgebra, torus_to_T
 
 __all__ = [
     "tau",
@@ -67,41 +68,58 @@ def t_basis_keys(alg: SparseAlgebra) -> list:
     return sorted((a, w) for a in alg.exponents for w in alg.perms)
 
 
-def _mul_forms(alg: SparseAlgebra, keys) -> dict:
-    """Each default-basis key as a term dict in the multiplication basis."""
-    one = alg.field.one
-    return {k: alg.element({k: one}).in_basis(alg.mul_basis).terms for k in keys}
+def gram_matrix(alg: YAlgebra):
+    """Gram matrix of tau(b_i b_j) over the sorted T-basis monomials.
 
-
-def _flipped(alg: SparseAlgebra, forms: dict) -> dict:
-    """phi of each form, in the same basis."""
-    return {k: alg.phi(SparseElement(alg, alg.mul_basis, f)).terms for k, f in forms.items()}
-
-
-def gram_matrix(alg: SparseAlgebra):
-    """Gram matrix of tau(b_i b_j) over the sorted T-basis monomials."""
+    For b_i = t^a g_u and b_j = t^b g_v the product is t^(a + u.b) g_u g_v,
+    so G[(a, u)][(b, v)] = F_{u,v}(a + u.b) with F_{u,v}(c) = tau(t^c g_u
+    g_v).  As t^c = sum_chi zeta^(c.chi) E_chi and E_chi g_u g_v = E_chi g_u
+    E_{u^-1 chi} g_v, F_{u,v}(c) = (1/r^n) sum_chi zeta^(c.chi) f_{u,v}(chi)
+    where f_{u,v}(chi) is the (chi, w0) coefficient of that monomial
+    product: F_{u,v}(-c) is the inverse torus transform of f_{u,v}.  That is
+    n!^2 r^n monomial products, each a shorter one times a g_i and kept out
+    of the product cache, against (r^n n!)^2 products of r^n-term forms for
+    the pairwise build."""
     keys = t_basis_keys(alg)
-    forms = list(_mul_forms(alg, keys).values())
-    mb = alg.mul_basis
+    r, w0, exponents = alg.r, alg.w0, alg.exponents
+    zero, one = alg.field.zero, alg.field.one
+    index = {a: k for k, a in enumerate(exponents)}
+    neg_sum = [[index[tuple((-x - y) % r for x, y in zip(a, b))] for b in exponents]
+               for a in exponents]
+    moved = {u: [index[sg.act_on_colors(u, b)] for b in exponents] for u in alg.perms}
+    by_length = sorted(alg.perms, key=alg._len.__getitem__)
+    F = {}
+    for u in alg.perms:
+        f = {v: {} for v in alg.perms}
+        for chi in alg.colors:
+            prods = {alg.ident: {(chi, u): one}}
+            for v in by_length[1:]:
+                i = alg._rword[v][-1]
+                prods[v] = alg._rmul_g(prods[sg.right_mult_s(v, i)], i)
+            for v, p in prods.items():
+                if (chi, w0) in p:
+                    f[v][chi, w0] = p[chi, w0]
+        for v in alg.perms:
+            tt = torus_to_T(alg.field, r, exponents, f[v])
+            F[u, v] = [tt.get((a, w0), zero) for a in exponents]
     rows = []
-    for x in forms:
-        rows.append([tau_terms(alg, alg.mul_terms(x, y), mb) for y in forms])
+    for a, u in keys:
+        sums, mu = neg_sum[index[a]], moved[u]
+        rows.append([F[u, v][sums[mu[index[b]]]] for b, v in keys])
     return keys, rows
 
 
-def frobenius_witness(alg: SparseAlgebra, key, forms=None) -> SparseElement:
-    """Element j = g_{w0 w^-1} t^{-a} with tau(j * t^a g_w) = 1 for the
-    T-basis key (a, w), in the multiplication basis.  forms maps T-basis
-    keys to their multiplication-basis dicts when the caller has them."""
+def frobenius_witness(alg: SparseAlgebra, key) -> SparseElement:
+    """Element j = g_u t^{-a}, u = w0 w^-1, with tau(j * t^a g_w) = 1 for
+    the T-basis key (a, w).  As g_u t^b = t^(u.b) g_u, j is the single
+    basis monomial t^(u.(-a)) g_u."""
     a, w = key
-    g = ((0,) * alg.n, sg.compose(alg.w0, sg.inverse(w)))
-    t = (tuple((-x) % alg.r for x in a), alg.ident)
-    if forms is None:
-        forms = _mul_forms(alg, (g, t))
-    return SparseElement(alg, alg.mul_basis, alg.mul_terms(forms[g], forms[t]))
+    u = sg.compose(alg.w0, sg.inverse(w))
+    return alg.element({(sg.act_on_colors(u, tuple((-x) % alg.r for x in a)), u):
+                        alg.field.one})
 
 
-def frobenius_check(alg: SparseAlgebra, permuted_identity: bool = False,
+def frobenius_check(alg: YAlgebra, permuted_identity: bool = False,
                     gram=None) -> dict:
     """Gram invertibility plus witnesses; gram is (keys, rows) from
     gram_matrix(alg) when the caller already built it."""
@@ -110,38 +128,43 @@ def frobenius_check(alg: SparseAlgebra, permuted_identity: bool = False,
         "dimension": len(keys),
         "gram_invertible": exactla.invertible(alg.field, rows),
     }
-    mb, one = alg.mul_basis, alg.field.one
-    forms = _mul_forms(alg, keys)
+    # each witness is a basis monomial, so tau(j b_k) is a Gram entry
+    pos = {k: i for i, k in enumerate(keys)}
     result["witness_ok"] = all(
-        tau_terms(alg, alg.mul_terms(frobenius_witness(alg, k, forms).terms, forms[k]), mb)
-        == one for k in keys)
+        rows[pos[next(iter(frobenius_witness(alg, k).terms))]][i] == alg.field.one
+        for i, k in enumerate(keys))
     if permuted_identity:
         # the Gram matrix is not symmetric; the honest symmetry statement is
         # G[x][y] = tau(phi(b_y) b_x), checked entry by entry
-        flipped = list(_flipped(alg, forms).values())
-        result["permuted_identity_ok"] = all(
-            row[iy] == tau_terms(alg, alg.mul_terms(flipped[iy], x), mb)
-            for row, x in zip(rows, forms.values()) for iy in range(len(keys)))
+        result["permuted_identity_ok"] = _flip_pairs(alg, keys, rows)[1]
     return result
 
 
-def nakayama_check(alg: SparseAlgebra, exhaustive: bool = False, samples: int = 200,
-                   seed: int = 0) -> dict:
-    """tau(x y) = tau(phi(y) x), exhaustively on basis pairs or sampled."""
+def _flip_pairs(alg: SparseAlgebra, keys, rows) -> tuple[int, bool]:
+    """Whether G[x][y] = G[phi(y)][x], that is tau(b_x b_y) = tau(phi(b_y)
+    b_x), for every pair of basis keys, x then y; phi sends each basis key
+    to a basis key.  Returns the pairs that passed and the verdict."""
+    pos = {k: i for i, k in enumerate(keys)}
+    one = alg.field.one
+    flip = [pos[next(iter(alg.phi(alg.element({k: one})).terms))] for k in keys]
     pairs = 0
+    for ix, row in enumerate(rows):
+        for iy, entry in enumerate(row):
+            if not (entry == rows[flip[iy]][ix]):
+                return pairs, False
+            pairs += 1
+    return pairs, True
+
+
+def nakayama_check(alg: YAlgebra, exhaustive: bool = False, samples: int = 200,
+                   seed: int = 0) -> dict:
+    """tau(x y) = tau(phi(y) x), exhaustively on basis pairs or sampled.
+
+    On basis pairs this reads both sides off the Gram matrix."""
     if exhaustive:
-        keys = t_basis_keys(alg)
-        forms = _mul_forms(alg, keys)
-        flipped = _flipped(alg, forms)
-        mb = alg.mul_basis
-        for k1 in keys:
-            x = forms[k1]
-            for k2 in keys:
-                if not (tau_terms(alg, alg.mul_terms(x, forms[k2]), mb)
-                        == tau_terms(alg, alg.mul_terms(flipped[k2], x), mb)):
-                    return {"mode": "exhaustive", "pairs": pairs, "ok": False}
-                pairs += 1
-        return {"mode": "exhaustive", "pairs": pairs, "ok": True}
+        pairs, ok = _flip_pairs(alg, *gram_matrix(alg))
+        return {"mode": "exhaustive", "pairs": pairs, "ok": ok}
+    pairs = 0
     rng = random.Random(seed)
     for _ in range(samples):
         x = alg.random_element(rng)
@@ -152,13 +175,9 @@ def nakayama_check(alg: SparseAlgebra, exhaustive: bool = False, samples: int = 
     return {"mode": "sampled", "pairs": pairs, "ok": True}
 
 
-def phi_checks(alg: SparseAlgebra, samples: int = 50, seed: int = 1) -> dict:
+def phi_checks(alg: YAlgebra, samples: int = 50, seed: int = 1) -> dict:
     """phi sends generators where it should, preserves products, squares to id."""
-    n, one = alg.n, alg.field.one
-
-    def g(i):   # g_i, or T_i on the nil algebra
-        return alg.element({((0,) * n, sg.right_mult_s(alg.ident, i)): one})
-
+    n, g = alg.n, alg.gen_g   # T_i on the nil algebra
     gens_ok = all(alg.phi(g(i)) == g(n - i) for i in range(1, n))
     gens_ok = gens_ok and all(alg.phi(alg.gen_t(j)) == alg.gen_t(n + 1 - j)
                               for j in range(1, n + 1))

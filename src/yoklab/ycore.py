@@ -130,9 +130,8 @@ class YAlgebra(SparseAlgebra):
         return got
 
     # -- element constructors ------------------------------------------
-    # gen_t and t_monomial build default-basis elements keyed by torus
-    # exponents; the nil engine's default basis is keyed the same way and
-    # shares them, as it shares phi
+    # each builds a default-basis element keyed by torus exponents; the nil
+    # engine's default basis is keyed the same way and inherits them
 
     def gen_t(self, j: int) -> SparseElement:
         if not 1 <= j <= self.n:
@@ -144,7 +143,7 @@ class YAlgebra(SparseAlgebra):
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"g index {i} out of range")
         w = sg.right_mult_s(self.ident, i)
-        return SparseElement(self, "T", {((0,) * self.n, w): self.field.one})
+        return self.element({((0,) * self.n, w): self.field.one})
 
     def t_monomial(self, a) -> SparseElement:
         a = tuple(x % self.r for x in a)
@@ -158,10 +157,10 @@ class YAlgebra(SparseAlgebra):
         for i in self._rword[tuple(w)]:
             cur = sg.right_mult_s(cur, i)
         assert cur == tuple(w)
-        return SparseElement(self, "T", {((0,) * self.n, cur): self.field.one})
+        return self.element({((0,) * self.n, cur): self.field.one})
 
     def e_idem(self, i: int) -> SparseElement:
-        """e_i = (1/r) sum_s t_i^s t_{i+1}^{-s} in the T basis."""
+        """e_i = (1/r) sum_s t_i^s t_{i+1}^{-s} in the default basis."""
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"e index {i} out of range")
         inv_r = self.field.one / self.field.from_int(self.r)
@@ -171,7 +170,7 @@ class YAlgebra(SparseAlgebra):
             a[i - 1] = s
             a[i] = (-s) % self.r
             _acc(terms, (tuple(a), self.ident), inv_r)
-        return SparseElement(self, "T", terms)
+        return self.element(terms)
 
     def E_idem(self, chi) -> SparseElement:
         chi = tuple(chi)

@@ -10,8 +10,8 @@ from functools import lru_cache
 
 from yoklab import AKSAlgebra, NilAlgebra, YAlgebra, make_field
 from yoklab.scalars import FieldSpec
-from yoklab import modrep, structure
-from yoklab.exactla import Subspace, closure_under, ideal_power_dims
+from yoklab import modrep, structure, symgroup as sg
+from yoklab.exactla import Subspace, _acc, closure_under, ideal_power_dims
 
 FP13 = "fp13"
 CYC = "cyc"
@@ -85,7 +85,7 @@ def nil_analysis(r: int, n: int, kind: str = CYC) -> dict:
     dims = alg.radical_power_dims()
     frob = structure.frobenius_check(alg)
     reps = alg.one_dim_reps()
-    cells = alg.nonzero_cells()
+    cells = structure.nonzero_cells(alg)
     minimal = all(alg.minimal_ideal_check(chi)["ok"] for chi in alg.colors)
     return {
         "dimension": alg.dimension,
@@ -185,3 +185,43 @@ def pairwise_power_dims(field, product, sub) -> list:
         dims.append(nxt.dim())
         cur = nxt
     return dims
+
+
+def nil_monomial_mul_terms(alg, x: dict, y: dict) -> dict:
+    """Product of two NIL-basis dicts by the monomial rule
+    (t^a T_u)(t^b T_v) = t^(a + u.b) T_{uv} when the lengths add, else 0:
+    an oracle for the nil algebra's E-basis engine."""
+    out: dict = {}
+    for (a, u), cx in x.items():
+        for (b, v), cy in y.items():
+            uv = sg.compose(u, v)
+            if sg.length(uv) != sg.length(u) + sg.length(v):
+                continue
+            ub = sg.act_on_colors(u, b)
+            _acc(out, (tuple((p + s) % alg.r for p, s in zip(a, ub)), uv), cx * cy)
+    return out
+
+
+def pairwise_gram(alg, basis=None, product=None):
+    """tau(b_i b_j) over the sorted T-basis keys, with one product per pair
+    of key forms written in basis (the multiplication basis by default)
+    and multiplied by product (alg.mul_terms by default): an oracle for the
+    transform-built structure.gram_matrix.  For the nil algebra, basis
+    "NIL" and nil_monomial_mul_terms give its former one-term route."""
+    keys = structure.t_basis_keys(alg)
+    one = alg.field.one
+    basis = basis or alg.mul_basis
+    product = product or alg.mul_terms
+    forms = [alg.element({k: one}).in_basis(basis).terms for k in keys]
+    rows = [[structure.tau_terms(alg, product(x, y), basis) for y in forms]
+            for x in forms]
+    return keys, rows
+
+
+@lru_cache(maxsize=None)
+def nil_full_radical(r: int, n: int, kind: str = CYC) -> Subspace:
+    """The nil radical as one closure of T_1, ..., T_{n-1} under every
+    generator map, in the E basis: an oracle for the blocked nil radical."""
+    alg = nilalg(r, n, kind)
+    return closure_under(alg.field, alg.all_generator_maps(),
+                         [alg.gen_T(i).as_E().terms for i in range(1, n)])

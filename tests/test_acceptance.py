@@ -111,7 +111,7 @@ def test_criterion_02_associativity(capsys):
             failures.append(f"aks associator violation at {bad}")
         m = H.nilalg(2, 2)
         bad = _exhaustive_assoc(m.field, m.mul_terms,
-                                [(e, w) for e in m.exponents for w in m.perms])
+                                [(c, w) for c in m.colors for w in m.perms])
         if bad:
             failures.append(f"nil associator violation at {bad}")
 

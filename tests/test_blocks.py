@@ -33,6 +33,27 @@ def test_assembled_ideal_rows_match_full_route(r, n, kind):
         H.y_full_ideal(r, n, kind).rows
 
 
+@pytest.mark.parametrize("r,n", [(2, 3), (3, 3)])
+@pytest.mark.parametrize("kind", [H.FP13, H.CYC])
+def test_paired_product_matches_mul_terms(r, n, kind):
+    # every row of the ideal against every seed of every orbit, for the
+    # commutator ideal of Y and the nil radical
+    y, nil = H.yalg(r, n, kind), H.nilalg(r, n, kind)
+    cases = [(y, modrep.commutator_ideal(y), lambda o: modrep.commutator_seeds(y, o)),
+             (nil, nil.radical(), nil.radical_seeds)]
+    for alg, ideal, seeds_of in cases:
+        product = modrep._paired_product(alg)
+        pairs = skipped = 0
+        for orbit in alg.central_color_blocks():
+            for seed in seeds_of(orbit):
+                for row in ideal.basis_rows():
+                    got = product(row, seed)
+                    assert got == alg.mul_terms(row, seed)
+                    pairs += 1
+                    skipped += not got
+        assert pairs and skipped
+
+
 @pytest.mark.parametrize("r,n,kind", [(2, 3, H.CYC), (3, 3, H.CYC), (2, 4, H.FP13)])
 def test_aks_orbit_blocks_match_full_route(r, n, kind):
     assert H.aksalg(r, n, kind).commutator_power_dims() == \

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from yoklab import NilAlgebra, structure, symgroup as sg
+from yoklab import NilAlgebra, YAlgebra, structure, symgroup as sg
+from yoklab.exactla import _acc
 
 import _helpers as H
 
@@ -30,7 +31,7 @@ def test_monomial_product_rule():
         for u in alg.perms:
             for b in alg.exponents:
                 for v in alg.perms:
-                    prod = alg.mul_terms({(a, u): one}, {(b, v): one})
+                    prod = (alg.element({(a, u): one}) * alg.element({(b, v): one})).terms
                     uv = sg.compose(u, v)
                     if sg.length(uv) == sg.length(u) + sg.length(v):
                         moved = sg.act_on_colors(u, b)
@@ -52,7 +53,7 @@ def test_nilpotent_generators():
 def test_associativity_exhaustive_2_2():
     alg = H.nilalg(2, 2)
     one = alg.field.one
-    keys = [(a, w) for a in alg.exponents for w in alg.perms]
+    keys = [(c, w) for c in alg.colors for w in alg.perms]
     for kx, ky, kz in itertools.product(keys, repeat=3):
         x, y, z = {kx: one}, {ky: one}, {kz: one}
         assert alg.mul_terms(alg.mul_terms(x, y), z) == \
@@ -94,7 +95,7 @@ def test_radical_is_span_of_nonidentity_words():
         one = alg.field.one
         for a in alg.exponents:
             for w in alg.perms:
-                inside = rad.contains({(a, w): one})
+                inside = rad.contains(alg.element({(a, w): one}).as_E().terms)
                 assert inside == (w != alg.ident), (r, n, a, w)
 
 
@@ -168,8 +169,8 @@ def test_cells_all_at_identity():
         assert got["cells_all_identity"], (r, n)
         assert len(got["cells"]) == r ** n
     alg = H.nilalg(2, 2)
-    assert alg.beta((1, 2), alg.ident) == alg.field.one
-    assert alg.beta((1, 2), alg.w0).is_zero()
+    assert structure.beta(alg, (1, 2), alg.ident) == alg.field.one
+    assert structure.beta(alg, (1, 2), alg.w0).is_zero()
 
 
 def test_E_idempotents():
@@ -185,7 +186,7 @@ def test_E_idempotents():
 def test_json_roundtrip():
     alg = H.nilalg(2, 2)
     rng = random.Random(13)
-    x = alg.random_element(rng)
+    x = alg.random_element(rng, basis="NIL")
     blob = alg.element_to_json(x)
     assert blob["basis"] == "NIL"
     y = alg.element_from_json(json.loads(json.dumps(blob)))
@@ -200,3 +201,53 @@ def test_validation():
     alg = H.nilalg(2, 2)
     with pytest.raises(ValueError):
         alg.gen_T(2)
+
+
+# -- the E-basis engine at (q, q - 1) = (0, 0) against the monomial rule ---
+
+def _random_nil(alg, rng):
+    """Up to four random NIL-basis monomials with small coefficients."""
+    terms: dict = {}
+    while not terms:
+        for _ in range(4):
+            key = (rng.choice(alg.exponents), rng.choice(alg.perms))
+            _acc(terms, key, alg.field.from_int(rng.randint(-4, 4))
+                 * alg.field.zeta_pow(rng.randrange(alg.r)))
+    return alg.element(terms, "NIL")
+
+
+def test_engine_matches_monomial_rule_exhaustive_2_2():
+    alg = H.nilalg(2, 2, H.FP13)
+    one = alg.field.one
+    keys = [(a, w) for a in alg.exponents for w in alg.perms]
+    for kx, ky in itertools.product(keys, repeat=2):
+        x, y = alg.element({kx: one}, "NIL"), alg.element({ky: one}, "NIL")
+        assert (x * y).terms == H.nil_monomial_mul_terms(alg, x.terms, y.terms), (kx, ky)
+
+
+@pytest.mark.parametrize("r,n,kind", [(2, 3, H.FP13), (2, 4, H.FP13), (4, 3, H.FP13),
+                                      (3, 3, H.CYC)])
+def test_engine_matches_monomial_rule_random(r, n, kind):
+    alg = H.nilalg(r, n, kind)
+    rng = random.Random(100 * r + n)
+    for _ in range(300):
+        x, y = _random_nil(alg, rng), _random_nil(alg, rng)
+        prod = x * y
+        assert prod.basis == "NIL"
+        assert prod.terms == H.nil_monomial_mul_terms(alg, x.terms, y.terms)
+
+
+@pytest.mark.parametrize("r,n", [(2, 3), (3, 3)])
+@pytest.mark.parametrize("kind", [H.FP13, H.CYC])
+def test_blocked_radical_rows_match_full_closure(r, n, kind):
+    alg = H.nilalg(r, n, kind)
+    full = H.nil_full_radical(r, n, kind)
+    assert alg.radical().rows == full.rows
+    assert alg.radical_power_dims() == \
+        H.pairwise_power_dims(alg.field, alg.mul_terms, full)
+
+
+def test_quadratic_pair_is_fixed_at_zero():
+    alg = H.nilalg(2, 2)
+    assert alg.q.is_zero() and alg.qm1.is_zero()
+    assert isinstance(alg, YAlgebra)

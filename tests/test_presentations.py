@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from yoklab import AKSAlgebra, YAlgebra, ycore
+from yoklab import AKSAlgebra, NilAlgebra, YAlgebra, ycore
 from yoklab import symgroup as sg
 from yoklab.exactla import _acc
 
@@ -95,6 +95,20 @@ def test_dropped_quadratic_term_is_caught(monkeypatch, q):
                      *[(YAlgebra, name, _drop_own_key(getattr(YAlgebra, name)))
                        for name in ("_lmul_g", "_rmul_g")])
     assert "g1^2 = q + (q-1) e1 g1" in failed
+
+
+@pytest.mark.parametrize("name, value", [("qm1", -1), ("q", 1)])
+@pytest.mark.parametrize("r, n, kind", [(2, 3, H.FP13), (3, 3, H.CYC)])
+def test_nonzero_quadratic_pair_is_caught(monkeypatch, name, value, r, n, kind):
+    # the nil algebra is the Y engine at (q, q - 1) = (0, 0); either entry
+    # made nonzero gives Y at q = 0 or the group algebra, where T_i^2 != 0
+    def fresh():
+        return NilAlgebra(r, n, field=H.field(kind, r))
+
+    assert fresh().verify_presentation()["all_zero"]
+    alg = fresh()
+    monkeypatch.setattr(alg, name, alg.field.from_int(value))
+    assert _failed(alg.verify_presentation()) == [f"T{i}^2 = 0" for i in range(1, n)]
 
 
 @pytest.mark.parametrize("q", [0, 5])

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from yoklab import structure, symgroup as sg
+from yoklab import NilAlgebra, YAlgebra, structure, symgroup as sg
 from yoklab.modrep import count_labels
 from yoklab.structure import (
     beta,
@@ -187,3 +187,50 @@ def test_tau_linear():
     half = alg.field.from_fraction(Fraction(1, 2))
     assert tau(alg, x + y) == tau(alg, x) + tau(alg, y)
     assert tau(alg, x * half) == tau(alg, x) * half
+
+
+GRAM_SIZES = ([(r, 3, kind) for r in (1, 2, 3) for kind in (H.FP13, H.CYC)]
+              + [(2, 4, H.FP13)])
+
+
+@pytest.mark.parametrize("r,n,kind", GRAM_SIZES)
+def test_gram_matches_pairwise_y(r, n, kind):
+    alg = H.yalg(r, n, kind)
+    assert gram_matrix(alg) == H.pairwise_gram(alg)
+
+
+@pytest.mark.parametrize("r,n,kind", GRAM_SIZES)
+def test_gram_matches_pairwise_nil(r, n, kind):
+    alg = H.nilalg(r, n, kind)
+    oracle = H.pairwise_gram(alg, "NIL", lambda x, y: H.nil_monomial_mul_terms(alg, x, y))
+    assert gram_matrix(alg) == oracle
+
+
+@pytest.mark.parametrize("engine", [YAlgebra, NilAlgebra])
+def test_exhaustive_nakayama_catches_identity_flip(monkeypatch, engine):
+    # tau is not symmetric, so with phi the identity the check must fail,
+    # and at the first pair where the pairwise Gram says tau(xy) != tau(yx)
+    alg = engine(2, 2, field=H.field(H.FP13, 2))
+    assert nakayama_check(alg, exhaustive=True) == {"mode": "exhaustive", "pairs": 64,
+                                                    "ok": True}
+    _, rows = H.pairwise_gram(alg)
+    first = next(ix * len(rows) + iy for ix in range(len(rows)) for iy in range(len(rows))
+                 if not (rows[ix][iy] == rows[iy][ix]))
+    monkeypatch.setattr(alg, "phi", lambda x: x)
+    assert nakayama_check(alg, exhaustive=True) == {"mode": "exhaustive", "pairs": first,
+                                                    "ok": False}
+    assert not frobenius_check(alg, permuted_identity=True)["permuted_identity_ok"]
+
+
+def test_witness_check_reads_the_gram():
+    alg = H.yalg(2, 3, H.FP13)
+    keys, rows = gram_matrix(alg)
+    for k in keys:
+        j = frobenius_witness(alg, k)
+        assert len(j.terms) == 1
+        assert tau(alg, j * alg.element({k: alg.field.one})) == alg.field.one
+    assert frobenius_check(alg, gram=(keys, rows))["witness_ok"]
+    col = 5
+    row = keys.index(next(iter(frobenius_witness(alg, keys[col]).terms)))
+    rows[row][col] = alg.field.zero
+    assert not frobenius_check(alg, gram=(keys, rows))["witness_ok"]

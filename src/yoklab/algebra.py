@@ -270,14 +270,19 @@ class SparseAlgebra:
 class SparseElement:
     """Element of a fixed engine instance, tagged with the basis its terms
     are written in.  Products run in the engine's mul_basis and come back
-    in the left factor's basis; sums come back in the left summand's."""
+    in the left factor's basis; sums come back in the left summand's.
 
-    __slots__ = ("alg", "basis", "terms")
+    Elements are never changed after construction, so each one keeps the
+    form in_basis last converted it to: an operand that enters many
+    products is transformed once."""
+
+    __slots__ = ("alg", "basis", "terms", "_other")
 
     def __init__(self, alg: SparseAlgebra, basis: str, terms: dict):
         self.alg = alg
         self.basis = basis
         self.terms = terms
+        self._other = None
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -285,8 +290,12 @@ class SparseElement:
     def in_basis(self, basis: str) -> "SparseElement":
         if basis == self.basis:
             return self
-        return SparseElement(self.alg, self.alg._basis(basis),
-                             self.alg.convert(self.terms, basis))
+        other = self._other
+        if other is None or other.basis != basis:
+            other = SparseElement(self.alg, self.alg._basis(basis),
+                                  self.alg.convert(self.terms, basis))
+            self._other = other
+        return other
 
     def as_E(self) -> "SparseElement":
         return self.in_basis("E")

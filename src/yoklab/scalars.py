@@ -3,15 +3,20 @@
 Two interchangeable backends:
 
 * ``CyclotomicField(r)``: the field Q(zeta_r), realized as Q[X] modulo the
-  r-th cyclotomic polynomial Phi_r.  A scalar is a vector of rationals in the
-  power basis 1, X, ..., X^(phi(r)-1), and the root of unity is the class of
-  X.  Reduction is modulo Phi_r, not X^r - 1, so the quotient is a genuine
-  field and row reduction can divide freely.
+  r-th cyclotomic polynomial Phi_r.  A scalar is a tuple of integer
+  numerators in the power basis 1, X, ..., X^(phi(r)-1) over one positive
+  common denominator, kept in lowest terms (the layout of FLINT/Antic's
+  ``nf_elem``), and the root of unity is the class of X.  Phi_r is monic
+  with integer coefficients, so a product is an integer convolution reduced
+  by integer rows, over the product of the denominators.  Reduction is
+  modulo Phi_r, not X^r - 1, so the quotient is a genuine field and row
+  reduction can divide freely.
 * ``PrimeField(p, r)``: residues mod a prime p with p = 1 (mod r).  The root
   of unity is g^((p-1)/r) where g is the smallest primitive root mod p, a
   deterministic choice.
 
 All arithmetic is exact: arbitrary-precision integers and Fractions only.
+``CycScalar.coeffs`` gives a scalar's coordinates as Fractions.
 
 >>> F = CyclotomicField(4)
 >>> (F.zeta * F.zeta) == -F.one
@@ -23,6 +28,8 @@ True
 from __future__ import annotations
 
 import functools
+import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -170,17 +177,38 @@ def _parse_terms(text: str) -> list[tuple[Fraction, int]]:
 # ---------------------------------------------------------------------------
 # cyclotomic backend
 
+def _canonical(field, num: tuple, den: int) -> "CycScalar":
+    """num / den over field in lowest terms; den must be positive."""
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = tuple([c // g for c in num])
+            den //= g
+    return CycScalar(field, num, den)
+
+
 class CycScalar:
-    """Element of Q(zeta_r): rational coordinates in the power basis."""
+    """Element of Q(zeta_r): integer numerators over one common denominator.
 
-    __slots__ = ("field", "coeffs")
+    The value is sum_k num[k] zeta^k / den in the power basis.  The form is
+    canonical: den > 0 and gcd(den, *num) == 1, so zero is the all-zero num
+    over den == 1, and two scalars are equal iff their (num, den) are.
+    """
 
-    def __init__(self, field: "CyclotomicField", coeffs: tuple):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: "CyclotomicField", num: tuple, den: int = 1):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple:
+        """The rational coordinates num[k] / den, as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def _lift(self, other):
         if isinstance(other, CycScalar):
@@ -188,14 +216,20 @@ class CycScalar:
                 return other
             raise TypeError("scalars from different fields")
         if isinstance(other, (int, Fraction)):
-            return self.field.from_fraction(Fraction(other))
+            return self.field.from_fraction(other)
         return None
 
     def __add__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return CycScalar(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        den, db = self.den, o.den
+        if den == db:
+            num = tuple(map(operator.add, self.num, o.num))
+        else:
+            num = tuple([x * db + y * den for x, y in zip(self.num, o.num)])
+            den *= db
+        return _canonical(self.field, num, den)
 
     __radd__ = __add__
 
@@ -203,7 +237,13 @@ class CycScalar:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return CycScalar(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        den, db = self.den, o.den
+        if den == db:
+            num = tuple(map(operator.sub, self.num, o.num))
+        else:
+            num = tuple([x * db - y * den for x, y in zip(self.num, o.num)])
+            den *= db
+        return _canonical(self.field, num, den)
 
     def __rsub__(self, other):
         o = self._lift(other)
@@ -212,7 +252,7 @@ class CycScalar:
         return o - self
 
     def __neg__(self):
-        return CycScalar(self.field, tuple(-a for a in self.coeffs))
+        return CycScalar(self.field, tuple(map(operator.neg, self.num)), self.den)
 
     def __mul__(self, other):
         o = self._lift(other)
@@ -225,6 +265,10 @@ class CycScalar:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("scalar inverse of zero")
+        c, rest = self.num[0], self.num[1:]
+        if not any(rest):
+            # a rational value c / den: its inverse is den / c
+            return CycScalar(self.field, (self.den if c > 0 else -self.den,) + rest, abs(c))
         return self.field._inv(self)
 
     def __truediv__(self, other):
@@ -251,10 +295,10 @@ class CycScalar:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return hash(("cyc", self.field.r, self.coeffs))
+        return hash((self.field.r, self.num, self.den))
 
     def __repr__(self):
         return self.field.render(self)
@@ -270,41 +314,35 @@ class CyclotomicField:
         self.r = r
         phi = cyclotomic_polynomial(r)
         self.degree = d = len(phi) - 1
-        self._phi = phi
-        # reduction rows for X^d .. X^(2d-2) modulo Phi_r
+        # integer rows for X^d .. X^(2d-2) modulo Phi_r, which is monic
         rows = []
         if d > 1:
-            cur = [Fraction(-c) for c in phi[:d]]
+            cur = [-c for c in phi[:d]]
             rows.append(tuple(cur))
             for _ in range(d - 2):
                 top = cur[-1]
-                cur = [Fraction(0)] + cur[:-1]
+                cur = [0] + cur[:-1]
                 if top:
                     cur = [a + top * b for a, b in zip(cur, rows[0])]
                 rows.append(tuple(cur))
         self._red = tuple(rows)
-        self.zero = CycScalar(self, (Fraction(0),) * d)
-        one = [Fraction(0)] * d
-        one[0] = Fraction(1)
-        self.one = CycScalar(self, tuple(one))
+        self._mul = {1: self._mul_one_slot, 2: self._mul_two_slots}.get(d, self._mul_conv)
+        self.zero = CycScalar(self, (0,) * d)
+        self.one = self.from_int(1)
         if d == 1:
             # Phi linear: X is congruent to -phi[0]
-            self.zeta = self.from_fraction(Fraction(-phi[0]))
+            self.zeta = self.from_int(-phi[0])
         else:
-            z = [Fraction(0)] * d
-            z[1] = Fraction(1)
-            self.zeta = CycScalar(self, tuple(z))
+            self.zeta = CycScalar(self, (0, 1) + (0,) * (d - 2))
         self._zeta_pows = None
 
     # -- construction ------------------------------------------------------
     def from_fraction(self, f) -> CycScalar:
         f = Fraction(f)
-        coeffs = [Fraction(0)] * self.degree
-        coeffs[0] = f
-        return CycScalar(self, tuple(coeffs))
+        return CycScalar(self, (f.numerator,) + (0,) * (self.degree - 1), f.denominator)
 
     def from_int(self, k: int) -> CycScalar:
-        return self.from_fraction(Fraction(k))
+        return CycScalar(self, (k,) + (0,) * (self.degree - 1))
 
     def zeta_pow(self, k: int) -> CycScalar:
         if self._zeta_pows is None:
@@ -315,67 +353,67 @@ class CyclotomicField:
         return self._zeta_pows[k % self.r]
 
     # -- arithmetic core ---------------------------------------------------
-    def _mul(self, a: CycScalar, b: CycScalar) -> CycScalar:
+    # one product kernel per field, picked by degree: Q (r = 1, 2) has one
+    # slot, Q(zeta_r) for r = 3, 4, 6 two, and the rest take the general
+    # convolution; each reduces with the integer rows of _red
+
+    def _mul_one_slot(self, a: CycScalar, b: CycScalar) -> CycScalar:
+        c, den = a.num[0] * b.num[0], a.den * b.den
+        if den != 1:
+            g = math.gcd(c, den)
+            if g != 1:
+                c //= g
+                den //= g
+        return CycScalar(self, (c,), den)
+
+    def _mul_two_slots(self, a: CycScalar, b: CycScalar) -> CycScalar:
+        a0, a1 = a.num
+        b0, b1 = b.num
+        top = a1 * b1
+        r0, r1 = self._red[0]
+        c0, c1 = a0 * b0 + top * r0, a0 * b1 + a1 * b0 + top * r1
+        den = a.den * b.den
+        if den != 1:
+            g = math.gcd(c0, c1, den)
+            if g != 1:
+                c0 //= g
+                c1 //= g
+                den //= g
+        return CycScalar(self, (c0, c1), den)
+
+    def _mul_conv(self, a: CycScalar, b: CycScalar) -> CycScalar:
         d = self.degree
-        if d == 1:
-            return CycScalar(self, (a.coeffs[0] * b.coeffs[0],))
-        conv = [Fraction(0)] * (2 * d - 1)
-        for i, ai in enumerate(a.coeffs):
+        conv = [0] * (2 * d - 1)
+        for i, ai in enumerate(a.num):
             if ai:
-                for j, bj in enumerate(b.coeffs):
-                    if bj:
-                        conv[i + j] += ai * bj
+                for j, bj in enumerate(b.num):
+                    conv[i + j] += ai * bj
         out = conv[:d]
-        for k in range(d, 2 * d - 1):
-            ck = conv[k]
+        for row, ck in zip(self._red, conv[d:]):
             if ck:
-                row = self._red[k - d]
-                out = [o + ck * rc for o, rc in zip(out, row)]
-        return CycScalar(self, tuple(out))
+                for m, rc in enumerate(row):
+                    out[m] += ck * rc
+        return _canonical(self, tuple(out), a.den * b.den)
 
     def _inv(self, a: CycScalar) -> CycScalar:
-        d = self.degree
-        if d == 1:
-            return CycScalar(self, (1 / a.coeffs[0],))
-        # extended euclid of a against Phi_r in Q[X]
-        def strip(p):
-            while len(p) > 1 and p[-1] == 0:
-                p = p[:-1]
-            return p
+        """a^-1 = (product of the other Galois conjugates of a) / N(a).
 
-        def polydivmod(num, den):
-            num = list(num)
-            q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-            for k in range(len(num) - len(den), -1, -1):
-                c = num[k + len(den) - 1] / den[-1]
-                q[k] = c
-                if c:
-                    for j, dj in enumerate(den):
-                        num[k + j] -= c * dj
-            return q, strip(num[: len(den) - 1] or [Fraction(0)])
-
-        r0 = [Fraction(c) for c in self._phi]
-        r1 = strip(list(a.coeffs))
-        t0, t1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1:
-            q, rem = polydivmod(r0, r1)
-            r0, r1 = r1, rem
-            # t_new = t0 - q*t1
-            prod = [Fraction(0)] * (len(q) + len(t1) - 1)
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, tj in enumerate(t1):
-                        prod[i + j] += qi * tj
-            width = max(len(t0), len(prod))
-            t_new = [(t0[i] if i < len(t0) else 0) - (prod[i] if i < len(prod) else 0)
-                     for i in range(width)]
-            t0, t1 = t1, strip(t_new)
-        c = r1[0]
-        if c == 0:
-            raise ZeroDivisionError("scalar inverse of zero")
-        inv = [ti / c for ti in t1]
-        inv = (inv + [Fraction(0)] * d)[:d]
-        return CycScalar(self, tuple(inv))
+        sigma_k sends zeta to zeta^k for k prime to r, and the norm N(a), the
+        product of all conjugates, is a nonzero rational for a != 0, so
+        everything stays in integer numerators.
+        """
+        zp = [self.zeta_pow(j).num for j in range(self.r)]
+        rest = self.one
+        for k in range(2, self.r):
+            if math.gcd(k, self.r) == 1:
+                conj = [0] * self.degree
+                for j, c in enumerate(a.num):
+                    if c:
+                        for m, z in enumerate(zp[j * k % self.r]):
+                            conj[m] += c * z
+                rest = self._mul(rest, _canonical(self, tuple(conj), a.den))
+        norm = self._mul(a, rest)
+        return self._mul(rest, norm.inverse())
 
     # -- text format ---------------------------------------------------
     def parse(self, text: str) -> CycScalar:

@@ -192,19 +192,29 @@ class YAlgebra(SparseAlgebra):
 
     # -- multiplication engine (E basis) ---------------------------------
 
+    def _live_pair(self):
+        """(q, q - 1) with each zero entry replaced by None: the length-down
+        steps skip a zero term instead of forming and dropping it.  Read on
+        every call, so a reassigned q or qm1 takes effect at once."""
+        return (None if self.q.is_zero() else self.q,
+                None if self.qm1.is_zero() else self.qm1)
+
     def _rmul_g(self, terms: dict, i: int) -> dict:
+        q, qm1 = self._live_pair()
         out: dict = {}
         for (chi, w), a in terms.items():
             wsi = sg.right_mult_s(w, i)
             if w[i - 1] < w[i]:
                 _acc(out, (chi, wsi), a)
             else:
-                _acc(out, (chi, wsi), a * self.q)
-                if chi[w[i - 1] - 1] == chi[w[i] - 1]:
-                    _acc(out, (chi, w), a * self.qm1)
+                if q is not None:
+                    _acc(out, (chi, wsi), a * q)
+                if qm1 is not None and chi[w[i - 1] - 1] == chi[w[i] - 1]:
+                    _acc(out, (chi, w), a * qm1)
         return out
 
     def _lmul_g(self, terms: dict, i: int) -> dict:
+        q, qm1 = self._live_pair()
         out: dict = {}
         for (chi, w), a in terms.items():
             winv = self._inv[w]
@@ -215,9 +225,10 @@ class YAlgebra(SparseAlgebra):
             if winv[i - 1] < winv[i]:
                 _acc(out, (schi, siw), a)
             else:
-                _acc(out, (schi, siw), a * self.q)
-                if chi[i - 1] == chi[i]:
-                    _acc(out, (chi, w), a * self.qm1)
+                if q is not None:
+                    _acc(out, (schi, siw), a * q)
+                if qm1 is not None and chi[i - 1] == chi[i]:
+                    _acc(out, (chi, w), a * qm1)
         return out
 
     def _rmul_t(self, terms: dict, j: int) -> dict:

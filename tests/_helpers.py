@@ -6,10 +6,11 @@ unit tests; caching them per (r, n, field kind) keeps the suite fast without
 weakening any check.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 
 from yoklab import AKSAlgebra, NilAlgebra, YAlgebra, make_field
-from yoklab.scalars import FieldSpec
+from yoklab.scalars import FieldSpec, _parse_terms, cyclotomic_polynomial
 from yoklab import modrep, structure, symgroup as sg
 from yoklab.exactla import Subspace, _acc, closure_under, ideal_power_dims
 
@@ -225,3 +226,243 @@ def nil_full_radical(r: int, n: int, kind: str = CYC) -> Subspace:
     alg = nilalg(r, n, kind)
     return closure_under(alg.field, alg.all_generator_maps(),
                          [alg.gen_T(i).as_E().terms for i in range(1, n)])
+
+
+class FractionCycScalar:
+    """Element of Q(zeta_r) as a tuple of Fraction coordinates in the power
+    basis: an oracle for the integer-numerator scalars.CycScalar."""
+
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field: "FractionCyclotomicField", coeffs: tuple):
+        self.field = field
+        self.coeffs = coeffs
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+    def _lift(self, other):
+        if isinstance(other, FractionCycScalar):
+            if other.field is self.field or other.field.r == self.field.r:
+                return other
+            raise TypeError("scalars from different fields")
+        if isinstance(other, (int, Fraction)):
+            return self.field.from_fraction(Fraction(other))
+        return None
+
+    def __add__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return FractionCycScalar(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return FractionCycScalar(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+
+    def __rsub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __neg__(self):
+        return FractionCycScalar(self.field, tuple(-a for a in self.coeffs))
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return self.field._mul(self, o)
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        if self.is_zero():
+            raise ZeroDivisionError("scalar inverse of zero")
+        return self.field._inv(self)
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
+
+    def __pow__(self, k: int):
+        if k < 0:
+            return self.inverse() ** (-k)
+        out = self.field.one
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return self.coeffs == o.coeffs
+
+    def __hash__(self):
+        return hash(("cyc", self.field.r, self.coeffs))
+
+    def __repr__(self):
+        return self.field.render(self)
+
+
+class FractionCyclotomicField:
+    """Q(zeta_r) over FractionCycScalar: an oracle for scalars.CyclotomicField."""
+
+    def __init__(self, r: int):
+        if r < 1:
+            raise ValueError("r must be >= 1")
+        self.r = r
+        phi = cyclotomic_polynomial(r)
+        self.degree = d = len(phi) - 1
+        self._phi = phi
+        # reduction rows for X^d .. X^(2d-2) modulo Phi_r
+        rows = []
+        if d > 1:
+            cur = [Fraction(-c) for c in phi[:d]]
+            rows.append(tuple(cur))
+            for _ in range(d - 2):
+                top = cur[-1]
+                cur = [Fraction(0)] + cur[:-1]
+                if top:
+                    cur = [a + top * b for a, b in zip(cur, rows[0])]
+                rows.append(tuple(cur))
+        self._red = tuple(rows)
+        self.zero = FractionCycScalar(self, (Fraction(0),) * d)
+        one = [Fraction(0)] * d
+        one[0] = Fraction(1)
+        self.one = FractionCycScalar(self, tuple(one))
+        if d == 1:
+            # Phi linear: X is congruent to -phi[0]
+            self.zeta = self.from_fraction(Fraction(-phi[0]))
+        else:
+            z = [Fraction(0)] * d
+            z[1] = Fraction(1)
+            self.zeta = FractionCycScalar(self, tuple(z))
+        self._zeta_pows = None
+
+    # -- construction ------------------------------------------------------
+    def from_fraction(self, f) -> FractionCycScalar:
+        f = Fraction(f)
+        coeffs = [Fraction(0)] * self.degree
+        coeffs[0] = f
+        return FractionCycScalar(self, tuple(coeffs))
+
+    def from_int(self, k: int) -> FractionCycScalar:
+        return self.from_fraction(Fraction(k))
+
+    def zeta_pow(self, k: int) -> FractionCycScalar:
+        if self._zeta_pows is None:
+            zp = [self.one]
+            for _ in range(self.r - 1):
+                zp.append(self._mul(zp[-1], self.zeta))
+            self._zeta_pows = zp
+        return self._zeta_pows[k % self.r]
+
+    # -- arithmetic core ---------------------------------------------------
+    def _mul(self, a: FractionCycScalar, b: FractionCycScalar) -> FractionCycScalar:
+        d = self.degree
+        if d == 1:
+            return FractionCycScalar(self, (a.coeffs[0] * b.coeffs[0],))
+        conv = [Fraction(0)] * (2 * d - 1)
+        for i, ai in enumerate(a.coeffs):
+            if ai:
+                for j, bj in enumerate(b.coeffs):
+                    if bj:
+                        conv[i + j] += ai * bj
+        out = conv[:d]
+        for k in range(d, 2 * d - 1):
+            ck = conv[k]
+            if ck:
+                row = self._red[k - d]
+                out = [o + ck * rc for o, rc in zip(out, row)]
+        return FractionCycScalar(self, tuple(out))
+
+    def _inv(self, a: FractionCycScalar) -> FractionCycScalar:
+        d = self.degree
+        if d == 1:
+            return FractionCycScalar(self, (1 / a.coeffs[0],))
+        # extended euclid of a against Phi_r in Q[X]
+        def strip(p):
+            while len(p) > 1 and p[-1] == 0:
+                p = p[:-1]
+            return p
+
+        def polydivmod(num, den):
+            num = list(num)
+            q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
+            for k in range(len(num) - len(den), -1, -1):
+                c = num[k + len(den) - 1] / den[-1]
+                q[k] = c
+                if c:
+                    for j, dj in enumerate(den):
+                        num[k + j] -= c * dj
+            return q, strip(num[: len(den) - 1] or [Fraction(0)])
+
+        r0 = [Fraction(c) for c in self._phi]
+        r1 = strip(list(a.coeffs))
+        t0, t1 = [Fraction(0)], [Fraction(1)]
+        while len(r1) > 1:
+            q, rem = polydivmod(r0, r1)
+            r0, r1 = r1, rem
+            # t_new = t0 - q*t1
+            prod = [Fraction(0)] * (len(q) + len(t1) - 1)
+            for i, qi in enumerate(q):
+                if qi:
+                    for j, tj in enumerate(t1):
+                        prod[i + j] += qi * tj
+            width = max(len(t0), len(prod))
+            t_new = [(t0[i] if i < len(t0) else 0) - (prod[i] if i < len(prod) else 0)
+                     for i in range(width)]
+            t0, t1 = t1, strip(t_new)
+        c = r1[0]
+        if c == 0:
+            raise ZeroDivisionError("scalar inverse of zero")
+        inv = [ti / c for ti in t1]
+        inv = (inv + [Fraction(0)] * d)[:d]
+        return FractionCycScalar(self, tuple(inv))
+
+    # -- text format ---------------------------------------------------
+    def parse(self, text: str) -> FractionCycScalar:
+        out = self.zero
+        for coeff, exp in _parse_terms(text):
+            out = out + self.from_fraction(coeff) * self.zeta_pow(exp)
+        return out
+
+    def render(self, s: FractionCycScalar) -> str:
+        pieces = []
+        for k, c in enumerate(s.coeffs):
+            if not c:
+                continue
+            neg = c < 0
+            mag = -c if neg else c
+            if k == 0:
+                body = str(mag)
+            elif mag == 1:
+                body = f"z^{k}"
+            else:
+                body = f"{mag}*z^{k}"
+            pieces.append((neg, body))
+        if not pieces:
+            return "0"
+        first_neg, first = pieces[0]
+        text = ("-" if first_neg else "") + first
+        for neg, body in pieces[1:]:
+            text += (" - " if neg else " + ") + body
+        return text
+
+    def __repr__(self):
+        return f"FractionCyclotomicField({self.r})"

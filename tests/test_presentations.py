@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from yoklab import AKSAlgebra, NilAlgebra, YAlgebra, ycore
+from yoklab.algebra import SparseElement
 from yoklab import symgroup as sg
 from yoklab.exactla import _acc
 
@@ -63,6 +64,30 @@ def test_conjugated_forward_transform_is_caught(monkeypatch, kind):
 
     assert _caught(monkeypatch, lambda: _fresh_y(3, 2, kind).verify_presentation(2),
                    (ycore, "torus_to_E", conjugated))
+
+
+def test_presentation_2_transforms_each_operand_once(monkeypatch):
+    # every product still takes its T-basis operands through torus_to_E, but
+    # an operand that enters many products, such as a closed-form E_chi, is
+    # transformed only the first time
+    alg = _fresh_y(2, 3)
+    forward, mul = ycore.torus_to_E, SparseElement.__mul__
+    calls, operands = [], {}
+
+    def counted(*args):
+        calls.append(1)
+        return forward(*args)
+
+    def recording(x, y):
+        for z in (x, y):
+            if isinstance(z, SparseElement) and z.basis != alg.mul_basis:
+                operands[id(z)] = z
+        return mul(x, y)
+
+    monkeypatch.setattr(ycore, "torus_to_E", counted)
+    monkeypatch.setattr(SparseElement, "__mul__", recording)
+    assert alg.verify_presentation(2)["all_zero"]
+    assert 0 < len(calls) <= len(operands)
 
 
 @pytest.mark.parametrize("r, n", [(2, 2), (3, 2), (2, 3)])

@@ -1,4 +1,5 @@
 import doctest
+import math
 import random
 from fractions import Fraction
 
@@ -184,3 +185,64 @@ def test_make_field_cached():
 def test_scalar_hashable_and_usable_in_sets():
     f = H.field(H.CYC, 4)
     assert len({f.one, f.from_int(1), f.zeta}) == 2
+
+
+def _canonical(x) -> bool:
+    """Integer numerators over a positive denominator in lowest terms."""
+    return (len(x.num) == x.field.degree and all(type(c) is int for c in x.num)
+            and type(x.den) is int and x.den > 0 and math.gcd(x.den, *x.num) == 1)
+
+
+def _operand(rng, f, o):
+    """One value built the same way in the field f and in its oracle o."""
+    shape = rng.choice(("zero", "unit", "zeta", "mixed", "large"))
+    if shape == "zero":
+        return f.zero, o.zero
+    if shape in ("unit", "zeta"):
+        k, sign = rng.randrange(f.r), rng.choice((-1, 1))
+        if shape == "unit":
+            k = 0
+        return f.from_int(sign) * f.zeta_pow(k), o.from_int(sign) * o.zeta_pow(k)
+    if shape == "mixed":
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(f.degree)]
+    else:
+        coeffs = [Fraction(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 12))
+                  for _ in range(f.degree)]
+    x, y = f.zero, o.zero
+    for k, c in enumerate(coeffs):
+        x = x + f.from_fraction(c) * f.zeta_pow(k)
+        y = y + o.from_fraction(c) * o.zeta_pow(k)
+    return x, y
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6, 8])
+def test_field_axioms_against_fraction_oracle(r):
+    # the integer-numerator scalars against the Fraction-tuple oracle on
+    # seeded operands: every result has the oracle's coordinates, is
+    # canonical, renders to the oracle's text and parses back to itself
+    rng = random.Random(f"cyc-oracle-{r}")
+    f, o = CyclotomicField(r), H.FractionCyclotomicField(r)
+
+    def agree(x, y):
+        assert _canonical(x), (x.num, x.den)
+        assert x.coeffs == y.coeffs
+        text = f.render(x)
+        assert text == o.render(y)
+        assert f.parse(text) == x
+        assert hash(f.parse(text)) == hash(x)
+
+    for _ in range(60):
+        (a, a_), (b, b_) = _operand(rng, f, o), _operand(rng, f, o)
+        agree(a, a_)
+        for x, y in ((a + b, a_ + b_), (a - b, a_ - b_), (a * b, a_ * b_), (-a, -a_),
+                     (a ** 3, a_ ** 3), (a + 2, a_ + 2), (3 - a, 3 - a_),
+                     (a * Fraction(-5, 7), a_ * Fraction(-5, 7))):
+            agree(x, y)
+        if not b.is_zero():
+            for x, y in ((b.inverse(), b_.inverse()), (a / b, a_ / b_),
+                         (b ** -2, b_ ** -2), (1 / b, 1 / b_)):
+                agree(x, y)
+        assert (a == b) == (a_ == b_)
+        assert (a - b).is_zero() == (a == b)
+        if a == b:
+            assert hash(a) == hash(b)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from yoklab import YAlgebra, symgroup as sg
+from yoklab import NilAlgebra, YAlgebra, modrep, symgroup as sg, ycore
 from yoklab.ycore import torus_to_E, torus_to_T
 
 import _helpers as H
@@ -316,3 +316,24 @@ def test_phi_key_map_matches_T_route(r, n, kind):
         assert pxt.basis == "T" and pxt.terms == phi_via_T(alg, xt).terms
         assert alg.phi(px).terms == x.terms
         assert alg.phi(x * y) == px * alg.phi(y)
+
+
+def test_zero_quadratic_terms_are_skipped(monkeypatch):
+    # at q = 0, and on the nil algebra where q - 1 = 0 as well, the
+    # length-down steps of the generator maps form no zero term
+    acc = ycore._acc
+    zeros = []
+
+    def watched(out, key, val):
+        if val.is_zero():
+            zeros.append(key)
+        acc(out, key, val)
+
+    monkeypatch.setattr(ycore, "_acc", watched)
+    f = H.field(H.FP13, 3)
+    nil = NilAlgebra(3, 3, field=f)
+    assert nil.radical_power_dims() == H.nil_analysis(3, 3, H.FP13)["power_dims"]
+    y = YAlgebra(3, 3, field=f)
+    assert modrep.power_dims(y, modrep.commutator_ideal(y)) == \
+        H.classification_analysis(3, 3, H.FP13)["power_dims"]
+    assert zeros == []

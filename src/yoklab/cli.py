@@ -52,6 +52,16 @@ def _check_limits(parser, args):
             f"r <= {MAX_R} and n <= {MAX_N} unless --allow-large is given")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _emit(args, human_lines, payload) -> None:
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -186,17 +196,23 @@ def cmd_radical(args) -> int:
 
 def cmd_gram(args) -> int:
     alg = (NilAlgebra if args.nil else YAlgebra)(args.r, args.n, _field_for(args))
-    keys, rows = structure.gram_matrix(alg)
-    res = structure.frobenius_check(alg, gram=(keys, rows))
-    export = {"schema": SCHEMA, **structure.gram_to_json(alg, keys, rows)}
-    if args.nil:
-        export["nil"] = True
     if args.export:
-        with open(args.export, "w") as fh:
-            json.dump(export, fh, indent=2, sort_keys=True)
+        try:
+            with open(args.export, "w") as fh:
+                export = {"schema": SCHEMA, **structure.gram_to_json(
+                    alg, *structure.gram_matrix(alg))}
+                if args.nil:
+                    export["nil"] = True
+                json.dump(export, fh, indent=2, sort_keys=True)
+        except OSError as exc:
+            _config_exit(f"cannot write --export {args.export!r}: {exc.strerror}")
+    res = structure.frobenius_check(alg)
     ok = res["gram_invertible"] and res["witness_ok"]
-    lines = [f"gram matrix {res['dimension']}x{res['dimension']}: "
-             f"{'invertible' if res['gram_invertible'] else 'SINGULAR'}",
+    verdict = "invertible"
+    if not res["gram_invertible"]:
+        bad = structure.singular_block(alg, structure.gram_tables(alg))
+        verdict = f"SINGULAR (block c = {bad})"
+    lines = [f"gram matrix {res['dimension']}x{res['dimension']}: {verdict}",
              f"constructive witnesses: {'ok' if res['witness_ok'] else 'FAILED'}"]
     payload = {"schema": SCHEMA, "r": args.r, "n": args.n, **res}
     _emit(args, lines, payload)
@@ -386,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nakayama", help="trace symmetry against the flip automorphism")
     common(p)
     p.add_argument("--exhaustive", action="store_true", help="all basis pairs")
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_positive_int, default=200,
+                   help="random pairs to test (at least 1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--nil", action="store_true")
     p.set_defaults(fn=cmd_nakayama)

@@ -9,9 +9,14 @@ because the permutation parts multiply length-additively straight to w0.
 
 The trace, Gram, Frobenius, Nakayama, flip and cell checks serve the Y
 algebra and the nil algebra, the Y engine with T_i in place of g_i.  They
-read tau off products in the E basis.  The Gram matrix is built from torus
-transforms of monomial products, G[(a, u)][(b, v)] = tau(t^(a + u.b) g_u
-g_v) (see gram_matrix), and the exhaustive Nakayama check reads it.
+read tau off products in the E basis.  Everything about the Gram form comes
+from one set of tables, the (chi, w0) coefficients f_{u,v}(chi) of E_chi g_u
+g_v (gram_tables).  frobenius_check decides invertibility on the E-basis
+Gram, which splits into r^n blocks of size n! x n!, one per color, and
+reads each witness entry off the tables.  The T-basis Gram matrix,
+G[(a, u)][(b, v)] = tau(t^(a + u.b) g_u g_v), is a torus transform of the
+same tables (gram_matrix); it is built only for gram --export, the
+exhaustive Nakayama check and the permuted-identity check.
 
 Cells: basis monomials (chi, w) are ranked by (length(w), w, chi).  At q = 0
 multiplication by any generator sends a basis monomial to monomials of the
@@ -33,7 +38,9 @@ from .ycore import YAlgebra, torus_to_T
 __all__ = [
     "tau",
     "tau_terms",
+    "gram_tables",
     "gram_matrix",
+    "singular_block",
     "frobenius_witness",
     "frobenius_check",
     "nakayama_check",
@@ -68,45 +75,71 @@ def t_basis_keys(alg: SparseAlgebra) -> list:
     return sorted((a, w) for a in alg.exponents for w in alg.perms)
 
 
-def gram_matrix(alg: YAlgebra):
-    """Gram matrix of tau(b_i b_j) over the sorted T-basis monomials.
+def gram_tables(alg: YAlgebra) -> dict:
+    """f[u, v] = {chi: the (chi, w0) coefficient of E_chi g_u . g_v}.
 
-    For b_i = t^a g_u and b_j = t^b g_v the product is t^(a + u.b) g_u g_v,
-    so G[(a, u)][(b, v)] = F_{u,v}(a + u.b) with F_{u,v}(c) = tau(t^c g_u
-    g_v).  As t^c = sum_chi zeta^(c.chi) E_chi and E_chi g_u g_v = E_chi g_u
-    E_{u^-1 chi} g_v, F_{u,v}(c) = (1/r^n) sum_chi zeta^(c.chi) f_{u,v}(chi)
-    where f_{u,v}(chi) is the (chi, w0) coefficient of that monomial
-    product: F_{u,v}(-c) is the inverse torus transform of f_{u,v}.  That is
-    n!^2 r^n monomial products, each a shorter one times a g_i and kept out
-    of the product cache, against (r^n n!)^2 products of r^n-term forms for
-    the pairwise build."""
-    keys = t_basis_keys(alg)
-    r, w0, exponents = alg.r, alg.w0, alg.exponents
-    zero, one = alg.field.zero, alg.field.one
-    index = {a: k for k, a in enumerate(exponents)}
-    neg_sum = [[index[tuple((-x - y) % r for x, y in zip(a, b))] for b in exponents]
-               for a in exponents]
-    moved = {u: [index[sg.act_on_colors(u, b)] for b in exponents] for u in alg.perms}
+    Right multiplication by g_i keeps the color, and E_chi g_u g_v = E_chi
+    g_u E_{u^-1 chi} g_v, so these are the values tau reads off the
+    monomial products: n!^2 r^n of them, each product a shorter one times a
+    g_i and kept out of the product cache.  Zero values are not stored."""
+    w0, one = alg.w0, alg.field.one
     by_length = sorted(alg.perms, key=alg._len.__getitem__)
-    F = {}
+    f = {(u, v): {} for u in alg.perms for v in alg.perms}
     for u in alg.perms:
-        f = {v: {} for v in alg.perms}
         for chi in alg.colors:
             prods = {alg.ident: {(chi, u): one}}
             for v in by_length[1:]:
                 i = alg._rword[v][-1]
                 prods[v] = alg._rmul_g(prods[sg.right_mult_s(v, i)], i)
             for v, p in prods.items():
-                if (chi, w0) in p:
-                    f[v][chi, w0] = p[chi, w0]
-        for v in alg.perms:
-            tt = torus_to_T(alg.field, r, exponents, f[v])
-            F[u, v] = [tt.get((a, w0), zero) for a in exponents]
+                c = p.get((chi, w0))
+                if c is not None:
+                    f[u, v][chi] = c
+    return f
+
+
+def gram_matrix(alg: YAlgebra):
+    """Gram matrix of tau(b_i b_j) over the sorted T-basis monomials.
+
+    For b_i = t^a g_u and b_j = t^b g_v the product is t^(a + u.b) g_u g_v,
+    so G[(a, u)][(b, v)] = F_{u,v}(a + u.b) with F_{u,v}(c) = tau(t^c g_u
+    g_v).  As t^c = sum_chi zeta^(c.chi) E_chi, F_{u,v}(c) = (1/r^n)
+    sum_chi zeta^(c.chi) f_{u,v}(chi) with f the gram_tables: F_{u,v}(-c)
+    is the inverse torus transform of f_{u,v}.  The matrix has (r^n n!)^2
+    entries; frobenius_check decides invertibility without it."""
+    keys = t_basis_keys(alg)
+    r, w0, exponents = alg.r, alg.w0, alg.exponents
+    zero = alg.field.zero
+    index = {a: k for k, a in enumerate(exponents)}
+    neg_sum = [[index[tuple((-x - y) % r for x, y in zip(a, b))] for b in exponents]
+               for a in exponents]
+    moved = {u: [index[sg.act_on_colors(u, b)] for b in exponents] for u in alg.perms}
+    F = {}
+    for uv, f in gram_tables(alg).items():
+        tt = torus_to_T(alg.field, r, exponents, {(chi, w0): c for chi, c in f.items()})
+        F[uv] = [tt.get((a, w0), zero) for a in exponents]
     rows = []
     for a, u in keys:
         sums, mu = neg_sum[index[a]], moved[u]
         rows.append([F[u, v][sums[mu[index[b]]]] for b, v in keys])
     return keys, rows
+
+
+def singular_block(alg: YAlgebra, tables: dict):
+    """Color c of the first singular E-basis Gram block, or None.
+
+    tau(E_chi' g_u E_c g_v) vanishes unless chi' = u.c, so the E-basis Gram
+    is, after a permutation, block-diagonal with one n! x n! block M_c per
+    color c: M_c[u][v] = f_{u,v}(u.c), up to the unit 1/r^n."""
+    zero = alg.field.zero
+    for c in alg.colors:
+        block = []
+        for u in alg.perms:
+            chi = alg.act(u, c)
+            block.append([tables[u, v].get(chi, zero) for v in alg.perms])
+        if not exactla.invertible(alg.field, block):
+            return c
+    return None
 
 
 def frobenius_witness(alg: SparseAlgebra, key) -> SparseElement:
@@ -119,24 +152,29 @@ def frobenius_witness(alg: SparseAlgebra, key) -> SparseElement:
                         alg.field.one})
 
 
-def frobenius_check(alg: YAlgebra, permuted_identity: bool = False,
-                    gram=None) -> dict:
-    """Gram invertibility plus witnesses; gram is (keys, rows) from
-    gram_matrix(alg) when the caller already built it."""
-    keys, rows = gram if gram is not None else gram_matrix(alg)
+def frobenius_check(alg: YAlgebra, permuted_identity: bool = False) -> dict:
+    """Gram invertibility plus witnesses, read off the gram_tables.
+
+    The T-basis Gram is A G^E B with A and B the torus transforms, which are
+    invertible because r is a unit in the field, so it is invertible iff
+    every n! x n! block of the E-basis Gram is (singular_block).  The
+    witness j of the key (a, v) is the basis monomial (u.(-a), u), u = w0
+    v^-1, so tau(j b_k) is the Gram entry F_{u,v}(0) = (1/r^n) sum_chi
+    f_{u,v}(chi), the same for every a.  The T-basis Gram itself is built
+    only for permuted_identity."""
+    field, tables = alg.field, gram_tables(alg)
+    rn = field.from_int(alg.r ** alg.n)
     result = {
-        "dimension": len(keys),
-        "gram_invertible": exactla.invertible(alg.field, rows),
+        "dimension": alg.dimension,
+        "gram_invertible": singular_block(alg, tables) is None,
+        "witness_ok": all(
+            sum(tables[sg.compose(alg.w0, alg._inv[v]), v].values(), field.zero) == rn
+            for v in alg.perms),
     }
-    # each witness is a basis monomial, so tau(j b_k) is a Gram entry
-    pos = {k: i for i, k in enumerate(keys)}
-    result["witness_ok"] = all(
-        rows[pos[next(iter(frobenius_witness(alg, k).terms))]][i] == alg.field.one
-        for i, k in enumerate(keys))
     if permuted_identity:
         # the Gram matrix is not symmetric; the honest symmetry statement is
         # G[x][y] = tau(phi(b_y) b_x), checked entry by entry
-        result["permuted_identity_ok"] = _flip_pairs(alg, keys, rows)[1]
+        result["permuted_identity_ok"] = _flip_pairs(alg, *gram_matrix(alg))[1]
     return result
 
 

@@ -12,7 +12,7 @@ from functools import lru_cache
 from yoklab import AKSAlgebra, NilAlgebra, YAlgebra, make_field
 from yoklab.scalars import FieldSpec, _parse_terms, cyclotomic_polynomial
 from yoklab import modrep, structure, symgroup as sg
-from yoklab.exactla import Subspace, _acc, closure_under, ideal_power_dims
+from yoklab.exactla import Subspace, _acc, closure_under, ideal_power_dims, invertible
 
 FP13 = "fp13"
 CYC = "cyc"
@@ -217,6 +217,47 @@ def pairwise_gram(alg, basis=None, product=None):
     rows = [[structure.tau_terms(alg, product(x, y), basis) for y in forms]
             for x in forms]
     return keys, rows
+
+
+def dense_frobenius(alg) -> dict:
+    """structure.frobenius_check by the route it replaced: dense
+    elimination of the whole T-basis Gram matrix, and each witness entry
+    tau(j b_k) read off its rows.  An oracle for the n! x n! E-basis
+    blocks."""
+    keys, rows = structure.gram_matrix(alg)
+    pos = {k: i for i, k in enumerate(keys)}
+    witness_ok = all(
+        rows[pos[next(iter(structure.frobenius_witness(alg, k).terms))]][i] == alg.field.one
+        for i, k in enumerate(keys))
+    return {"dimension": len(keys), "gram_invertible": invertible(alg.field, rows),
+            "witness_ok": witness_ok}
+
+
+def patch_gram_tables(monkeypatch, edit):
+    """Make structure.gram_tables return its tables after edit(alg, f)."""
+    tables = structure.gram_tables
+
+    def patched(alg):
+        f = tables(alg)
+        edit(alg, f)
+        return f
+
+    monkeypatch.setattr(structure, "gram_tables", patched)
+
+
+def singular_block_mutant(monkeypatch, c):
+    """Make the E-basis Gram block M_c singular and leave every other block
+    as it is: the row of the identity repeats the row of w0 (for n = 1,
+    where they coincide, the one row is zeroed)."""
+    def edit(alg, f):
+        u1, u2 = alg.ident, alg.w0
+        for v in alg.perms:
+            src = f[u2, v].get(alg.act(u2, c)) if u1 != u2 else None
+            if src is None:
+                f[u1, v].pop(alg.act(u1, c), None)
+            else:
+                f[u1, v][alg.act(u1, c)] = src
+    patch_gram_tables(monkeypatch, edit)
 
 
 @lru_cache(maxsize=None)

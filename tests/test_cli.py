@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -144,6 +145,56 @@ def test_gram_and_export(tmp_path, capsys):
     assert blob["entries"] == [["0", "1"], ["1", "-1"]]
     code, _, _ = run(capsys, "gram", "--r", "2", "--n", "2", "--nil")
     assert code == 0
+
+
+# sha256 of gram --export files written before the Gram verdict moved to
+# the E-basis blocks; the T-basis matrix behind them must not change
+EXPORT_SHA256 = {
+    ("2", "3", False): "ac882db34a65e869bcb3e99eeeea7a15fa057813fa79dbcdee48784427c88587",
+    ("3", "3", False): "4aba869627cac3631a34aaaf3d93ef70f99d7750d8ba18770ce15909eb4082fc",
+    ("2", "4", True): "358576a4f4f4d419638d3d8966a2f79b45fc66f2931d1c0521ce64526d5ceab5",
+}
+
+
+@pytest.mark.parametrize("r,n,nil", sorted(EXPORT_SHA256))
+def test_gram_export_pinned(tmp_path, capsys, r, n, nil):
+    out_file = tmp_path / "gram.json"
+    code, _, _ = run(capsys, "gram", "--r", r, "--n", n, "--field", "fp:13",
+                     *(["--nil"] if nil else []), "--export", str(out_file))
+    assert code == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == EXPORT_SHA256[r, n, nil]
+
+
+def test_gram_export_unwritable(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gram", "--r", "2", "--n", "2", "--export",
+                  str(tmp_path / "missing" / "x.json")])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+def test_gram_names_the_singular_block(monkeypatch, capsys):
+    H.singular_block_mutant(monkeypatch, (1, 2, 1))
+    code, out, _ = run(capsys, "gram", "--r", "2", "--n", "3", "--field", "fp:13")
+    assert code == 1
+    assert out.splitlines()[0] == "gram matrix 48x48: SINGULAR (block c = (1, 2, 1))"
+    code, out, _ = run(capsys, "gram", "--r", "2", "--n", "3", "--field", "fp:13", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert sorted(payload) == ["dimension", "gram_invertible", "n", "r", "schema",
+                               "witness_ok"]
+    assert payload["gram_invertible"] is False
+
+
+@pytest.mark.parametrize("samples", ["-1", "0"])
+def test_nakayama_rejects_samples_below_1(capsys, samples):
+    # zero pairs would be a vacuous "ok"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["nakayama", "--r", "2", "--n", "2", "--samples", samples])
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
 
 
 def test_nakayama(capsys):

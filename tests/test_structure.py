@@ -222,15 +222,73 @@ def test_exhaustive_nakayama_catches_identity_flip(monkeypatch, engine):
     assert not frobenius_check(alg, permuted_identity=True)["permuted_identity_ok"]
 
 
-def test_witness_check_reads_the_gram():
+def test_witness_check_reads_the_gram(monkeypatch):
     alg = H.yalg(2, 3, H.FP13)
-    keys, rows = gram_matrix(alg)
+    keys = structure.t_basis_keys(alg)
     for k in keys:
         j = frobenius_witness(alg, k)
         assert len(j.terms) == 1
         assert tau(alg, j * alg.element({k: alg.field.one})) == alg.field.one
-    assert frobenius_check(alg, gram=(keys, rows))["witness_ok"]
-    col = 5
-    row = keys.index(next(iter(frobenius_witness(alg, keys[col]).terms)))
-    rows[row][col] = alg.field.zero
-    assert not frobenius_check(alg, gram=(keys, rows))["witness_ok"]
+    assert frobenius_check(alg)["witness_ok"]
+    # the witness entry of the keys (a, v) is F_{u,v}(0), u = w0 v^-1, the
+    # sum over the table f_{u,v}; one wrong value in that table is a wrong
+    # witness entry, in the Gram matrix as well
+    v = keys[5][1]
+    u = sg.compose(alg.w0, sg.inverse(v))
+
+    def edit(alg, f):
+        chi = next(iter(f[u, v]))
+        f[u, v][chi] = f[u, v][chi] + alg.field.one
+
+    H.patch_gram_tables(monkeypatch, edit)
+    assert not frobenius_check(alg)["witness_ok"]
+    assert not H.dense_frobenius(alg)["witness_ok"]
+    assert frobenius_check(alg)["gram_invertible"]
+
+
+FROBENIUS_SIZES = ([(r, n, H.FP13) for r in (1, 2, 3) for n in (1, 2, 3)] + [(2, 4, H.FP13)]
+                   + [(r, n, H.CYC) for r in (1, 2, 3) for n in (1, 2, 3)])
+
+
+@pytest.mark.parametrize("engine", ["y", "nil"])
+@pytest.mark.parametrize("r,n,kind", FROBENIUS_SIZES)
+def test_gram_blocks_match_dense_oracle(monkeypatch, engine, r, n, kind):
+    alg = (H.yalg if engine == "y" else H.nilalg)(r, n, kind)
+    expect = {"dimension": alg.dimension, "gram_invertible": True, "witness_ok": True}
+    assert frobenius_check(alg) == H.dense_frobenius(alg) == expect
+    assert structure.singular_block(alg, structure.gram_tables(alg)) is None
+    # one singular block: the blocks and the dense T-basis matrix, built
+    # from the same tables, must both see it, and the blocks name it
+    c = alg.colors[len(alg.colors) // 2]
+    H.singular_block_mutant(monkeypatch, c)
+    got = frobenius_check(alg)
+    assert not got["gram_invertible"]
+    assert got == H.dense_frobenius(alg)
+    assert structure.singular_block(alg, structure.gram_tables(alg)) == c
+
+
+@pytest.mark.parametrize("r,n", [(2, 3), (3, 2)])
+def test_gram_blocks_match_dense_oracle_on_random_tables(monkeypatch, r, n):
+    # the T-basis Gram is A G^E B for any tables, not only the algebra's:
+    # on random tables, about half with a singular block, the block verdict
+    # and dense elimination agree table by table
+    alg = H.yalg(r, n, H.FP13)
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(30):
+        values = {(u, v, chi): alg.field.from_int(rng.randrange(13))
+                  for u in alg.perms for v in alg.perms for chi in alg.colors}
+
+        def edit(alg, f, values=values):
+            for (u, v, chi), c in values.items():
+                if c.is_zero():
+                    f[u, v].pop(chi, None)
+                else:
+                    f[u, v][chi] = c
+
+        monkeypatch.undo()
+        H.patch_gram_tables(monkeypatch, edit)
+        got = frobenius_check(alg)
+        assert got == H.dense_frobenius(alg)
+        seen.add(got["gram_invertible"])
+    assert seen == {True, False}

@@ -207,7 +207,9 @@ class AKSAlgebra(SparseAlgebra):
             x = xs[i - 1]
             if not (x * x - (self.q + self.qm1 * x)).is_zero():
                 return False
-            for c in self.colors:
+            # every term of the straightening residual at c has L value zero
+            # unless c or s_i c is c_star
+            for c in {c_star, sg.right_mult_s(c_star, i)}:
                 d = _straightening(c, i, lval, zero)
                 if not (x * lval(c) - lval(sg.right_mult_s(c, i)) * x + self.qm1 * d).is_zero():
                     return False

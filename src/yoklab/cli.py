@@ -4,6 +4,10 @@ Every subcommand takes --r and --n, builds the requested algebra over an
 exact field, runs a structural computation, and exits 0 when the verified
 property holds, 1 when a mathematical check fails, and 2 on usage errors.
 Output is deterministic; --json switches to machine-readable form.
+
+main validates the size guard and --field once for every subcommand.  A
+verdict subcommand returns (ok, text lines, payload fields) to _emit, which
+adds the schema, r and n; mult and report print their own output.
 """
 
 from __future__ import annotations
@@ -62,37 +66,51 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _emit(args, human_lines, payload) -> None:
+def _emit(args, ok: bool, lines, fields) -> int:
+    """Print a verdict as text lines or as JSON under schema, r and n; the
+    exit code is 0 when ok holds and 1 when it does not."""
     if args.json:
+        payload = {"schema": SCHEMA, "r": args.r, "n": args.n, **fields}
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        for line in human_lines:
+        for line in lines:
             print(line)
+    return 0 if ok else 1
 
 
 def _q_for(args, field):
     """The --q scalar of verify and mult, parsed in field; 0 when not given."""
+    q = getattr(args, "q", None)
     try:
-        return field.parse("0" if args.q is None else args.q)
+        return field.parse("0" if q is None else q)
     except ValueError as exc:
         _config_exit(str(exc))
 
 
 def _reject_q(args) -> None:
     """The nil algebra has no q, so it takes no --q, not even --q 0."""
-    if args.q is not None:
+    if getattr(args, "q", None) is not None:
         _config_exit("the nil algebra has no q; drop --q")
 
 
-def cmd_dim(args) -> int:
-    alg = NilAlgebra(args.r, args.n) if args.nil else YAlgebra(args.r, args.n)
-    _emit(args, [f"dimension = {alg.dimension}"],
-          {"schema": SCHEMA, "r": args.r, "n": args.n, "dimension": alg.dimension})
-    return 0
+def _algebra(args, field):
+    """NilAlgebra under --nil, else YAlgebra at --q (0 for commands without it)."""
+    if args.nil:
+        _reject_q(args)
+        return NilAlgebra(args.r, args.n, field)
+    return YAlgebra(args.r, args.n, field, _q_for(args, field))
 
 
-def cmd_verify(args) -> int:
-    field = _field_for(args)
+def _mark(ok: bool) -> str:
+    return "ok" if ok else "FAILED"
+
+
+def cmd_dim(args, field):
+    dim = _algebra(args, field).dimension
+    return True, [f"dimension = {dim}"], {"dimension": dim}
+
+
+def cmd_verify(args, field):
     if args.presentation == "nil":
         _reject_q(args)
         report = NilAlgebra(args.r, args.n, field).verify_presentation()
@@ -101,33 +119,24 @@ def cmd_verify(args) -> int:
     else:
         report = YAlgebra(args.r, args.n, field,
                           _q_for(args, field)).verify_presentation(int(args.presentation))
+    failed = [it["name"] for it in report["relations"] if not it["zero"]]
     lines = [f"presentation {report['presentation']}: "
              f"{'all relations hold' if report['all_zero'] else 'RESIDUAL FOUND'}"]
-    for item in report["relations"]:
-        if not item["zero"]:
-            lines.append(f"  nonzero residual: {item['name']}")
-    payload = {"schema": SCHEMA, "r": args.r, "n": args.n,
-               "q": "0" if args.q is None else args.q,
-               "presentation": report["presentation"],
-               "all_zero": report["all_zero"],
-               "failed": [it["name"] for it in report["relations"] if not it["zero"]]}
-    _emit(args, lines, payload)
-    return 0 if report["all_zero"] else 1
+    lines += [f"  nonzero residual: {name}" for name in failed]
+    return report["all_zero"], lines, {
+        "q": "0" if args.q is None else args.q, "presentation": report["presentation"],
+        "all_zero": report["all_zero"], "failed": failed}
 
 
-def cmd_mult(args) -> int:
+def cmd_mult(args, field) -> int:
     try:
         lhs_obj = json.loads(args.lhs)
         rhs_obj = json.loads(args.rhs)
     except json.JSONDecodeError as exc:
         print(f"error: bad element JSON: {exc}", file=sys.stderr)
         return 2
-    if args.nil:
-        _reject_q(args)
     try:
-        field = _field_for(args)
-        alg = (NilAlgebra(args.r, args.n, field) if args.nil
-               else YAlgebra(args.r, args.n, field, _q_for(args, field)))
+        alg = _algebra(args, field)
         prod = alg.element_from_json(lhs_obj) * alg.element_from_json(rhs_obj)
         out = alg.element_to_json(prod)
     except (ValueError, KeyError) as exc:
@@ -137,44 +146,35 @@ def cmd_mult(args) -> int:
     return 0
 
 
-def cmd_simples(args) -> int:
-    field = _field_for(args)
+def cmd_simples(args, field):
+    alg = _algebra(args, field)
     if args.nil:
-        alg = NilAlgebra(args.r, args.n, field)
-        reps = alg.one_dim_reps()
-        count = len(reps)
-        expected = args.r ** args.n
-        ok = count == expected
-        lines = [f"one-dimensional simples: {count} (expected {expected})"]
-        payload = {"schema": SCHEMA, "r": args.r, "n": args.n, "nil": True,
-                   "count": count, "expected": expected, "ok": ok}
-        _emit(args, lines, payload)
-        return 0 if ok else 1
+        for flag in ("list", "bruteforce"):
+            if getattr(args, flag):
+                _config_exit(f"simples --nil takes no --{flag}")
+        count, expected = len(modrep.enumerate_one_dim_bruteforce(alg)), args.r ** args.n
+        return count == expected, [f"one-dimensional simples: {count} (expected {expected})"], {
+            "nil": True, "count": count, "expected": expected, "ok": count == expected}
 
-    alg = YAlgebra(args.r, args.n, field)
     labels = modrep.enumerate_labels(args.r, args.n)
     formula = modrep.count_labels(args.r, args.n)
     ok = len(labels) == formula
     lines = [f"simple-module labels: {len(labels)} (closed form {formula})"]
-    payload = {"schema": SCHEMA, "r": args.r, "n": args.n,
-               "count": len(labels), "formula": formula}
+    fields = {"count": len(labels), "formula": formula}
     if args.bruteforce:
         brute = modrep.enumerate_one_dim_bruteforce(alg)
         ok = ok and len(brute) == len(labels)
         lines.append(f"brute-force scalar systems: {len(brute)}")
-        payload["bruteforce"] = len(brute)
+        fields["bruteforce"] = len(brute)
     if args.list:
-        payload["labels"] = [modrep.label_to_json(lab) for lab in labels]
-        if not args.json:
-            for lab in labels:
-                lines.append(f"  {modrep.label_to_json(lab)}")
-    payload["ok"] = ok
-    _emit(args, lines, payload)
-    return 0 if ok else 1
+        fields["labels"] = [modrep.label_to_json(lab) for lab in labels]
+        lines += [f"  {lab}" for lab in fields["labels"]]
+    fields["ok"] = ok
+    return ok, lines, fields
 
 
-def cmd_radical(args) -> int:
-    alg = (NilAlgebra if args.nil else YAlgebra)(args.r, args.n, _field_for(args))
+def cmd_radical(args, field):
+    alg = _algebra(args, field)
     if args.nil:
         ideal = alg.radical()
         dims = modrep.block_power_dims(alg, ideal, alg.radical_seeds)
@@ -188,14 +188,13 @@ def cmd_radical(args) -> int:
     lines = [f"{name} dimension = {ideal.dim()} (codim {codim})",
              f"power dimensions: {dims}",
              f"nilpotency index = {1 if dims[0] == 0 else len(dims)}"]
-    payload = {"schema": SCHEMA, "r": args.r, "n": args.n, "power_dims": dims, "ok": ok}
-    payload.update({"nil": True} if args.nil else {"ideal_dim": ideal.dim(), "codim": codim})
-    _emit(args, lines, payload)
-    return 0 if ok else 1
+    return ok, lines, {"power_dims": dims, "ok": ok,
+                       **({"nil": True} if args.nil else
+                          {"ideal_dim": ideal.dim(), "codim": codim})}
 
 
-def cmd_gram(args) -> int:
-    alg = (NilAlgebra if args.nil else YAlgebra)(args.r, args.n, _field_for(args))
+def cmd_gram(args, field):
+    alg = _algebra(args, field)
     if args.export:
         try:
             with open(args.export, "w") as fh:
@@ -207,95 +206,65 @@ def cmd_gram(args) -> int:
         except OSError as exc:
             _config_exit(f"cannot write --export {args.export!r}: {exc.strerror}")
     res = structure.frobenius_check(alg)
-    ok = res["gram_invertible"] and res["witness_ok"]
     verdict = "invertible"
     if not res["gram_invertible"]:
         bad = structure.singular_block(alg, structure.gram_tables(alg))
         verdict = f"SINGULAR (block c = {bad})"
     lines = [f"gram matrix {res['dimension']}x{res['dimension']}: {verdict}",
-             f"constructive witnesses: {'ok' if res['witness_ok'] else 'FAILED'}"]
-    payload = {"schema": SCHEMA, "r": args.r, "n": args.n, **res}
-    _emit(args, lines, payload)
-    return 0 if ok else 1
+             f"constructive witnesses: {_mark(res['witness_ok'])}"]
+    return res["gram_invertible"] and res["witness_ok"], lines, res
 
 
-def cmd_nakayama(args) -> int:
-    alg = (NilAlgebra if args.nil else YAlgebra)(args.r, args.n, _field_for(args))
-    res = structure.nakayama_check(alg, exhaustive=args.exhaustive,
+def cmd_nakayama(args, field):
+    res = structure.nakayama_check(_algebra(args, field), exhaustive=args.exhaustive,
                                    samples=args.samples, seed=args.seed)
-    lines = [f"trace symmetry ({res['mode']}, {res['pairs']} pairs): "
-             f"{'ok' if res['ok'] else 'FAILED'}"]
-    payload = {"schema": SCHEMA, "r": args.r, "n": args.n, **res}
-    _emit(args, lines, payload)
-    return 0 if res["ok"] else 1
+    return res["ok"], [f"trace symmetry ({res['mode']}, {res['pairs']} pairs): "
+                       f"{_mark(res['ok'])}"], res
 
 
-def cmd_cells(args) -> int:
-    field = _field_for(args)
+def cmd_cells(args, field):
+    alg = _algebra(args, field)
     if args.nil:
-        alg = NilAlgebra(args.r, args.n, field)
         cells = structure.nonzero_cells(alg)
         expected = args.r ** args.n
-        ok = (len(cells) == expected
-              and all(w == alg.ident for _, w in cells))
-        lines = [f"nonzero cells: {len(cells)} (expected {expected}, "
-                 f"all at the identity: {all(w == alg.ident for _, w in cells)})"]
-        payload = {"schema": SCHEMA, "r": args.r, "n": args.n, "nil": True,
-                   "count": len(cells), "ok": ok}
-        _emit(args, lines, payload)
-        return 0 if ok else 1
+        at_identity = all(w == alg.ident for _, w in cells)
+        ok = len(cells) == expected and at_identity
+        return ok, [f"nonzero cells: {len(cells)} (expected {expected}, "
+                    f"all at the identity: {at_identity})"], {
+            "nil": True, "count": len(cells), "ok": ok}
 
-    alg = YAlgebra(args.r, args.n, field)
     tri = structure.triangularity_check(alg)
     match = structure.classification_match(alg)
     ok = tri["ok"] and match["match"] and match["beta_signs_ok"]
     lines = [f"triangularity: {'ok' if tri['ok'] else 'FAILED at ' + repr(tri['witness'])}",
              f"nonzero cells: {match['count']}",
              f"matches simple-module labels: {match['match']}",
-             f"beta signs: {'ok' if match['beta_signs_ok'] else 'FAILED'}"]
-    payload = {"schema": SCHEMA, "r": args.r, "n": args.n,
-               "triangular": tri["ok"],
-               "count": match["count"], "match": match["match"],
-               "beta_signs_ok": match["beta_signs_ok"],
-               "missing": [[list(c), list(w)] for c, w in match["missing"]],
-               "extra": [[list(c), list(w)] for c, w in match["extra"]]}
-    _emit(args, lines, payload)
-    return 0 if ok else 1
+             f"beta signs: {_mark(match['beta_signs_ok'])}"]
+    return ok, lines, {
+        "triangular": tri["ok"], "count": match["count"], "match": match["match"],
+        "beta_signs_ok": match["beta_signs_ok"],
+        "missing": [[list(c), list(w)] for c, w in match["missing"]],
+        "extra": [[list(c), list(w)] for c, w in match["extra"]]}
 
 
-def cmd_aks_compare(args) -> int:
-    field = _field_for(args)
+def cmd_aks_compare(args, field):
     y = YAlgebra(args.r, args.n, field)
     a = AKSAlgebra(args.r, args.n, field)
-
-    dim_ok = y.dimension == a.dimension
-    y_count = len(modrep.enumerate_one_dim_bruteforce(y))
-    a_count = len(a.one_dim_reps())
-    count_ok = y_count == a_count
-
-    y_ideal = modrep.commutator_ideal(y)
-    y_dims = modrep.power_dims(y, y_ideal)
-    a_dims = a.commutator_power_dims()
-    dims_ok = y_dims == a_dims
-
-    ok = dim_ok and count_ok and dims_ok
-    lines = [f"dimension: {y.dimension} vs {a.dimension} "
-             f"({'ok' if dim_ok else 'MISMATCH'})",
-             f"one-dimensional reps: {y_count} vs {a_count} "
-             f"({'ok' if count_ok else 'MISMATCH'})",
-             f"commutator ideal powers: {y_dims} vs {a_dims} "
-             f"({'ok' if dims_ok else 'MISMATCH'})"]
-    payload = {"schema": SCHEMA, "r": args.r, "n": args.n,
-               "dimension": {"y": y.dimension, "aks": a.dimension, "ok": dim_ok},
-               "one_dim": {"y": y_count, "aks": a_count, "ok": count_ok},
-               "ideal_powers": {"y": y_dims, "aks": a_dims, "ok": dims_ok},
-               "ok": ok}
-    _emit(args, lines, payload)
-    return 0 if ok else 1
+    rows = [  # payload key, text title, Y value, AKS value
+        ("dimension", "dimension", y.dimension, a.dimension),
+        ("one_dim", "one-dimensional reps",
+         len(modrep.enumerate_one_dim_bruteforce(y)), len(a.one_dim_reps())),
+        ("ideal_powers", "commutator ideal powers",
+         modrep.power_dims(y, modrep.commutator_ideal(y)), a.commutator_power_dims()),
+    ]
+    ok = all(yv == av for _, _, yv, av in rows)
+    lines = [f"{title}: {yv} vs {av} ({'ok' if yv == av else 'MISMATCH'})"
+             for _, title, yv, av in rows]
+    return ok, lines, {"ok": ok, **{key: {"y": yv, "aks": av, "ok": yv == av}
+                                    for key, _, yv, av in rows}}
 
 
-def cmd_report(args) -> int:
-    field = _field_for(args)
+def cmd_report(args, field) -> int:
     y = YAlgebra(args.r, args.n, field)
     nil = NilAlgebra(args.r, args.n, field)
     aks = AKSAlgebra(args.r, args.n, field)
@@ -333,7 +302,7 @@ def cmd_report(args) -> int:
         "cells": {"triangular": tri["ok"], "count": match["count"],
                   "match": match["match"], "beta_signs_ok": match["beta_signs_ok"]},
         "nil": {"radical_power_dims": nil_dims,
-                "simple_count": len(nil.one_dim_reps()),
+                "simple_count": len(modrep.enumerate_one_dim_bruteforce(nil)),
                 **nil_frob},
     }
     all_ok = all([p1, p2, p4, pn, cert["certified"], frob["gram_invertible"],
@@ -351,8 +320,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact structural computations in Yokonuma-Hecke algebras "
                     "at q = 0, their idempotent presentation, and the nil variant.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    subs = {}
+    for name, fn, text in [
+            ("dim", cmd_dim, "dimension of the algebra"),
+            ("verify", cmd_verify, "check a defining presentation relation by relation"),
+            ("mult", cmd_mult, "multiply two elements given as JSON"),
+            ("simples", cmd_simples, "classify one-dimensional simple modules (q = 0)"),
+            ("radical", cmd_radical, "commutator ideal (or nil radical) and its powers"),
+            ("gram", cmd_gram, "Gram matrix of the trace form plus witnesses"),
+            ("nakayama", cmd_nakayama, "trace symmetry against the flip automorphism"),
+            ("cells", cmd_cells, "triangularity and the nonzero-cell classification"),
+            ("aks-compare", cmd_aks_compare,
+             "structural agreement between the two presentations"),
+            ("report", cmd_report, "full structural report as JSON")]:
+        p = subs[name] = sub.add_parser(name, help=text)
+        p.set_defaults(fn=fn)
         p.add_argument("--r", type=int, required=True, help="torus order")
         p.add_argument("--n", type=int, required=True, help="number of strands")
         p.add_argument("--field", default="cyclotomic",
@@ -361,68 +343,23 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--allow-large", action="store_true",
                        help=f"lift the r <= {MAX_R}, n <= {MAX_N} guard")
 
-    p = sub.add_parser("dim", help="dimension of the algebra")
-    common(p)
-    p.add_argument("--nil", action="store_true")
-    p.set_defaults(fn=cmd_dim)
-
-    p = sub.add_parser("verify", help="check a defining presentation relation by relation")
-    common(p)
-    p.add_argument("--q", help="deformation scalar (default 0)")
-    p.add_argument("--presentation", choices=["1", "2", "4", "nil"], default="1")
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("mult", help="multiply two elements given as JSON")
-    common(p)
-    p.add_argument("--q", help="deformation scalar (default 0)")
-    p.add_argument("--lhs", required=True, help="left factor, element JSON")
-    p.add_argument("--rhs", required=True, help="right factor, element JSON")
-    p.add_argument("--nil", action="store_true")
-    p.set_defaults(fn=cmd_mult)
-
-    p = sub.add_parser("simples", help="classify one-dimensional simple modules (q = 0)")
-    common(p)
-    p.add_argument("--list", action="store_true", help="print every label")
-    p.add_argument("--bruteforce", action="store_true",
-                   help="cross-check against the exhaustive scalar sweep")
-    p.add_argument("--nil", action="store_true")
-    p.set_defaults(fn=cmd_simples)
-
-    p = sub.add_parser("radical", help="commutator ideal (or nil radical) and its powers")
-    common(p)
-    p.add_argument("--nil", action="store_true")
-    p.set_defaults(fn=cmd_radical)
-
-    p = sub.add_parser("gram", help="Gram matrix of the trace form plus witnesses")
-    common(p)
-    p.add_argument("--export", help="write the matrix to this JSON file")
-    p.add_argument("--nil", action="store_true")
-    p.set_defaults(fn=cmd_gram)
-
-    p = sub.add_parser("nakayama", help="trace symmetry against the flip automorphism")
-    common(p)
-    p.add_argument("--exhaustive", action="store_true", help="all basis pairs")
-    p.add_argument("--samples", type=_positive_int, default=200,
-                   help="random pairs to test (at least 1)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--nil", action="store_true")
-    p.set_defaults(fn=cmd_nakayama)
-
-    p = sub.add_parser("cells", help="triangularity and the nonzero-cell classification")
-    common(p)
-    p.add_argument("--nil", action="store_true")
-    p.set_defaults(fn=cmd_cells)
-
-    p = sub.add_parser("aks-compare",
-                       help="structural agreement between the two presentations")
-    common(p)
-    p.set_defaults(fn=cmd_aks_compare)
-
-    p = sub.add_parser("report", help="full structural report as JSON")
-    common(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_report)
-
+    for name in ("verify", "mult"):
+        subs[name].add_argument("--q", help="deformation scalar (default 0)")
+    subs["verify"].add_argument("--presentation", choices=["1", "2", "4", "nil"], default="1")
+    subs["mult"].add_argument("--lhs", required=True, help="left factor, element JSON")
+    subs["mult"].add_argument("--rhs", required=True, help="right factor, element JSON")
+    subs["simples"].add_argument("--list", action="store_true", help="print every label")
+    subs["simples"].add_argument("--bruteforce", action="store_true",
+                                 help="cross-check against the exhaustive scalar sweep")
+    subs["gram"].add_argument("--export", help="write the matrix to this JSON file")
+    subs["nakayama"].add_argument("--exhaustive", action="store_true", help="all basis pairs")
+    subs["nakayama"].add_argument("--samples", type=_positive_int, default=200,
+                                  help="random pairs to test (at least 1)")
+    for name in ("nakayama", "report"):
+        subs[name].add_argument("--seed", type=int, default=0)
+    # last, so that --nil closes each usage line
+    for name in ("dim", "mult", "simples", "radical", "gram", "nakayama", "cells"):
+        subs[name].add_argument("--nil", action="store_true")
     return parser
 
 
@@ -430,10 +367,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _check_limits(parser, args)
+    field = _field_for(args)
     try:
-        return args.fn(args)
-    except SystemExit:
-        raise
+        result = args.fn(args, field)
+        return result if isinstance(result, int) else _emit(args, *result)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -160,7 +160,8 @@ def enumerate_one_dim_bruteforce(alg: YAlgebra) -> list[OneDimRep]:
 
     t_i must go to an r-th root of unity (there are exactly r of them in
     both backends) and g_i to a root of X^2 + X, so the sweep over
-    r^n * 2^(n-1) candidates is exhaustive.
+    r^n * 2^(n-1) candidates is exhaustive.  On the nil algebra, the pair
+    (q, q - 1) = (0, 0), g_i is T_i and X^2 leaves only the root 0.
     """
     require_q0(alg)
     field = alg.field

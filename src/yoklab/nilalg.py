@@ -21,15 +21,15 @@ all t^a T_w with w != identity.  It and its powers are computed by the
 color-orbit blocks of modrep, each block seeded by the monomials E_chi T_i
 with chi in its orbit.  The tests hold them against the closed form: J^k
 is spanned by the keys with length(w) >= k, so the nilpotency index is
-length(w0) + 1.  The r^n one-dimensional simples send t_i to zeta^{c_i}
-and every T_i to 0, and each color chi yields a one-dimensional two-sided
-ideal on E_chi T_{w0}.  The trace, Gram, Frobenius, Nakayama, flip and
-cell checks in structure serve both engines.
+length(w0) + 1.  The one-dimensional simples come from modrep's sweep
+over scalar systems, Y's relation check run at the pair (0, 0): a scalar
+image x of T_i has x^2 = 0, so only the r^n torus characters t_i ->
+zeta^{c_i}, T_i -> 0 survive.  Each color chi yields a one-dimensional
+two-sided ideal on E_chi T_{w0}.  The trace, Gram, Frobenius, Nakayama,
+flip and cell checks in structure serve both engines.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from . import exactla, modrep, symgroup as sg
 from .algebra import (braid_relations, far_relations, generator_torus_relations,
@@ -71,19 +71,6 @@ class NilAlgebra(YAlgebra):
 
     def radical_power_dims(self) -> list[int]:
         return modrep.block_power_dims(self, self.radical(), self.radical_seeds)
-
-    def one_dim_reps(self):
-        """t_i -> zeta^{c_i}, T_i -> 0; brute force confirms these are all.
-
-        A scalar image x of T_i satisfies x^2 = 0, hence x = 0 in a field, so
-        only the torus characters survive and there are exactly r^n of them.
-        """
-        field = self.field
-        out = []
-        for c in itertools.product(range(self.r), repeat=self.n):
-            out.append((tuple(field.zeta_pow(k) for k in c),
-                        tuple(field.zero for _ in range(self.n - 1))))
-        return out
 
     def minimal_ideal_check(self, chi) -> dict:
         """E_chi T_{w0} spans a two-sided ideal of dimension one."""

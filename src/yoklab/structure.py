@@ -15,8 +15,8 @@ g_v (gram_tables).  frobenius_check decides invertibility on the E-basis
 Gram, which splits into r^n blocks of size n! x n!, one per color, and
 reads each witness entry off the tables.  The T-basis Gram matrix,
 G[(a, u)][(b, v)] = tau(t^(a + u.b) g_u g_v), is a torus transform of the
-same tables (gram_matrix); it is built only for gram --export, the
-exhaustive Nakayama check and the permuted-identity check.
+same tables (gram_matrix); it is built only for gram --export and the
+exhaustive Nakayama check.
 
 Cells: basis monomials (chi, w) are ranked by (length(w), w, chi).  At q = 0
 multiplication by any generator sends a basis monomial to monomials of the
@@ -152,7 +152,7 @@ def frobenius_witness(alg: SparseAlgebra, key) -> SparseElement:
                         alg.field.one})
 
 
-def frobenius_check(alg: YAlgebra, permuted_identity: bool = False) -> dict:
+def frobenius_check(alg: YAlgebra) -> dict:
     """Gram invertibility plus witnesses, read off the gram_tables.
 
     The T-basis Gram is A G^E B with A and B the torus transforms, which are
@@ -160,22 +160,17 @@ def frobenius_check(alg: YAlgebra, permuted_identity: bool = False) -> dict:
     every n! x n! block of the E-basis Gram is (singular_block).  The
     witness j of the key (a, v) is the basis monomial (u.(-a), u), u = w0
     v^-1, so tau(j b_k) is the Gram entry F_{u,v}(0) = (1/r^n) sum_chi
-    f_{u,v}(chi), the same for every a.  The T-basis Gram itself is built
-    only for permuted_identity."""
+    f_{u,v}(chi), the same for every a.  The T-basis Gram itself is not
+    built; nakayama_check(exhaustive=True) reads it entry by entry."""
     field, tables = alg.field, gram_tables(alg)
     rn = field.from_int(alg.r ** alg.n)
-    result = {
+    return {
         "dimension": alg.dimension,
         "gram_invertible": singular_block(alg, tables) is None,
         "witness_ok": all(
             sum(tables[sg.compose(alg.w0, alg._inv[v]), v].values(), field.zero) == rn
             for v in alg.perms),
     }
-    if permuted_identity:
-        # the Gram matrix is not symmetric; the honest symmetry statement is
-        # G[x][y] = tau(phi(b_y) b_x), checked entry by entry
-        result["permuted_identity_ok"] = _flip_pairs(alg, *gram_matrix(alg))[1]
-    return result
 
 
 def _flip_pairs(alg: SparseAlgebra, keys, rows) -> tuple[int, bool]:
@@ -271,14 +266,20 @@ def triangularity_check(alg: YAlgebra) -> dict:
     return {"ok": True, "witness": None}
 
 
-def nonzero_cells(alg: YAlgebra) -> list:
+def _nonzero_betas(alg: YAlgebra) -> dict:
+    """beta at every key (c, w) where it is nonzero."""
     require_q0(alg)
-    out = []
+    out = {}
     for c in alg.colors:
         for w in alg.perms:
-            if not beta(alg, c, w).is_zero():
-                out.append((c, w))
-    return sorted(out)
+            b = beta(alg, c, w)
+            if not b.is_zero():
+                out[c, w] = b
+    return out
+
+
+def nonzero_cells(alg: YAlgebra) -> list:
+    return sorted(_nonzero_betas(alg))
 
 
 def predicted_cells(alg: YAlgebra) -> list:
@@ -291,22 +292,20 @@ def predicted_cells(alg: YAlgebra) -> list:
 
 
 def classification_match(alg: YAlgebra) -> dict:
-    observed = nonzero_cells(alg)
+    """The nonzero cells against the predicted ones, each predicted beta
+    against (-1)^length; beta is computed once per key."""
+    betas = _nonzero_betas(alg)
     predicted = predicted_cells(alg)
-    obs, pred = set(observed), set(predicted)
-    values_ok = True
-    minus_one = -alg.field.one
-    for (c, w) in predicted:
-        expect = alg.field.one if alg._len[w] % 2 == 0 else minus_one
-        if not (beta(alg, c, w) == expect):
-            values_ok = False
-            break
+    obs, pred = set(betas), set(predicted)
+    one = alg.field.one
+    signs_ok = all(betas.get((c, w), alg.field.zero) == (-one if alg._len[w] % 2 else one)
+                   for c, w in predicted)
     return {
         "match": obs == pred,
         "missing": sorted(pred - obs),
         "extra": sorted(obs - pred),
-        "count": len(observed),
-        "beta_signs_ok": values_ok,
+        "count": len(betas),
+        "beta_signs_ok": signs_ok,
     }
 
 

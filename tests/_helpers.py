@@ -12,6 +12,7 @@ from functools import lru_cache
 from yoklab import AKSAlgebra, NilAlgebra, YAlgebra, make_field
 from yoklab.scalars import FieldSpec, _parse_terms, cyclotomic_polynomial
 from yoklab import modrep, structure, symgroup as sg
+from yoklab.aks import _straightening
 from yoklab.exactla import Subspace, _acc, closure_under, ideal_power_dims, invertible
 
 FP13 = "fp13"
@@ -85,7 +86,7 @@ def nil_analysis(r: int, n: int, kind: str = CYC) -> dict:
     alg = nilalg(r, n, kind)
     dims = alg.radical_power_dims()
     frob = structure.frobenius_check(alg)
-    reps = alg.one_dim_reps()
+    reps = modrep.enumerate_one_dim_bruteforce(alg)
     cells = structure.nonzero_cells(alg)
     minimal = all(alg.minimal_ideal_check(chi)["ok"] for chi in alg.colors)
     return {
@@ -507,3 +508,22 @@ class FractionCyclotomicField:
 
     def __repr__(self):
         return f"FractionCyclotomicField({self.r})"
+
+
+def aks_scalar_rep_ok_all_colors(alg, c_star, xs) -> bool:
+    """AKSAlgebra._scalar_rep_ok with the straightening residual checked at
+    every color c, not only at c_star and s_i c_star."""
+    one, zero = alg.field.one, alg.field.zero
+
+    def lval(c):
+        return one if c == c_star else zero
+
+    for i in range(1, alg.n):
+        x = xs[i - 1]
+        if not (x * x - (alg.q + alg.qm1 * x)).is_zero():
+            return False
+        for c in alg.colors:
+            d = _straightening(c, i, lval, zero)
+            if not (x * lval(c) - lval(sg.right_mult_s(c, i)) * x + alg.qm1 * d).is_zero():
+                return False
+    return True

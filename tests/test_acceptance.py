@@ -12,7 +12,7 @@ import math
 import random
 import time
 
-from yoklab import structure
+from yoklab import modrep, structure
 
 import _helpers as H
 
@@ -58,11 +58,10 @@ def _random_aks_element(alg, rng, nterms: int = 4):
 def _nil_scalar_rep_ok(alg, rep) -> bool:
     # the braid and length-zero relations are vacuous once every T value is
     # zero; what remains is t_j^r = 1 for each torus value
-    tvals, big_t_vals = rep
-    if any(not v.is_zero() for v in big_t_vals):
+    if any(not v.is_zero() for v in rep.g_values):
         return False
     one = alg.field.one
-    for v in tvals:
+    for v in rep.t_values:
         p = one
         for _ in range(alg.r):
             p = p * v
@@ -265,8 +264,8 @@ def test_criterion_08_nil_variant(capsys):
                 failures.append(f"{(r, n)}: nilpotency index above bound")
             if got["simple_count"] != size:
                 failures.append(f"{(r, n)}: expected {size} scalar reps")
-            reps = alg.one_dim_reps()
-            rendered = {tuple(alg.field.render(v) for v in tv) for tv, _ in reps}
+            reps = modrep.enumerate_one_dim_bruteforce(alg)
+            rendered = {tuple(alg.field.render(v) for v in rep.t_values) for rep in reps}
             if len(rendered) != size:
                 failures.append(f"{(r, n)}: scalar reps not pairwise distinct")
             if not all(_nil_scalar_rep_ok(alg, rep) for rep in reps):

@@ -1,9 +1,10 @@
+import itertools
 import json
 import random
 
 import pytest
 
-from yoklab import AKSAlgebra
+from yoklab import AKSAlgebra, modrep
 
 import _helpers as H
 
@@ -131,3 +132,22 @@ def test_json_shape():
 def test_q_is_field_checked():
     with pytest.raises(ValueError):
         AKSAlgebra(2, 2, field=H.field(H.CYC, 3))
+
+
+@pytest.mark.parametrize("kind", [H.CYC, H.FP13])
+@pytest.mark.parametrize("q", [0, 5])
+def test_scalar_rep_check_matches_all_colors_oracle(kind, q):
+    # the straightening residual is checked at c_star and s_i c_star only;
+    # the oracle checks it at every color
+    for r, n in [(2, 3), (3, 3), (2, 4)]:
+        alg = H.aksalg(r, n, kind, q)
+        f = alg.field
+        vals = (f.zero, -f.one, f.one, f.from_int(5))   # 5 and -1 solve x^2 = 5 + 4x
+        kept = 0
+        for c_star in alg.colors:
+            for xs in itertools.product(vals, repeat=n - 1):
+                want = H.aks_scalar_rep_ok_all_colors(alg, c_star, xs)
+                assert alg._scalar_rep_ok(c_star, xs) == want, (r, n, c_star, xs)
+                kept += want
+        if q == 0:
+            assert kept == len(alg.one_dim_reps()) == modrep.count_labels(r, n)

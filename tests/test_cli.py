@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from yoklab import cli
+from yoklab import cli, modrep
 
 import _helpers as H
 
@@ -299,3 +299,38 @@ def test_mult_rejects_wrong_length_exponents(capsys):
                                                "coeff": "1"}]})
     mult_rejects(capsys, {**GOOD_T, "terms": [{"a": [0, 1, 0], "w": [2, 1],
                                                "coeff": "1"}]})
+
+
+@pytest.mark.parametrize("r,field", [("2", "bogus"), ("4", "fp:7"), ("2", "fp:x")])
+def test_dim_validates_field(capsys, r, field):
+    # dim used to build its algebra over the default field and exit 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["dim", "--r", r, "--n", "2", "--field", field])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--list", "--bruteforce"])
+def test_nil_simples_rejects_y_flags(capsys, flag):
+    # both flags used to be ignored under --nil
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simples", "--nil", "--r", "2", "--n", "2", flag])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: simples --nil takes no {flag}\n"
+
+
+def test_nil_simples_are_computed(monkeypatch, capsys):
+    # the nil count comes from the relation sweep, so a sweep that keeps
+    # nothing must fail the verdict
+    code, out, _ = run(capsys, "simples", "--nil", "--r", "2", "--n", "3", "--json")
+    assert code == 0
+    assert json.loads(out) == {"schema": "yoklab/1", "r": 2, "n": 3, "nil": True,
+                               "count": 8, "expected": 8, "ok": True}
+    monkeypatch.setattr(modrep, "check_one_dim", lambda alg, rep: False)
+    code, out, _ = run(capsys, "simples", "--nil", "--r", "2", "--n", "3")
+    assert code == 1
+    assert out == "one-dimensional simples: 0 (expected 8)\n"

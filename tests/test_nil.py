@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from yoklab import NilAlgebra, YAlgebra, structure, symgroup as sg
+from yoklab import NilAlgebra, YAlgebra, modrep, structure, symgroup as sg
 from yoklab.exactla import _acc
 
 import _helpers as H
@@ -101,13 +101,13 @@ def test_radical_is_span_of_nonidentity_words():
 
 def test_one_dim_reps():
     alg = H.nilalg(2, 3)
-    reps = alg.one_dim_reps()
+    reps = modrep.enumerate_one_dim_bruteforce(alg)
     assert len(reps) == 8
     seen = set()
-    for t_values, T_values in reps:
-        assert all(v.is_zero() for v in T_values)
-        assert all((t ** alg.r) == alg.field.one for t in t_values)
-        seen.add(t_values)
+    for rep in reps:
+        assert all(v.is_zero() for v in rep.g_values)
+        assert all((t ** alg.r) == alg.field.one for t in rep.t_values)
+        seen.add(rep.t_values)
     assert len(seen) == 8
 
 
@@ -142,9 +142,10 @@ def test_gram_1_2_frozen():
 
 def test_frobenius():
     for (r, n) in [(1, 3), (2, 2), (3, 2)]:
-        res = structure.frobenius_check(H.nilalg(r, n), permuted_identity=True)
+        alg = H.nilalg(r, n)
+        res = structure.frobenius_check(alg)
         assert res["gram_invertible"] and res["witness_ok"]
-        assert res["permuted_identity_ok"]
+        assert structure.nakayama_check(alg, exhaustive=True)["ok"]
 
 
 def test_psi_and_nakayama():

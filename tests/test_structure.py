@@ -89,10 +89,11 @@ def test_permutation_only_pairing_is_degenerate():
 
 def test_frobenius_with_witness_and_permuted_identity():
     for (r, n) in [(1, 3), (2, 2), (3, 2)]:
-        res = frobenius_check(H.yalg(r, n), permuted_identity=True)
+        alg = H.yalg(r, n)
+        res = frobenius_check(alg)
         assert res["gram_invertible"], (r, n)
         assert res["witness_ok"], (r, n)
-        assert res["permuted_identity_ok"], (r, n)
+        assert nakayama_check(alg, exhaustive=True)["ok"], (r, n)
 
 
 def test_witness_element_shape():
@@ -171,6 +172,31 @@ def test_classification_match_reports_sets():
     assert got["missing"] == [] and got["extra"] == []
 
 
+def test_classification_match_computes_beta_once_per_key(monkeypatch):
+    alg = H.yalg(2, 3, H.FP13)
+    calls = []
+    real = structure.beta
+
+    def counted(alg, chi, w):
+        calls.append((chi, w))
+        return real(alg, chi, w)
+
+    monkeypatch.setattr(structure, "beta", counted)
+    got = classification_match(alg)
+    assert got["match"] and got["beta_signs_ok"] and got["count"] == 18
+    assert len(calls) == len(set(calls)) == alg.dimension
+
+
+def test_classification_match_checks_each_predicted_sign(monkeypatch):
+    alg = H.yalg(2, 3, H.FP13)
+    real = structure.beta
+    key = structure.predicted_cells(alg)[-1]
+    monkeypatch.setattr(structure, "beta", lambda alg, chi, w: (
+        -real(alg, chi, w) if (chi, w) == key else real(alg, chi, w)))
+    got = classification_match(alg)
+    assert got["match"] and not got["beta_signs_ok"]
+
+
 def test_gram_json():
     alg = H.yalg(1, 2)
     keys, rows = gram_matrix(alg)
@@ -219,7 +245,6 @@ def test_exhaustive_nakayama_catches_identity_flip(monkeypatch, engine):
     monkeypatch.setattr(alg, "phi", lambda x: x)
     assert nakayama_check(alg, exhaustive=True) == {"mode": "exhaustive", "pairs": first,
                                                     "ok": False}
-    assert not frobenius_check(alg, permuted_identity=True)["permuted_identity_ok"]
 
 
 def test_witness_check_reads_the_gram(monkeypatch):

@@ -20,6 +20,7 @@ per (w, d).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 from . import symgroup as sg
 from .algebra import (SparseAlgebra, SparseElement, braid_relations, far_relations,
@@ -27,6 +28,12 @@ from .algebra import (SparseAlgebra, SparseElement, braid_relations, far_relatio
 from .exactla import _acc, closure_under, ideal_power_dims, vec_addmul
 
 __all__ = ["AKSAlgebra"]
+
+
+def _monotone_relabeling(source, target) -> dict:
+    """The increasing bijection from the colors of source onto those of
+    target, two color vectors with the same multiplicities in color order."""
+    return dict(zip(sorted(set(source)), sorted(set(target))))
 
 
 def _straightening(c, i, L, zero):
@@ -228,29 +235,80 @@ class AKSAlgebra(SparseAlgebra):
                 seeds.append((h[i] * lc - lc * h[i]).terms)
         return [s for s in seeds if s]
 
+    def _block_maps(self, orbit) -> tuple[list, list]:
+        """Left and right multiplications by the generators of the block
+        L_O with O = orbit: the h_i and the L_c with c in O, in that order
+        (every other L_c kills the block)."""
+        left = [(lambda t, i=i: self._lmul_h(t, i)) for i in range(1, self.n)]
+        right = [(lambda t, i=i: self._rmul_h(t, i)) for i in range(1, self.n)]
+        left += [(lambda t, c=c: self._lmul_L(t, c)) for c in orbit]
+        right += [(lambda t, c=c: self._rmul_L(t, c)) for c in orbit]
+        return left, right
+
+    def _orbit_power_dims(self, seeds, orbit) -> list[int]:
+        """Power dimensions of the block J L_O, O = orbit, of the ideal J
+        generated by seeds: the seeds cut to the colors in O generate it,
+        closed under the block's generators.  The step products J^k . seeds
+        run as right actions of the short seeds."""
+        inside = set(orbit)
+        cut = [{k: v for k, v in s.items() if k[0] in inside} for s in seeds]
+        cut = closure_under(self.field, [], [s for s in cut if s]).basis_rows()
+        left, right = self._block_maps(orbit)
+        ideal = closure_under(self.field, left + right, cut)
+        return ideal_power_dims(self.field, self._right_product, ideal,
+                                seeds=cut, right_maps=right)
+
+    def _check_relabeling(self, source, target) -> None:
+        """Exact check that (c, w) -> (sigma c, w), with sigma the monotone
+        relabeling of the colors of the orbit source onto those of the orbit
+        target, is an isomorphism of their blocks: it carries source onto
+        target, and for every basis key x of the block of source and each
+        generator map f of that block, sigma(f(x)) is the matching map (the
+        same h_i, L_(sigma c) for L_c) of sigma(x).  Raises ArithmeticError
+        on the first failure."""
+        sigma = _monotone_relabeling(source[0], target[0])
+        moved = {c: tuple(sigma[x] for x in c) for c in source}
+        if set(moved.values()) != set(target):
+            raise ArithmeticError(f"the relabeling {sigma} does not carry the orbit "
+                                  f"of {source[0]} onto that of {target[0]}")
+
+        def relabel(v):
+            return {(moved[c], w): a for (c, w), a in v.items()}
+
+        left, right = self._block_maps(source)
+        moved_left, moved_right = self._block_maps(list(moved.values()))
+        pairs = list(zip(left + right, moved_left + moved_right))
+        one = self.field.one
+        for x in ({(c, w): one} for c in source for w in self.perms):
+            if any(relabel(f(x)) != g(relabel(x)) for f, g in pairs):
+                raise ArithmeticError(f"the relabeling {sigma} is not an isomorphism "
+                                      f"of the blocks of {source[0]} and {target[0]}")
+
     def commutator_power_dims(self) -> list[int]:
-        """Power dimensions of the commutator ideal J, one orbit at a time.
+        """Power dimensions of the commutator ideal J, one block per
+        ordered-composition class of orbits.
 
         For an orbit O of colors, L_O = sum_{c in O} L_c is central, so
-        J = (+)_O J L_O, and J L_O is the ideal of the block generated by
-        the seeds cut to the colors in O, closed under the h_i and the L_c
-        with c in O (every other L_c kills the block).  The step products
-        J^k . seeds run as right actions of the short seeds.  Every orbit is
-        computed here; none is carried over from another.
+        J = (+)_O J L_O.  D_i(c) depends only on whether c_i is <, = or >
+        c_{i+1}, so a relabeling of the colors that is monotone on those of
+        O carries the block of O, and its commutator seeds, onto the block
+        of the image orbit.  Orbits whose colors have the same
+        multiplicities in color order (the same composition of n) thus have
+        isomorphic blocks.  The first orbit of each class is closed and
+        powered, and counted once per orbit of its class once
+        _check_relabeling has confirmed each isomorphism.  Nothing is
+        carried over from the Y engine.
         """
-        seeds = self.commutator_seeds()
-        h_left = [(lambda t, i=i: self._lmul_h(t, i)) for i in range(1, self.n)]
-        h_right = [(lambda t, i=i: self._rmul_h(t, i)) for i in range(1, self.n)]
-        blocks = []
+        classes: dict = {}
         for orbit in self.central_color_blocks():
-            inside = set(orbit)
-            cut = [{k: v for k, v in s.items() if k[0] in inside} for s in seeds]
-            cut = closure_under(self.field, [], [s for s in cut if s]).basis_rows()
-            left = h_left + [(lambda t, c=c: self._lmul_L(t, c)) for c in orbit]
-            right = h_right + [(lambda t, c=c: self._rmul_L(t, c)) for c in orbit]
-            ideal = closure_under(self.field, left + right, cut)
-            blocks.append((1, ideal_power_dims(self.field, self._right_product, ideal,
-                                               seeds=cut, right_maps=right)))
+            counts = Counter(orbit[0])
+            classes.setdefault(tuple(counts[x] for x in sorted(counts)), []).append(orbit)
+        seeds = self.commutator_seeds()
+        blocks = []
+        for orbits in classes.values():
+            for orbit in orbits[1:]:
+                self._check_relabeling(orbits[0], orbit)
+            blocks.append((len(orbits), self._orbit_power_dims(seeds, orbits[0])))
         return sum_block_dims(blocks)
 
     def __repr__(self):

@@ -126,25 +126,44 @@ def invertible(field, rows) -> bool:
                is not None for row in rows)
 
 
-def ideal_power_dims(field, product, sub: Subspace, seeds, right_maps) -> list[int]:
+def _one_grade(vec) -> None:
+    return None
+
+
+def ideal_power_dims(field, product, sub: Subspace, seeds, right_maps, *,
+                     right_key=_one_grade, left_key=_one_grade) -> list[int]:
     """Dimensions of J, J^2, J^3, ... down to 0 for a nilpotent ideal J.
 
-    Precondition: sub is J, the two-sided ideal generated by ``seeds``, and
-    ``right_maps`` are the right multiplications by the algebra generators.
-    Then J^(k+1) = closure(J^k . seeds) under the right maps: left factors
-    of the ideal generators are absorbed into J^k, itself a two-sided
-    ideal, and the closure supplies the right factors.  product multiplies
-    two row dicts.
+    Precondition: sub is J, the two-sided ideal generated by ``seeds``, or
+    its part eJ for an idempotent e, and ``right_maps`` are the right
+    multiplications by the algebra generators.  Then
+    eJ^(k+1) = closure(eJ^k . seeds) under the right maps: left factors of
+    the ideal generators are absorbed into J^k, itself a two-sided ideal,
+    and the closure supplies the right factors.  The dimensions returned
+    are those of eJ, eJ^2, ...  product multiplies two row dicts.
 
-    Raises if no power vanishes within dim(J) + 1 steps, which would mean J
-    is not nilpotent.
+    The step products are graded: a row a of J^k is multiplied only by the
+    seeds s with left_key(s) == right_key(a).  A caller passes keys only
+    when every other product is zero, as for rows and seeds that each have
+    one (left color, right color) pair, where E_a E_b = 0 for colors a != b
+    kills a product whose inner colors differ.  The default keys put
+    everything in one grade, so every row meets every seed.
+
+    Raises if no power vanishes within dim(eJ) + 1 steps, which would mean
+    J is not nilpotent.
     """
+    graded: dict = {}
+    for s in seeds:
+        graded.setdefault(left_key(s), []).append(s)
     dims = [sub.dim()]
     cur = sub
     while dims[-1]:
         if len(dims) > dims[0] + 1:
             raise ArithmeticError("ideal is not nilpotent within expected bound")
-        step = [product(a, s) for a in cur.basis_rows() for s in seeds]
+        # the rows are read in place: product leaves its factors alone, and
+        # the closure below builds a new Subspace
+        step = [product(a, s) for a in cur.rows.values()
+                for s in graded.get(right_key(a), ())]
         cur = closure_under(field, right_maps, [v for v in step if v])
         dims.append(cur.dim())
     return dims

@@ -267,18 +267,6 @@ def block_ideal(alg: YAlgebra, seeds_of) -> exactla.Subspace:
     return ideal
 
 
-def _paired_product(alg: YAlgebra):
-    """alg.mul_terms on vectors that each have one (left color, right color)
-    pair; a pair whose product vanishes, because the row's right color is
-    not the seed's left color, is skipped without a product."""
-    def product(row, seed):
-        chi, w = next(iter(row))
-        if alg.act(alg._inv[w], chi) != next(iter(seed))[0]:
-            return {}
-        return alg.mul_terms(row, seed)
-    return product
-
-
 def block_power_dims(alg: YAlgebra, sub: exactla.Subspace, seeds_of) -> list[int]:
     """Power dimensions down to zero of sub = block_ideal(alg, seeds_of).
 
@@ -287,17 +275,36 @@ def block_power_dims(alg: YAlgebra, sub: exactla.Subspace, seeds_of) -> list[int
     and counts each shape once per orbit.  The seeds and rows of a block
     each have one (left color, right color) pair, and so do their products
     and the images under the g_i, so the right t_j and E_chi maps add
-    nothing to the closure."""
+    nothing to the closure.  Right multiplication keeps the left color, so
+    each right ideal E_chi J^k of the block is computed on its own, in a
+    Subspace that holds only its rows.
+
+    The step products are graded by color: E_chi g_w = g_w E_{w^-1 chi},
+    so a row whose right color is not a seed's left color meets it in
+    E_a E_b = 0 with a != b.  Each row is multiplied only by the seeds whose
+    left color is its right color; the color of a vector is read off its
+    first key, as every key of it carries the same pair."""
+    def right_color(row):
+        chi, w = next(iter(row))
+        return alg.act(alg._inv[w], chi)
+
+    def left_color(seed):
+        return next(iter(seed))[0]
+
+    by_left: dict = {}
+    for p, row in sub.rows.items():
+        by_left.setdefault(p[0], {})[p] = row
+    right_maps = _g_maps(alg._rmul_g, alg.n)
     blocks = []
-    product = _paired_product(alg)
     for orbits in _shape_groups(alg):
-        inside = set(orbits[0])
-        block = exactla.Subspace(alg.field)
-        block.rows = {p: row for p, row in sub.rows.items() if p[0] in inside}
-        dims = exactla.ideal_power_dims(alg.field, product, block,
-                                        seeds=seeds_of(orbits[0]),
-                                        right_maps=_g_maps(alg._rmul_g, alg.n))
-        blocks.append((len(orbits), dims))
+        seeds = seeds_of(orbits[0])
+        for chi in orbits[0]:
+            part = exactla.Subspace(alg.field)
+            part.rows = by_left.get(chi, {})
+            dims = exactla.ideal_power_dims(alg.field, alg.mul_terms, part, seeds=seeds,
+                                            right_maps=right_maps,
+                                            right_key=right_color, left_key=left_color)
+            blocks.append((len(orbits), dims))
     return sum_block_dims(blocks)
 
 

@@ -72,21 +72,5 @@ class NilAlgebra(YAlgebra):
     def radical_power_dims(self) -> list[int]:
         return modrep.block_power_dims(self, self.radical(), self.radical_seeds)
 
-    def minimal_ideal_check(self, chi) -> dict:
-        """E_chi T_{w0} spans a two-sided ideal of dimension one."""
-        chi = tuple(chi)
-        v = (self.E_idem(chi) * self.T_w(self.w0)).terms
-        closure = exactla.closure_under(self.field, self.all_generator_maps(), [v])
-        eigen_ok = True
-        for j in range(1, self.n + 1):
-            lhs = self._lmul_t(v, j)
-            rhs = {k: self.field.zeta_pow(chi[j - 1]) * c for k, c in v.items()}
-            if lhs != rhs:
-                eigen_ok = False
-        kill_ok = all(not self._lmul_g(v, i) for i in range(1, self.n))
-        return {"chi": chi, "dim": closure.dim(),
-                "eigen_ok": eigen_ok, "annihilated_ok": kill_ok,
-                "ok": closure.dim() == 1 and eigen_ok and kill_ok}
-
     def __repr__(self):
         return f"NilAlgebra(r={self.r}, n={self.n}, {self.field!r})"

@@ -88,7 +88,7 @@ def nil_analysis(r: int, n: int, kind: str = CYC) -> dict:
     frob = structure.frobenius_check(alg)
     reps = modrep.enumerate_one_dim_bruteforce(alg)
     cells = structure.nonzero_cells(alg)
-    minimal = all(alg.minimal_ideal_check(chi)["ok"] for chi in alg.colors)
+    minimal = all(nil_minimal_ideal_check(alg, chi)["ok"] for chi in alg.colors)
     return {
         "dimension": alg.dimension,
         "radical_dim": dims[0],
@@ -101,6 +101,21 @@ def nil_analysis(r: int, n: int, kind: str = CYC) -> dict:
         "cells": tuple(cells),
         "cells_all_identity": all(w == alg.ident for (_, w) in cells),
     }
+
+
+def nil_minimal_ideal_check(alg, chi) -> dict:
+    """E_chi T_{w0} spans a two-sided ideal of the nil algebra alg of
+    dimension one, on which t_j acts by zeta^{chi_j} and every T_i by 0."""
+    chi = tuple(chi)
+    v = (alg.E_idem(chi) * alg.T_w(alg.w0)).terms
+    closure = closure_under(alg.field, alg.all_generator_maps(), [v])
+    eigen_ok = all(alg._lmul_t(v, j) == {k: alg.field.zeta_pow(chi[j - 1]) * c
+                                         for k, c in v.items()}
+                   for j in range(1, alg.n + 1))
+    kill_ok = all(not alg._lmul_g(v, i) for i in range(1, alg.n))
+    return {"chi": chi, "dim": closure.dim(),
+            "eigen_ok": eigen_ok, "annihilated_ok": kill_ok,
+            "ok": closure.dim() == 1 and eigen_ok and kill_ok}
 
 
 def y_full_seeds(alg) -> list:

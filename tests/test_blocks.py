@@ -1,14 +1,17 @@
 """The color-orbit blocks of the q = 0 ideals against the whole-algebra
-routes, the centrality guard, and the closed form at the CLI frontier."""
+routes, the color grading of the power steps, the AKS ordered-composition
+classes, the centrality and relabeling guards, and the closed form at the
+CLI frontier."""
 
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
-from yoklab import algebra, cli, modrep
-from yoklab.exactla import Subspace
+from yoklab import YAlgebra, aks, algebra, cli, exactla, modrep
+from yoklab.exactla import Subspace, closure_under
 
 import _helpers as H
 
@@ -33,31 +36,151 @@ def test_assembled_ideal_rows_match_full_route(r, n, kind):
         H.y_full_ideal(r, n, kind).rows
 
 
-@pytest.mark.parametrize("r,n", [(2, 3), (3, 3)])
-@pytest.mark.parametrize("kind", [H.FP13, H.CYC])
-def test_paired_product_matches_mul_terms(r, n, kind):
-    # every row of the ideal against every seed of every orbit, for the
-    # commutator ideal of Y and the nil radical
+def _right_color(alg, row):
+    chi, w = next(iter(row))
+    return alg.act(alg._inv[w], chi)
+
+
+def _left_color(seed):
+    return next(iter(seed))[0]
+
+
+def _block_power_calls(alg, ideal, seeds_of):
+    """Run modrep.block_power_dims with exactla.ideal_power_dims spied on:
+    for each call, its arguments, its result and every (row, seed) pair
+    that it passed to its product."""
+    real = exactla.ideal_power_dims
+    calls = []
+
+    def spy(field, product, sub, seeds, right_maps, **keys):
+        call = {"sub": sub, "seeds": seeds, "right_maps": right_maps, "pairs": []}
+        calls.append(call)
+
+        def counted(row, seed):
+            call["pairs"].append((row, seed))
+            return product(row, seed)
+        call["dims"] = real(field, counted, sub, seeds=seeds, right_maps=right_maps, **keys)
+        return call["dims"]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactla, "ideal_power_dims", spy)
+        modrep.block_power_dims(alg, ideal, seeds_of)
+    return calls
+
+
+def _all_pair_powers(alg, call):
+    """Reduced bases of the powers eJ, eJ^2, ... that one spied call
+    computes, each from the products of every row of the last one with
+    every seed."""
+    cur, powers = call["sub"], []
+    while cur.dim():
+        powers.append(cur)
+        step = [alg.mul_terms(a, s) for a in cur.rows.values() for s in call["seeds"]]
+        cur = closure_under(alg.field, call["right_maps"], [v for v in step if v])
+    return powers
+
+
+def _y_and_nil_blocks(r, n, kind):
+    """For Y's commutator ideal and nil's radical: the engine, and the
+    spied block calls of its power recurrence."""
     y, nil = H.yalg(r, n, kind), H.nilalg(r, n, kind)
     cases = [(y, modrep.commutator_ideal(y), lambda o: modrep.commutator_seeds(y, o)),
              (nil, nil.radical(), nil.radical_seeds)]
-    for alg, ideal, seeds_of in cases:
-        product = modrep._paired_product(alg)
-        pairs = skipped = 0
-        for orbit in alg.central_color_blocks():
-            for seed in seeds_of(orbit):
-                for row in ideal.basis_rows():
-                    got = product(row, seed)
-                    assert got == alg.mul_terms(row, seed)
-                    pairs += 1
-                    skipped += not got
-        assert pairs and skipped
+    return [(alg, _block_power_calls(alg, ideal, seeds_of))
+            for alg, ideal, seeds_of in cases]
 
 
-@pytest.mark.parametrize("r,n,kind", [(2, 3, H.CYC), (3, 3, H.CYC), (2, 4, H.FP13)])
+@pytest.mark.parametrize("r,n", [(2, 3), (3, 3)])
+@pytest.mark.parametrize("kind", [H.FP13, H.CYC])
+def test_skipped_color_pairs_vanish(r, n, kind):
+    # every row of every power of every block against every seed: a pair
+    # whose inner colors differ has product zero, and such pairs occur
+    for alg, calls in _y_and_nil_blocks(r, n, kind):
+        skipped = met = 0
+        for call in calls:
+            for power in _all_pair_powers(alg, call):
+                for row in power.rows.values():
+                    for seed in call["seeds"]:
+                        if _right_color(alg, row) == _left_color(seed):
+                            met += 1
+                        else:
+                            assert alg.mul_terms(row, seed) == {}
+                            skipped += 1
+        assert skipped and met
+
+
+@pytest.mark.parametrize("r,n", [(2, 3), (3, 3)])
+@pytest.mark.parametrize("kind", [H.FP13, H.CYC])
+def test_one_product_per_meeting_pair(r, n, kind):
+    # the recurrence forms each product of a row of J^k with a seed of the
+    # same inner color once, and no other
+    for alg, calls in _y_and_nil_blocks(r, n, kind):
+        for call in calls:
+            powers = _all_pair_powers(alg, call)
+            assert call["dims"] == [p.dim() for p in powers] + [0]
+            meeting = sum(_right_color(alg, row) == _left_color(seed)
+                          for p in powers for row in p.rows.values()
+                          for seed in call["seeds"])
+            assert all(_right_color(alg, row) == _left_color(seed)
+                       for row, seed in call["pairs"])
+            assert len(call["pairs"]) == meeting
+
+
+def test_right_closure_changes_y_powers(monkeypatch):
+    # J^k . seeds is not always a right ideal: without the closure under
+    # the right g_i, Y's J^2 at (2, 5) misses four dimensions
+    alg = YAlgebra(2, 5, H.field(H.FP13, 2))
+    ideal = modrep.commutator_ideal(alg)
+    assert modrep.power_dims(alg, ideal)[:2] == [3678, 3210]
+    real = exactla.ideal_power_dims
+    monkeypatch.setattr(exactla, "ideal_power_dims",
+                        lambda *args, **kw: real(*args, **{**kw, "right_maps": []}))
+    assert modrep.power_dims(alg, ideal)[:2] == [3678, 3206]
+
+
+@pytest.mark.parametrize("r,n,kind", [(r, n, kind) for r, n in [(2, 3), (3, 3), (2, 4)]
+                                      for kind in (H.CYC, H.FP13)])
 def test_aks_orbit_blocks_match_full_route(r, n, kind):
     assert H.aksalg(r, n, kind).commutator_power_dims() == \
         H.aks_ideal_power_dims(r, n, kind)
+
+
+@pytest.mark.parametrize("r,n", [(2, 3), (3, 3), (2, 4)])
+@pytest.mark.parametrize("kind", [H.FP13, H.CYC])
+def test_aks_orbits_match_their_class(r, n, kind):
+    # orbits whose colors have the same multiplicities in color order have
+    # isomorphic blocks: each orbit's own powers are its class's
+    a = H.aksalg(r, n, kind)
+    seeds = a.commutator_seeds()
+    classes: dict = {}
+    for orbit in a.central_color_blocks():
+        counts = Counter(orbit[0])
+        classes.setdefault(tuple(counts[x] for x in sorted(counts)), []).append(orbit)
+    if (r, n) == (3, 3):
+        assert (len(a.central_color_blocks()), len(classes)) == (10, 4)
+    for orbits in classes.values():
+        first = a._orbit_power_dims(seeds, orbits[0])
+        for orbit in orbits[1:]:
+            a._check_relabeling(orbits[0], orbit)
+            assert a._orbit_power_dims(seeds, orbit) == first
+
+
+def test_relabeling_guard_raises(monkeypatch, capsys):
+    # colors reversed: (1, 2) goes to (3, 1), and D_1 tells c_1 < c_2 from
+    # c_1 > c_2, so the blocks of {1, 2} and {1, 3} are not matched by it
+    def reversed_sigma(source, target):
+        return dict(zip(sorted(set(source)), sorted(set(target), reverse=True)))
+
+    monkeypatch.setattr(aks, "_monotone_relabeling", reversed_sigma)
+    with pytest.raises(ArithmeticError, match="not an isomorphism"):
+        H.aksalg(3, 2, H.FP13).commutator_power_dims()
+    with pytest.raises(ArithmeticError, match="does not carry"):
+        H.aksalg(3, 3, H.FP13).commutator_power_dims()
+    code = cli.main(["aks-compare", "--r", "3", "--n", "2", "--field", "fp:13"])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("kind", [H.FP13, H.CYC])

@@ -115,7 +115,7 @@ def test_minimal_ideals():
     for (r, n) in [(2, 2), (1, 3)]:
         alg = H.nilalg(r, n)
         for chi in alg.colors:
-            res = alg.minimal_ideal_check(chi)
+            res = H.nil_minimal_ideal_check(alg, chi)
             assert res["ok"], (r, n, chi)
             assert res["dim"] == 1
             assert res["eigen_ok"] and res["annihilated_ok"]

@@ -14,7 +14,8 @@ Basis: L_c h_w, stored as sparse dicts keyed by (c, w).  Left multiplication
 by a single h_i is a two-or-three term rewrite; products fold a reduced word
 of the left factor through the right factor.  Right multiplication by h_i is
 the Hecke rule on w alone, and by L_d the straightening of h_w L_d, cached
-per (w, d).
+per (w, d).  Both h_i maps read w s_i or s_i w from the permutation tables
+of SparseAlgebra.
 """
 
 from __future__ import annotations
@@ -72,14 +73,14 @@ class AKSAlgebra(SparseAlgebra):
     # -- engine ----------------------------------------------------------
 
     def _lmul_h(self, terms: dict, i: int) -> dict:
+        step = self._lstep[i]
         out: dict = {}
         for (c, w), a in terms.items():
             sc = list(c)
             sc[i - 1], sc[i] = sc[i], sc[i - 1]
             sc = tuple(sc)
-            winv = self._inv[w]
-            siw = sg.left_mult_s(i, w)
-            if winv[i - 1] < winv[i]:
+            siw, up = step[w]
+            if up:
                 _acc(out, (sc, siw), a)
             else:
                 _acc(out, (sc, siw), a * self.q)
@@ -96,10 +97,11 @@ class AKSAlgebra(SparseAlgebra):
 
     def _rmul_h(self, terms: dict, i: int) -> dict:
         # (L_c h_w) h_i is the Hecke rule on w alone; colors stay put
+        step = self._rstep[i]
         out: dict = {}
         for (c, w), a in terms.items():
-            wsi = sg.right_mult_s(w, i)
-            if w[i - 1] < w[i]:
+            wsi, up = step[w]
+            if up:
                 _acc(out, (c, wsi), a)
             else:
                 _acc(out, (c, wsi), a * self.q)
@@ -215,11 +217,11 @@ class AKSAlgebra(SparseAlgebra):
             if not (x * x - (self.q + self.qm1 * x)).is_zero():
                 return False
             # every term of the straightening residual at c has L value zero
-            # unless c or s_i c is c_star
-            for c in {c_star, sg.right_mult_s(c_star, i)}:
-                d = _straightening(c, i, lval, zero)
-                if not (x * lval(c) - lval(sg.right_mult_s(c, i)) * x + self.qm1 * d).is_zero():
-                    return False
+            # unless c or s_i c is c_star, and the residual at s_i c_star is
+            # minus the one at c_star
+            d = _straightening(c_star, i, lval, zero)
+            if not (x - lval(sg.right_mult_s(c_star, i)) * x + self.qm1 * d).is_zero():
+                return False
         # braid and far commutation are automatic for commuting scalars
         return True
 

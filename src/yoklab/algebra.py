@@ -11,10 +11,11 @@ An engine subclasses ``SparseAlgebra`` and supplies
 * ``convert(terms, basis)``, only when it has two bases (the exponent basis
   of Y or nil <-> E).
 
-Everything else is shared: the element class, the construction preamble,
-the unit, random elements, the element JSON codec, and the relation
-families and report of ``verify_presentation``.  Keys are pairs (vector,
-permutation) and stored coefficients are never zero.
+Everything else is shared: the element class, the construction preamble
+with its permutation tables, the unit, random elements, the element JSON
+codec, and the relation families and report of ``verify_presentation``.
+Keys are pairs (vector, permutation) and stored coefficients are never
+zero.
 """
 
 from __future__ import annotations
@@ -151,7 +152,12 @@ def sum_block_dims(blocks) -> list[int]:
 
 class SparseAlgebra:
     """One (r, n, field) instance of an engine: the shared preamble and the
-    parts of the protocol that do not depend on the multiplication rule."""
+    parts of the protocol that do not depend on the multiplication rule.
+
+    The preamble tabulates S_n once: length, inverse and reduced word of
+    each permutation, and per (i, side) the step by s_i with whether it
+    raises the length (_rstep, _lstep).  The generator maps of every engine
+    read these tables instead of recomputing w s_i or s_i w per term."""
 
     bases: dict = {}
     mul_basis = ""
@@ -172,6 +178,12 @@ class SparseAlgebra:
         self._len = {w: sg.length(w) for w in self.perms}
         self._inv = {w: sg.inverse(w) for w in self.perms}
         self._rword = {w: sg.reduced_word(w) for w in self.perms}
+        # _rstep[i][w] = (w s_i, length goes up), _lstep[i][w] = (s_i w, length
+        # goes up), for 1 <= i < n; entry 0 is unused
+        self._rstep = [None] + [{w: (sg.right_mult_s(w, i), w[i - 1] < w[i])
+                                 for w in self.perms} for i in range(1, n)]
+        self._lstep = [None] + [{w: (sg.left_mult_s(i, w), self._inv[w][i - 1] < self._inv[w][i])
+                                 for w in self.perms} for i in range(1, n)]
         self.colors = [tuple(c) for c in itertools.product(range(1, r + 1), repeat=n)]
         self.exponents = [tuple(a) for a in itertools.product(range(r), repeat=n)]
 

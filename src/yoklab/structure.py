@@ -90,7 +90,7 @@ def gram_tables(alg: YAlgebra) -> dict:
             prods = {alg.ident: {(chi, u): one}}
             for v in by_length[1:]:
                 i = alg._rword[v][-1]
-                prods[v] = alg._rmul_g(prods[sg.right_mult_s(v, i)], i)
+                prods[v] = alg._rmul_g(prods[alg._rstep[i][v][0]], i)
             for v, p in prods.items():
                 c = p.get((chi, w0))
                 if c is not None:
@@ -250,7 +250,11 @@ def triangularity_check(alg: YAlgebra) -> dict:
     """Every generator, acting on either side of a basis monomial, only
     produces monomials of the same or higher cell rank.
 
-    Returns {"ok": bool, "witness": None or the offending (key, image key)}.
+    Runs over the basis keys (c, w), colors outer and permutations inner.
+    Each key's one-term dict and rank are built once; every map of
+    all_generator_maps is applied to that dict, and cell_rank is computed
+    only for image keys other than the key itself.  Returns {"ok": bool,
+    "witness": None or the first offending (key, image key)}.
     """
     require_q0(alg)
     one = alg.field.one
@@ -258,10 +262,11 @@ def triangularity_check(alg: YAlgebra) -> dict:
     for c in alg.colors:
         for w in alg.perms:
             key = (c, w)
+            x = {key: one}
             rank = cell_rank(alg, key)
             for f in maps:
-                for k2 in f({key: one}):
-                    if cell_rank(alg, k2) < rank:
+                for k2 in f(x):
+                    if k2 != key and cell_rank(alg, k2) < rank:
                         return {"ok": False, "witness": (key, k2)}
     return {"ok": True, "witness": None}
 

@@ -20,7 +20,10 @@ multiplication by a generator touches at most two terms:
     g_i (chi, w) = (s_i chi, s_i w)                              if length goes up
                  = q (s_i chi, s_i w) + (q-1)[chi_i = chi_{i+1}] (chi, w)      else
 
-and two basis monomials interact only when the color parts are compatible:
+Each map reads w s_i or s_i w, and whether the length goes up, from the
+permutation tables _rstep and _lstep that SparseAlgebra builds once per
+algebra, one per side and i; t_j reads a list of the r powers of zeta.
+Two basis monomials interact only when the color parts are compatible:
 E_{chi'} g_{w'} E_chi g_w vanishes unless chi' = w'(chi).  At q = 0 every
 structure constant lies in {0, 1, -1}.
 
@@ -120,6 +123,7 @@ class YAlgebra(SparseAlgebra):
         self._act_cache: dict = {}
         self._mono_cache: dict = {}
         self._zeta = self.field.zeta_pow
+        self._zetas = [self._zeta(k) for k in range(r)]
 
     def act(self, w, c):
         key = (w, c)
@@ -201,10 +205,11 @@ class YAlgebra(SparseAlgebra):
 
     def _rmul_g(self, terms: dict, i: int) -> dict:
         q, qm1 = self._live_pair()
+        step = self._rstep[i]
         out: dict = {}
         for (chi, w), a in terms.items():
-            wsi = sg.right_mult_s(w, i)
-            if w[i - 1] < w[i]:
+            wsi, up = step[w]
+            if up:
                 _acc(out, (chi, wsi), a)
             else:
                 if q is not None:
@@ -215,14 +220,14 @@ class YAlgebra(SparseAlgebra):
 
     def _lmul_g(self, terms: dict, i: int) -> dict:
         q, qm1 = self._live_pair()
+        step = self._lstep[i]
         out: dict = {}
         for (chi, w), a in terms.items():
-            winv = self._inv[w]
-            siw = sg.left_mult_s(i, w)
+            siw, up = step[w]
             schi = list(chi)
             schi[i - 1], schi[i] = schi[i], schi[i - 1]
             schi = tuple(schi)
-            if winv[i - 1] < winv[i]:
+            if up:
                 _acc(out, (schi, siw), a)
             else:
                 if q is not None:
@@ -232,11 +237,13 @@ class YAlgebra(SparseAlgebra):
         return out
 
     def _rmul_t(self, terms: dict, j: int) -> dict:
-        return {(chi, w): a * self._zeta(chi[w[j - 1] - 1])
+        zetas, r = self._zetas, self.r
+        return {(chi, w): a * zetas[chi[w[j - 1] - 1] % r]
                 for (chi, w), a in terms.items()}
 
     def _lmul_t(self, terms: dict, j: int) -> dict:
-        return {(chi, w): a * self._zeta(chi[j - 1])
+        zetas, r = self._zetas, self.r
+        return {(chi, w): a * zetas[chi[j - 1] % r]
                 for (chi, w), a in terms.items()}
 
     def _mono_mul(self, kx, ky) -> dict:

@@ -542,3 +542,81 @@ def aks_scalar_rep_ok_all_colors(alg, c_star, xs) -> bool:
             if not (x * lval(c) - lval(sg.right_mult_s(c, i)) * x + alg.qm1 * d).is_zero():
                 return False
     return True
+
+
+# -- generator maps computed per term through symgroup ----------------------
+# The engine maps read w s_i and s_i w from the permutation tables built in
+# SparseAlgebra.__init__; these recompute both, and the length change, per
+# term through symgroup, and serve as oracles for the engine maps.
+
+def y_rmul_g_oracle(alg, terms: dict, i: int) -> dict:
+    q, qm1 = alg._live_pair()
+    out: dict = {}
+    for (chi, w), a in terms.items():
+        wsi = sg.right_mult_s(w, i)
+        if w[i - 1] < w[i]:
+            _acc(out, (chi, wsi), a)
+        else:
+            if q is not None:
+                _acc(out, (chi, wsi), a * q)
+            if qm1 is not None and chi[w[i - 1] - 1] == chi[w[i] - 1]:
+                _acc(out, (chi, w), a * qm1)
+    return out
+
+
+def y_lmul_g_oracle(alg, terms: dict, i: int) -> dict:
+    q, qm1 = alg._live_pair()
+    out: dict = {}
+    for (chi, w), a in terms.items():
+        winv = alg._inv[w]
+        siw = sg.left_mult_s(i, w)
+        schi = list(chi)
+        schi[i - 1], schi[i] = schi[i], schi[i - 1]
+        schi = tuple(schi)
+        if winv[i - 1] < winv[i]:
+            _acc(out, (schi, siw), a)
+        else:
+            if q is not None:
+                _acc(out, (schi, siw), a * q)
+            if qm1 is not None and chi[i - 1] == chi[i]:
+                _acc(out, (chi, w), a * qm1)
+    return out
+
+
+def aks_lmul_h_oracle(alg, terms: dict, i: int) -> dict:
+    out: dict = {}
+    for (c, w), a in terms.items():
+        sc = list(c)
+        sc[i - 1], sc[i] = sc[i], sc[i - 1]
+        sc = tuple(sc)
+        winv = alg._inv[w]
+        siw = sg.left_mult_s(i, w)
+        if winv[i - 1] < winv[i]:
+            _acc(out, (sc, siw), a)
+        else:
+            _acc(out, (sc, siw), a * alg.q)
+            _acc(out, (sc, w), a * alg.qm1)
+        if c[i - 1] < c[i]:
+            _acc(out, (c, w), a * alg.qm1)
+        elif c[i - 1] > c[i]:
+            _acc(out, (sc, w), -(a * alg.qm1))
+    return out
+
+
+def aks_rmul_h_oracle(alg, terms: dict, i: int) -> dict:
+    out: dict = {}
+    for (c, w), a in terms.items():
+        wsi = sg.right_mult_s(w, i)
+        if w[i - 1] < w[i]:
+            _acc(out, (c, wsi), a)
+        else:
+            _acc(out, (c, wsi), a * alg.q)
+            _acc(out, (c, w), a * alg.qm1)
+    return out
+
+
+def generator_map_oracles(alg) -> list:
+    """(engine method name, oracle) for the s_i maps of alg's engine."""
+    if isinstance(alg, AKSAlgebra):
+        return [("_lmul_h", aks_lmul_h_oracle), ("_rmul_h", aks_rmul_h_oracle)]
+    return [("_lmul_g", y_lmul_g_oracle), ("_rmul_g", y_rmul_g_oracle)]

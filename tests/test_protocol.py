@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from yoklab import SparseElement, structure, symgroup as sg
+from yoklab import SparseAlgebra, SparseElement, structure, symgroup as sg
 from yoklab.exactla import Subspace
 
 import _helpers as H
@@ -19,8 +19,10 @@ CASES = [("Y", "T"), ("Y", "E"), ("nil", "NIL"), ("AKS", "AKS")]
 FIELDS = [H.CYC, H.FP13]
 
 
-def engine(name, r, n, kind):
-    return {"Y": H.yalg, "nil": H.nilalg, "AKS": H.aksalg}[name](r, n, kind)
+def engine(name, r, n, kind, q=0):
+    if name == "nil":
+        return H.nilalg(r, n, kind)
+    return {"Y": H.yalg, "AKS": H.aksalg}[name](r, n, kind, q)
 
 
 @pytest.fixture(params=[(name, basis, kind) for name, basis in CASES for kind in FIELDS],
@@ -87,6 +89,37 @@ def test_unknown_basis_is_rejected():
         H.nilalg(2, 2).one().as_T()
     with pytest.raises(ValueError):
         H.yalg(2, 2).zero("NIL")
+
+
+# -- the permutation tables and the generator maps that read them -----------
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_step_tables_match_symgroup(n):
+    alg = SparseAlgebra(1, n)
+    assert len(alg._rstep) == len(alg._lstep) == n
+    for i in range(1, n):
+        assert alg._rstep[i].keys() == alg._lstep[i].keys() == set(alg.perms)
+        for w in alg.perms:
+            wsi, siw = sg.right_mult_s(w, i), sg.left_mult_s(i, w)
+            assert alg._rstep[i][w] == (wsi, sg.length(wsi) == sg.length(w) + 1)
+            assert alg._lstep[i][w] == (siw, sg.length(siw) == sg.length(w) + 1)
+
+
+@pytest.mark.parametrize("name,q", [("Y", 0), ("Y", 5), ("nil", 0), ("AKS", 0), ("AKS", 5)])
+@pytest.mark.parametrize("r,n", [(2, 3), (3, 3), (2, 4)])
+@pytest.mark.parametrize("kind", FIELDS)
+def test_step_maps_match_per_term_oracles(name, q, r, n, kind):
+    alg = engine(name, r, n, kind, q)
+    keys = [(c, w) for c in alg.colors for w in alg.perms]
+    rng = random.Random(31 * r + n + q)
+    inputs = [{k: alg.field.one} for k in keys]
+    inputs += [alg.random_element(rng).terms for _ in range(20)]
+    inputs.append({k: alg.field.from_int(rng.randint(1, 6)) for k in keys})
+    for method, oracle in H.generator_map_oracles(alg):
+        fast = getattr(alg, method)
+        for i in range(1, n):
+            for x in inputs:
+                assert fast(x, i) == oracle(alg, x, i), (method, i, x)
 
 
 # -- the nil algebra against its former trace, flip and witness formulas --

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from yoklab import NilAlgebra, YAlgebra, structure, symgroup as sg
+from yoklab.exactla import _acc
 from yoklab.modrep import count_labels
 from yoklab.structure import (
     beta,
@@ -127,6 +128,43 @@ def test_cell_rank_refines_length():
 def test_triangularity():
     assert triangularity_check(H.yalg(2, 2)) == {"ok": True, "witness": None}
     assert triangularity_check(H.yalg(3, 2))["ok"]
+
+
+def _rmul_g_lowering(rmul_g):
+    """Y's right g_i map plus (chi, w s_i) on every length-down step, an
+    image key of lower rank than its source."""
+    def mutant(self, terms, i):
+        out = dict(rmul_g(self, terms, i))
+        for (chi, w), a in terms.items():
+            if w[i - 1] > w[i]:
+                _acc(out, (chi, sg.right_mult_s(w, i)), a)
+        return out
+    return mutant
+
+
+def _lmul_t_lowering(lmul_t):
+    """Y's left t_j map with entry j of each color lowered by one where it
+    can be: the same w, a smaller color."""
+    def mutant(self, terms, j):
+        out: dict = {}
+        for (chi, w), a in lmul_t(self, terms, j).items():
+            if chi[j - 1] > 1:
+                chi = chi[:j - 1] + (chi[j - 1] - 1,) + chi[j:]
+            _acc(out, (chi, w), a)
+        return out
+    return mutant
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("name,mutate,witness", [
+    ("_rmul_g", _rmul_g_lowering, (((1, 1, 1), (1, 3, 2)), ((1, 1, 1), (1, 2, 3)))),
+    ("_lmul_t", _lmul_t_lowering, (((1, 1, 2), (1, 2, 3)), ((1, 1, 1), (1, 2, 3)))),
+])
+def test_triangularity_catches_a_lowering_map(monkeypatch, r, name, mutate, witness):
+    alg = YAlgebra(r, 3, field=H.field(H.FP13, r))
+    assert triangularity_check(alg)["ok"]
+    monkeypatch.setattr(YAlgebra, name, mutate(getattr(YAlgebra, name)))
+    assert triangularity_check(alg) == {"ok": False, "witness": witness}
 
 
 def test_cells_match_labels():

@@ -87,11 +87,14 @@ def relation_report(presentation, rels) -> dict:
 # Each takes 1-indexed generator lists (entry 0 unused) and, where the names
 # carry it, the generator's name (g, T, h; E, L for idempotents keyed by
 # color); it returns (name, residual) pairs in the order they are reported.
+# The unit and zero they need are built in the basis of the operands, so
+# operands given in mul_basis keep every residual there.
 
 def torus_relations(t: list) -> list:
     """t_j^r = 1 and t_j t_k = t_k t_j."""
     alg = t[1].alg
-    rels = [(f"t{j}^{alg.r} = 1", t[j] ** alg.r - alg.one()) for j in range(1, len(t))]
+    one = alg.one(t[1].basis)
+    rels = [(f"t{j}^{alg.r} = 1", t[j] ** alg.r - one) for j in range(1, len(t))]
     rels += [(f"t{j} t{k} = t{k} t{j}", t[j] * t[k] - t[k] * t[j])
              for j in range(1, len(t)) for k in range(j + 1, len(t))]
     return rels
@@ -123,10 +126,11 @@ def far_relations(g: list, name: str) -> list:
 def idempotent_relations(idems: dict, name: str, index: str) -> list:
     """The idempotents idems, keyed by color vector, sum to 1 and are
     pairwise orthogonal; index names the color in the sum relation."""
-    alg = next(iter(idems.values())).alg
-    zero = alg.zero()
-    rels = [(f"sum_{index} {name}_{index} = 1", sum(idems.values(), zero) - alg.one())]
-    rels += [(f"{name}{c} {name}{c2} orthogonal", x * y - (x if c == c2 else zero))
+    first = next(iter(idems.values()))
+    zero = first.alg.zero(first.basis)
+    rels = [(f"sum_{index} {name}_{index} = 1",
+             sum(idems.values(), zero) - first.alg.one(first.basis))]
+    rels += [(f"{name}{c} {name}{c2} orthogonal", x * y - x if c == c2 else x * y)
              for c, x in idems.items() for c2, y in idems.items()]
     return rels
 

@@ -50,9 +50,10 @@ class NilAlgebra(YAlgebra):
         self.qm1 = self.field.zero
 
     def verify_presentation(self) -> dict:
+        # each generator crosses from NIL to E once; residuals stay in E
         n = self.n
-        t = [None] + [self.gen_t(j) for j in range(1, n + 1)]
-        T = [None] + [self.gen_T(i) for i in range(1, n)]
+        t = [None] + [self.gen_t(j).as_E() for j in range(1, n + 1)]
+        T = [None] + [self.gen_T(i).as_E() for i in range(1, n)]
         rels = torus_relations(t) + generator_torus_relations(T, t, "T")
         rels += [(f"T{i}^2 = 0", T[i] * T[i]) for i in range(1, n)]
         rels += braid_relations(T, "T") + far_relations(T, "T")

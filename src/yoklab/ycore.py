@@ -35,12 +35,17 @@ t^a = prod_k t_k^(a_k) and t_k^x = sum_c zeta^(x c) E^(k)_c.  It therefore
 runs as n passes, each a size-r discrete Fourier transform in one slot of
 the sparse dict.  Within one call, each scalar's r zeta-multiples are
 computed once and shared by every term carrying that scalar (or any
-zeta-multiple of it).  A one-term operand costs about r multiplies, and a
-full block of r^n terms costs n r^(n+1) dict updates instead of r^(2n).
+zeta-multiple of it).  Each pass sums the terms that differ only in its
+slot within one group, so a one-term operand costs about r multiplies, and
+a full block of r^n terms costs n r^(n+1) scalar additions but only n r^n
+dict updates, instead of r^(2n) of each.
 
-Presentation 2 builds each E_chi from its closed form (1/r^n) sum_a
-zeta^(-a.chi) t^a in the T basis and multiplies T-basis operands, so each of
-its relations still runs through T to E and back.
+Presentations 1 and 2 build each operand (a generator, a closed-form E_chi
+(1/r^n) sum_a zeta^(-a.chi) t^a, an e_i) in the T basis and take it to E
+once; every product and residual then stays in E and is tested for zero
+there, so no relation runs the transform back to T.  Presentation 2 puts
+the native E_idem(chi) on the right of t_j E_chi = zeta^(chi_j) E_chi, which
+ties the transformed closed forms to the E-basis labels.
 """
 
 from __future__ import annotations
@@ -57,18 +62,20 @@ __all__ = ["YAlgebra", "torus_to_E", "torus_to_T"]
 def _slot_transform(field, r: int, n: int, terms: dict, targets, sign: int) -> dict:
     """n size-r DFTs on a sparse dict, one pass per tensor slot.
 
-    Pass k replaces the entry x (0..r) in slot k of every key by each y in
-    targets, weighted by zeta^(sign x y).  The memo maps a scalar c to its
-    zeta-multiples [c, c zeta, ..., c zeta^(r-1)]; it lives for one call and
-    is filled for a whole orbit c zeta^j at once, so no product is formed
-    twice.  Coefficients that cancel after a pass are dropped right away.
+    Pass k groups the keys by everything but their entry x (0..r) in slot
+    k, and replaces each group by one term per y in targets, the sum of its
+    coefficients weighted by zeta^(sign x y); a sum that cancels is
+    dropped.  The memo maps a scalar c to its zeta-multiples [c, c zeta,
+    ..., c zeta^(r-1)]; it lives for one call and is filled for a whole
+    orbit c zeta^j at once, so no product is formed twice.
     """
     zetas = [field.zeta_pow(j) for j in range(r)]
-    weights = [[(sign * x * y) % r for y in targets] for x in range(r + 1)]
+    weights = [[(sign * x * y) % r for x in range(r + 1)] for y in targets]
+    slots = [(y,) for y in targets]
     memo: dict = {}
     cur = terms
     for k in range(n):
-        out: dict = {}
+        groups: dict = {}
         for (v, w), c in cur.items():
             mults = memo.get(c)
             if mults is None:
@@ -76,9 +83,15 @@ def _slot_transform(field, r: int, n: int, terms: dict, targets, sign: int) -> d
                 # c zeta^j has the same multiples, rotated by j
                 for j in range(r):
                     memo.setdefault(mults[j], mults[j:] + mults[:j])
-            head, tail = v[:k], v[k + 1:]
-            for y, e in zip(targets, weights[v[k]]):
-                _acc(out, (head + (y,) + tail, w), mults[e])
+            groups.setdefault((v[:k], v[k + 1:], w), []).append((v[k], mults))
+        out: dict = {}
+        for (head, tail, w), group in groups.items():
+            for y, row in zip(slots, weights):
+                total = None
+                for x, m in group:
+                    total = m[row[x]] if total is None else total + m[row[x]]
+                if not total.is_zero():
+                    out[(head + y + tail, w)] = total
         cur = out
     return cur
 
@@ -88,7 +101,7 @@ def torus_to_E(field, r: int, colors, terms: dict) -> dict:
 
     Runs slot by slot, t_k^(a_k) = sum_c zeta^(a_k c) E^(k)_c, through the
     memoized kernel _slot_transform: a one-term input costs about r scalar
-    multiplies, a full block of r^n terms n r^(n+1) dict updates.
+    multiplies, a full block of r^n terms n r^(n+1) scalar additions.
     """
     n = len(colors[0]) if colors else 0
     return _slot_transform(field, r, n, terms, range(1, r + 1), 1)
@@ -129,7 +142,9 @@ class YAlgebra(SparseAlgebra):
         key = (w, c)
         got = self._act_cache.get(key)
         if got is None:
-            got = sg.act_on_colors(w, c)
+            # (w.c)[i] = c[w^-1(i)], with w^-1 read from the table
+            winv = self._inv[w]
+            got = tuple(c[k - 1] for k in winv)
             self._act_cache[key] = got
         return got
 
@@ -318,32 +333,38 @@ class YAlgebra(SparseAlgebra):
         return relation_report(which, rels)
 
     def _presentation_tg(self):
-        n, one = self.n, self.one()
-        t = [None] + [self.gen_t(j) for j in range(1, n + 1)]
-        g = [None] + [self.gen_g(i) for i in range(1, n)]
+        # each generator is built in T and crosses to E once; every product
+        # and residual below stays in E
+        n, one = self.n, self.one("E")
+        t = [None] + [self.gen_t(j).as_E() for j in range(1, n + 1)]
+        g = [None] + [self.gen_g(i).as_E() for i in range(1, n)]
         rels = torus_relations(t) + generator_torus_relations(g, t, "g")
         rels += far_relations(g, "g") + braid_relations(g, "g")
         for i in range(1, n):
-            quad = g[i] * g[i] - (one * self.q + (self.e_idem(i) * g[i]) * self.qm1)
+            quad = g[i] * g[i] - (one * self.q + (self.e_idem(i).as_E() * g[i]) * self.qm1)
             rels.append((f"g{i}^2 = q + (q-1) e{i} g{i}", quad))
         return rels
 
     def _presentation_idem(self):
         # E_chi from its closed form (1/r^n) sum_a zeta^(-a.chi) t^a in the T
-        # basis; every product below has T-basis operands, so these relations
-        # exercise T -> E and back, not just the E engine
-        n, r, one = self.n, self.r, self.one()
+        # basis; each operand crosses T -> E once and every residual is
+        # decided in E.  The native E_idem(chi) on the right of t_j E_chi =
+        # zeta^(chi_j) E_chi ties the transformed closed forms to the basis
+        # labels, so a transform that permutes the colors (t -> t^-1, an
+        # automorphism of every other relation here) leaves a residual.
+        n, r, one = self.n, self.r, self.one("E")
         inv_rn = self.field.one / self.field.from_int(r ** n)
+        scaled = [inv_rn * z for z in self._zetas]
         idems = {chi: SparseElement(self, "T", {
-            (a, self.ident): inv_rn * self._zeta(-sum(x * c for x, c in zip(a, chi)) % r)
-            for a in self.exponents}) for chi in self.colors}
-        g = [None] + [self.gen_g(i) for i in range(1, n)]
-        t = [None] + [self.gen_t(j) for j in range(1, n + 1)]
+            (a, self.ident): scaled[-sum(x * c for x, c in zip(a, chi)) % r]
+            for a in self.exponents}).as_E() for chi in self.colors}
+        g = [None] + [self.gen_g(i).as_E() for i in range(1, n)]
+        t = [None] + [self.gen_t(j).as_E() for j in range(1, n + 1)]
         rels = idempotent_relations(idems, "E", "chi")
         for j in range(1, n + 1):
             for chi in self.colors:
                 rels.append((f"t{j} E{chi} = zeta^{chi[j-1]} E{chi}",
-                             t[j] * idems[chi] - idems[chi] * self._zeta(chi[j - 1])))
+                             t[j] * idems[chi] - self.E_idem(chi) * self._zeta(chi[j - 1])))
         for i in range(1, n):
             for chi in self.colors:
                 schi = sg.right_mult_s(chi, i)
@@ -351,8 +372,8 @@ class YAlgebra(SparseAlgebra):
                              g[i] * idems[chi] - idems[schi] * g[i]))
         for i in range(1, n):
             esum = sum((idems[chi] for chi in self.colors if chi[i - 1] == chi[i]),
-                       self.zero())
-            rels.append((f"e{i} = sum of diagonal E", self.e_idem(i) - esum))
+                       self.zero("E"))
+            rels.append((f"e{i} = sum of diagonal E", self.e_idem(i).as_E() - esum))
             quad = g[i] * g[i] - (one * self.q + (esum * g[i]) * self.qm1)
             rels.append((f"g{i}^2 via E form", quad))
         return rels + braid_relations(g, "g") + far_relations(g, "g")

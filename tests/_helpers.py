@@ -12,6 +12,8 @@ from functools import lru_cache
 from yoklab import AKSAlgebra, NilAlgebra, YAlgebra, make_field
 from yoklab.scalars import FieldSpec, _parse_terms, cyclotomic_polynomial
 from yoklab import modrep, structure, symgroup as sg
+from yoklab.algebra import (SparseElement, braid_relations, far_relations,
+                            idempotent_relations, relation_report)
 from yoklab.aks import _straightening
 from yoklab.exactla import Subspace, _acc, closure_under, ideal_power_dims, invertible
 
@@ -247,6 +249,36 @@ def dense_frobenius(alg) -> dict:
         for i, k in enumerate(keys))
     return {"dimension": len(keys), "gram_invertible": invertible(alg.field, rows),
             "witness_ok": witness_ok}
+
+
+def presentation_2_in_T(alg) -> dict:
+    """YAlgebra.verify_presentation(2) by the route it replaced: every
+    operand stays in the T basis, so each product goes to E and back, and
+    each residual is tested for zero in T.  An oracle for the route that
+    decides the residuals in E."""
+    n, r, one = alg.n, alg.r, alg.one("T")
+    inv_rn = alg.field.one / alg.field.from_int(r ** n)
+    idems = {chi: SparseElement(alg, "T", {
+        (a, alg.ident): inv_rn * alg.field.zeta_pow(-sum(x * c for x, c in zip(a, chi)) % r)
+        for a in alg.exponents}) for chi in alg.colors}
+    g = [None] + [alg.gen_g(i) for i in range(1, n)]
+    t = [None] + [alg.gen_t(j) for j in range(1, n + 1)]
+    rels = idempotent_relations(idems, "E", "chi")
+    for j in range(1, n + 1):
+        for chi in alg.colors:
+            rels.append((f"t{j} E{chi} = zeta^{chi[j-1]} E{chi}",
+                         t[j] * idems[chi] - idems[chi] * alg.field.zeta_pow(chi[j - 1])))
+    for i in range(1, n):
+        for chi in alg.colors:
+            schi = sg.right_mult_s(chi, i)
+            rels.append((f"g{i} E{chi} = E{schi} g{i}",
+                         g[i] * idems[chi] - idems[schi] * g[i]))
+    for i in range(1, n):
+        esum = sum((idems[chi] for chi in alg.colors if chi[i - 1] == chi[i]), alg.zero("T"))
+        rels.append((f"e{i} = sum of diagonal E", alg.e_idem(i) - esum))
+        quad = g[i] * g[i] - (one * alg.q + (esum * g[i]) * alg.qm1)
+        rels.append((f"g{i}^2 via E form", quad))
+    return relation_report(2, rels + braid_relations(g, "g") + far_relations(g, "g"))
 
 
 def patch_gram_tables(monkeypatch, edit):

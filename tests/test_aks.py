@@ -137,8 +137,8 @@ def test_q_is_field_checked():
 @pytest.mark.parametrize("kind", [H.CYC, H.FP13])
 @pytest.mark.parametrize("q", [0, 5])
 def test_scalar_rep_check_matches_all_colors_oracle(kind, q):
-    # the straightening residual is checked at c_star and s_i c_star only;
-    # the oracle checks it at every color
+    # the straightening residual is checked at c_star only (at s_i c_star
+    # it is the negative of that one); the oracle checks it at every color
     for r, n in [(2, 3), (3, 3), (2, 4)]:
         alg = H.aksalg(r, n, kind, q)
         f = alg.field

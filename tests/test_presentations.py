@@ -66,28 +66,45 @@ def test_conjugated_forward_transform_is_caught(monkeypatch, kind):
                    (ycore, "torus_to_E", conjugated))
 
 
-def test_presentation_2_transforms_each_operand_once(monkeypatch):
-    # every product still takes its T-basis operands through torus_to_E, but
-    # an operand that enters many products, such as a closed-form E_chi, is
-    # transformed only the first time
-    alg = _fresh_y(2, 3)
-    forward, mul = ycore.torus_to_E, SparseElement.__mul__
-    calls, operands = [], {}
+@pytest.mark.parametrize("which", [1, 2, "nil"])
+@pytest.mark.parametrize("r, n", [(2, 3), (3, 2)])
+def test_presentations_cross_to_E_once_per_operand(monkeypatch, which, r, n):
+    # every operand is built in its exponent basis and crosses to E once;
+    # products and residuals stay in E, so nothing is transformed back
+    if which == "nil":
+        alg = NilAlgebra(r, n, field=H.field(H.FP13, r))
+        check = alg.verify_presentation
+    else:
+        alg = _fresh_y(r, n)
+        check = lambda: alg.verify_presentation(which)
+    forward, backward, init = ycore.torus_to_E, ycore.torus_to_T, SparseElement.__init__
+    calls, built = {"E": 0, "T": 0}, set()
 
-    def counted(*args):
-        calls.append(1)
-        return forward(*args)
+    def counted(tag, transform):
+        def wrapped(*args):
+            calls[tag] += 1
+            return transform(*args)
+        return wrapped
 
-    def recording(x, y):
-        for z in (x, y):
-            if isinstance(z, SparseElement) and z.basis != alg.mul_basis:
-                operands[id(z)] = z
-        return mul(x, y)
+    def recording(self, owner, basis, terms):
+        init(self, owner, basis, terms)
+        if basis != owner.mul_basis:
+            built.add(frozenset(terms.items()))
 
-    monkeypatch.setattr(ycore, "torus_to_E", counted)
-    monkeypatch.setattr(SparseElement, "__mul__", recording)
-    assert alg.verify_presentation(2)["all_zero"]
-    assert 0 < len(calls) <= len(operands)
+    monkeypatch.setattr(ycore, "torus_to_E", counted("E", forward))
+    monkeypatch.setattr(ycore, "torus_to_T", counted("T", backward))
+    monkeypatch.setattr(SparseElement, "__init__", recording)
+    assert check()["all_zero"]
+    assert calls["T"] == 0
+    assert 0 < calls["E"] <= len(built)
+
+
+@pytest.mark.parametrize("q", [0, 5])
+@pytest.mark.parametrize("kind", [H.FP13, H.CYC])
+@pytest.mark.parametrize("r, n", [(2, 3), (3, 3), (2, 4)])
+def test_presentation_2_matches_residues_in_T_oracle(r, n, kind, q):
+    assert (_fresh_y(r, n, kind, q).verify_presentation(2)
+            == H.presentation_2_in_T(_fresh_y(r, n, kind, q)))
 
 
 @pytest.mark.parametrize("r, n", [(2, 2), (3, 2), (2, 3)])
@@ -120,6 +137,17 @@ def test_dropped_quadratic_term_is_caught(monkeypatch, q):
                      *[(YAlgebra, name, _drop_own_key(getattr(YAlgebra, name)))
                        for name in ("_lmul_g", "_rmul_g")])
     assert "g1^2 = q + (q-1) e1 g1" in failed
+
+
+@pytest.mark.parametrize("q", [0, 5])
+def test_engine_mutant_reports_match_residues_in_T_oracle(monkeypatch, q):
+    # with a sound transform a residual is zero in E exactly when it is zero
+    # in T, so a broken product engine fails the same relations on both routes
+    for name in ("_lmul_g", "_rmul_g"):
+        monkeypatch.setattr(YAlgebra, name, _drop_own_key(getattr(YAlgebra, name)))
+    report = _fresh_y(2, 3, q=q).verify_presentation(2)
+    assert not report["all_zero"]
+    assert report == H.presentation_2_in_T(_fresh_y(2, 3, q=q))
 
 
 @pytest.mark.parametrize("name, value", [("qm1", -1), ("q", 1)])

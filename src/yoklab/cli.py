@@ -177,7 +177,7 @@ def cmd_radical(args, field):
     alg = _algebra(args, field)
     if args.nil:
         ideal = alg.radical()
-        dims = modrep.block_power_dims(alg, ideal, alg.radical_seeds)
+        dims = modrep.block_power_dims(alg, ideal, alg.radical_words)
         name, simples = "radical", args.r ** args.n
     else:
         ideal = modrep.commutator_ideal(alg)

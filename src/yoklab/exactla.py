@@ -3,9 +3,11 @@
 Vectors are plain dicts mapping hashable, mutually comparable keys to
 nonzero scalars.  A ``Subspace`` keeps a reduced row echelon basis keyed by
 pivot, each pivot the least key of its row.  ``closure_under`` grows a span
-until it is stable under linear maps, and ``ideal_power_dims`` runs the one
-recurrence for the powers of an ideal given by generators, shared by the Y,
-AKS and nil engines.  Everything is exact; no floats anywhere.
+until it is stable under linear maps, and ``step_power_dims`` runs the one
+recurrence for the powers of an ideal, shared by the Y, AKS and nil
+engines: ``ideal_power_dims`` feeds it the products of each row with the
+ideal's generators, and the Y and nil blocks feed it words in the right
+generator maps.  Everything is exact; no floats anywhere.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ __all__ = [
     "Subspace",
     "closure_under",
     "invertible",
+    "step_power_dims",
     "ideal_power_dims",
 ]
 
@@ -126,44 +129,40 @@ def invertible(field, rows) -> bool:
                is not None for row in rows)
 
 
-def _one_grade(vec) -> None:
-    return None
-
-
-def ideal_power_dims(field, product, sub: Subspace, seeds, right_maps, *,
-                     right_key=_one_grade, left_key=_one_grade) -> list[int]:
+def step_power_dims(field, sub: Subspace, step, right_maps) -> list[int]:
     """Dimensions of J, J^2, J^3, ... down to 0 for a nilpotent ideal J.
 
-    Precondition: sub is J, the two-sided ideal generated by ``seeds``, or
-    its part eJ for an idempotent e, and ``right_maps`` are the right
-    multiplications by the algebra generators.  Then
-    eJ^(k+1) = closure(eJ^k . seeds) under the right maps: left factors of
-    the ideal generators are absorbed into J^k, itself a two-sided ideal,
-    and the closure supplies the right factors.  The dimensions returned
-    are those of eJ, eJ^2, ...  product multiplies two row dicts.
-
-    The step products are graded: a row a of J^k is multiplied only by the
-    seeds s with left_key(s) == right_key(a).  A caller passes keys only
-    when every other product is zero, as for rows and seeds that each have
-    one (left color, right color) pair, where E_a E_b = 0 for colors a != b
-    kills a product whose inner colors differ.  The default keys put
-    everything in one grade, so every row meets every seed.
+    Precondition: sub is J, a two-sided ideal, or its part eJ for an
+    idempotent e, and ``right_maps`` are the right multiplications by the
+    algebra generators.  step(a) returns vectors of eJ^(k+1) for a row a of
+    eJ^k, chosen so that over all rows their closure under the right maps
+    is eJ^(k+1).  The recurrence eJ^(k+1) = closure(step(rows of eJ^k))
+    then gives the dimensions of eJ, eJ^2, ...
 
     Raises if no power vanishes within dim(eJ) + 1 steps, which would mean
     J is not nilpotent.
     """
-    graded: dict = {}
-    for s in seeds:
-        graded.setdefault(left_key(s), []).append(s)
     dims = [sub.dim()]
     cur = sub
     while dims[-1]:
         if len(dims) > dims[0] + 1:
             raise ArithmeticError("ideal is not nilpotent within expected bound")
-        # the rows are read in place: product leaves its factors alone, and
-        # the closure below builds a new Subspace
-        step = [product(a, s) for a in cur.rows.values()
-                for s in graded.get(right_key(a), ())]
-        cur = closure_under(field, right_maps, [v for v in step if v])
+        # the rows are read in place: step leaves them alone, and the
+        # closure below builds a new Subspace
+        vecs = [v for a in cur.rows.values() for v in step(a) if v]
+        cur = closure_under(field, right_maps, vecs)
         dims.append(cur.dim())
     return dims
+
+
+def ideal_power_dims(field, product, sub: Subspace, seeds, right_maps) -> list[int]:
+    """step_power_dims with the step a -> a . s over the generators s of J.
+
+    With sub = eJ and J the two-sided ideal generated by ``seeds``,
+    eJ^(k+1) = closure(eJ^k . seeds) under the right maps: left factors of
+    the ideal generators are absorbed into J^k, itself a two-sided ideal,
+    and the closure supplies the right factors.  product multiplies two row
+    dicts.
+    """
+    return step_power_dims(field, sub, lambda a: [product(a, s) for s in seeds],
+                           right_maps)

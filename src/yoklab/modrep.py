@@ -24,11 +24,13 @@ Before relying on the split, an exact check confirms that every e_O
 commutes with every generator (SparseAlgebra.central_color_blocks) and
 raises ArithmeticError if one does not.
 
-The blocked closure and powers (block_ideal, block_power_dims) take the
-generators of each block as a function of its orbit, so they serve any Y
-engine at q = 0.  The commutator ideal passes commutator_seeds; the nil
-algebra, the Y engine with quadratic pair (0, 0), passes its monomials
-E_chi T_i to get its radical.
+The blocked closure (block_ideal) takes the generators of each block as a
+function of its orbit, and the blocked powers (block_power_dims) take the
+products of a row with the generators it meets, as words in the right
+generator maps, so both serve any Y engine at q = 0.  The commutator ideal
+passes commutator_seeds and commutator_words; the nil algebra, the Y
+engine with quadratic pair (0, 0), passes its monomials E_chi T_i and the
+words a -> a T_i to get its radical.  No power step forms a product.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ __all__ = [
     "enumerate_one_dim_bruteforce",
     "commutator_seeds",
     "block_ideal",
+    "commutator_words",
     "block_power_dims",
     "commutator_ideal",
     "power_dims",
@@ -267,8 +270,37 @@ def block_ideal(alg: YAlgebra, seeds_of) -> exactla.Subspace:
     return ideal
 
 
-def block_power_dims(alg: YAlgebra, sub: exactla.Subspace, seeds_of) -> list[int]:
-    """Power dimensions down to zero of sub = block_ideal(alg, seeds_of).
+def commutator_words(alg: YAlgebra, row: dict, c: tuple) -> list[dict]:
+    """row . s for every color-split commutator seed s whose left color is
+    c, the right color of row, as words in the right maps R_i: a -> a g_i.
+
+    The split seeds (commutator_seeds) that start at c are E_c g_i, up to
+    sign, for each i with c_i != c_{i+1}, and the right-color components of
+    E_c [g_i, g_{i+1}].  As row = row E_c, the first give R_i(row) and the
+    others the components of R_{i+1}(R_i row) - R_i(R_{i+1} row).  The two
+    words end at c with its entries i, i+1, i+2 rotated one way and the
+    other, which agree only when c_i = c_{i+1} = c_{i+2}; then the
+    difference is one word, otherwise each is a component on its own.
+
+    The words come in order: R_i(row) for each i with c_i != c_{i+1}, then
+    for each i <= n - 2 the difference or the pair R_{i+1}(R_i row),
+    R_i(R_{i+1} row).  Each R_i(row) is formed once.
+    """
+    images = [None] + [alg._rmul_g(row, i) for i in range(1, alg.n)]
+    words = [images[i] for i in range(1, alg.n) if c[i - 1] != c[i]]
+    for i in range(1, alg.n - 1):
+        up = alg._rmul_g(images[i], i + 1)
+        down = alg._rmul_g(images[i + 1], i)
+        if c[i - 1] == c[i] == c[i + 1]:
+            exactla.vec_addmul(up, -alg.field.one, down)
+            words.append(up)
+        else:
+            words += [up, down]
+    return words
+
+
+def block_power_dims(alg: YAlgebra, sub: exactla.Subspace, words) -> list[int]:
+    """Power dimensions down to zero of a q = 0 ideal sub from block_ideal.
 
     Runs the recurrence J^(k+1) = closure(J^k . seeds) under right
     multiplication by the g_i on the block of sub for one orbit per shape,
@@ -279,17 +311,16 @@ def block_power_dims(alg: YAlgebra, sub: exactla.Subspace, seeds_of) -> list[int
     each right ideal E_chi J^k of the block is computed on its own, in a
     Subspace that holds only its rows.
 
-    The step products are graded by color: E_chi g_w = g_w E_{w^-1 chi},
-    so a row whose right color is not a seed's left color meets it in
-    E_a E_b = 0 with a != b.  Each row is multiplied only by the seeds whose
-    left color is its right color; the color of a vector is read off its
-    first key, as every key of it carries the same pair."""
-    def right_color(row):
+    No seed product is formed.  E_chi g_w = g_w E_{w^-1 chi}, so a row a
+    whose right color is c meets only the seeds s whose left color is c,
+    and a . s = a . E_c s is a short word in the right generator maps.
+    words(a, c) returns those products for a row a of right color c, each
+    with one color pair: commutator_words for Y, NilAlgebra.radical_words
+    for the nil radical.  The color of a row is read off its first key, as
+    every key of it carries the same pair."""
+    def step(row):
         chi, w = next(iter(row))
-        return alg.act(alg._inv[w], chi)
-
-    def left_color(seed):
-        return next(iter(seed))[0]
+        return words(row, alg.act(alg._inv[w], chi))
 
     by_left: dict = {}
     for p, row in sub.rows.items():
@@ -297,13 +328,10 @@ def block_power_dims(alg: YAlgebra, sub: exactla.Subspace, seeds_of) -> list[int
     right_maps = _g_maps(alg._rmul_g, alg.n)
     blocks = []
     for orbits in _shape_groups(alg):
-        seeds = seeds_of(orbits[0])
         for chi in orbits[0]:
             part = exactla.Subspace(alg.field)
             part.rows = by_left.get(chi, {})
-            dims = exactla.ideal_power_dims(alg.field, alg.mul_terms, part, seeds=seeds,
-                                            right_maps=right_maps,
-                                            right_key=right_color, left_key=left_color)
+            dims = exactla.step_power_dims(alg.field, part, step, right_maps)
             blocks.append((len(orbits), dims))
     return sum_block_dims(blocks)
 
@@ -315,7 +343,7 @@ def commutator_ideal(alg: YAlgebra) -> exactla.Subspace:
 
 def power_dims(alg: YAlgebra, sub: exactla.Subspace) -> list[int]:
     """Power dimensions of the commutator ideal sub down to zero."""
-    return block_power_dims(alg, sub, lambda orbit: commutator_seeds(alg, orbit))
+    return block_power_dims(alg, sub, lambda row, c: commutator_words(alg, row, c))
 
 
 def nilpotency_index(alg: YAlgebra, sub: exactla.Subspace) -> int:

@@ -19,7 +19,7 @@ monomial or zero,
 The radical is the two-sided ideal generated by T_1..T_{n-1}, the span of
 all t^a T_w with w != identity.  It and its powers are computed by the
 color-orbit blocks of modrep, each block seeded by the monomials E_chi T_i
-with chi in its orbit.  The tests hold them against the closed form: J^k
+with chi in its orbit; a power step takes a row a to the words a T_i.  The tests hold them against the closed form: J^k
 is spanned by the keys with length(w) >= k, so the nilpotency index is
 length(w0) + 1.  The one-dimensional simples come from modrep's sweep
 over scalar systems, Y's relation check run at the pair (0, 0): a scalar
@@ -67,11 +67,16 @@ class NilAlgebra(YAlgebra):
         return [{(chi, sg.right_mult_s(self.ident, i)): one}
                 for i in range(1, self.n) for chi in orbit]
 
+    def radical_words(self, row: dict, c: tuple) -> list[dict]:
+        """row . E_c T_i = row T_i for each i, for a row of right color c:
+        the products of row with the seeds it meets, as right maps."""
+        return [self._rmul_g(row, i) for i in range(1, self.n)]
+
     def radical(self) -> exactla.Subspace:
         return modrep.block_ideal(self, self.radical_seeds)
 
     def radical_power_dims(self) -> list[int]:
-        return modrep.block_power_dims(self, self.radical(), self.radical_seeds)
+        return modrep.block_power_dims(self, self.radical(), self.radical_words)
 
     def __repr__(self):
         return f"NilAlgebra(r={self.r}, n={self.n}, {self.field!r})"

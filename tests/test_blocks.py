@@ -1,5 +1,5 @@
 """The color-orbit blocks of the q = 0 ideals against the whole-algebra
-routes, the color grading of the power steps, the AKS ordered-composition
+routes, the power steps as right-generator words, the AKS ordered-composition
 classes, the centrality and relabeling guards, and the closed form at the
 CLI frontier."""
 
@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from yoklab import YAlgebra, aks, algebra, cli, exactla, modrep
+from yoklab import YAlgebra, aks, algebra, cli, exactla, modrep, symgroup as sg
 from yoklab.exactla import Subspace, closure_under
 
 import _helpers as H
@@ -41,67 +41,104 @@ def _right_color(alg, row):
     return alg.act(alg._inv[w], chi)
 
 
-def _left_color(seed):
-    return next(iter(seed))[0]
+def _color_pairs(alg, vec):
+    return {(chi, alg.act(alg._inv[w], chi)) for chi, w in vec}
 
 
-def _block_power_calls(alg, ideal, seeds_of):
-    """Run modrep.block_power_dims with exactla.ideal_power_dims spied on:
-    for each call, its arguments, its result and every (row, seed) pair
-    that it passed to its product."""
-    real = exactla.ideal_power_dims
-    calls = []
+def _y_word_seeds(alg, c):
+    """The E-basis seeds that modrep.commutator_words stands for at right
+    color c, in its order: E_c g_i for c_i != c_{i+1}, then for each i the
+    right-color components of E_c [g_i, g_{i+1}]."""
+    one = alg.field.one
 
-    def spy(field, product, sub, seeds, right_maps, **keys):
-        call = {"sub": sub, "seeds": seeds, "right_maps": right_maps, "pairs": []}
-        calls.append(call)
+    def e_g(*word):
+        w = alg.ident
+        for i in word:
+            w = sg.right_mult_s(w, i)
+        return {(c, w): one}
 
-        def counted(row, seed):
-            call["pairs"].append((row, seed))
-            return product(row, seed)
-        call["dims"] = real(field, counted, sub, seeds=seeds, right_maps=right_maps, **keys)
-        return call["dims"]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exactla, "ideal_power_dims", spy)
-        modrep.block_power_dims(alg, ideal, seeds_of)
-    return calls
-
-
-def _all_pair_powers(alg, call):
-    """Reduced bases of the powers eJ, eJ^2, ... that one spied call
-    computes, each from the products of every row of the last one with
-    every seed."""
-    cur, powers = call["sub"], []
-    while cur.dim():
-        powers.append(cur)
-        step = [alg.mul_terms(a, s) for a in cur.rows.values() for s in call["seeds"]]
-        cur = closure_under(alg.field, call["right_maps"], [v for v in step if v])
-    return powers
+    seeds = [e_g(i) for i in range(1, alg.n) if c[i - 1] != c[i]]
+    for i in range(1, alg.n - 1):
+        up, down = e_g(i, i + 1), e_g(i + 1, i)
+        if c[i - 1] == c[i] == c[i + 1]:
+            seeds.append({**up, **{k: -one for k in down}})
+        else:
+            seeds += [up, down]
+    return seeds
 
 
-def _y_and_nil_blocks(r, n, kind):
-    """For Y's commutator ideal and nil's radical: the engine, and the
-    spied block calls of its power recurrence."""
+def _nil_word_seeds(alg, c):
+    """E_c T_i for each i, the seeds of NilAlgebra.radical_words."""
+    return [{(c, sg.right_mult_s(alg.ident, i)): alg.field.one} for i in range(1, alg.n)]
+
+
+def _word_cases(r, n, kind):
+    """For Y's commutator ideal and nil's radical: the engine, the ideal,
+    the step words, the seeds each word stands for, and the generators of
+    each orbit block, split by color pair."""
     y, nil = H.yalg(r, n, kind), H.nilalg(r, n, kind)
-    cases = [(y, modrep.commutator_ideal(y), lambda o: modrep.commutator_seeds(y, o)),
-             (nil, nil.radical(), nil.radical_seeds)]
-    return [(alg, _block_power_calls(alg, ideal, seeds_of))
-            for alg, ideal, seeds_of in cases]
+    return [(y, modrep.commutator_ideal(y), lambda row, c: modrep.commutator_words(y, row, c),
+             _y_word_seeds, lambda o: modrep.commutator_seeds(y, o)),
+            (nil, nil.radical(), nil.radical_words, _nil_word_seeds, nil.radical_seeds)]
+
+
+def _oracle_powers(alg, ideal, seeds_of, depth=None):
+    """For each left color chi: the orbit block's seeds and the reduced
+    bases of E_chi J, E_chi J^2, ... (the first depth of them), each power
+    from the products of every row of the last one with every seed, closed
+    under the right generator maps."""
+    for orbit in alg.central_color_blocks():
+        seeds = seeds_of(orbit)
+        for chi in orbit:
+            cur = Subspace(alg.field)
+            cur.rows = {p: row for p, row in ideal.rows.items() if p[0] == chi}
+            powers = []
+            while cur.dim() and len(powers) != depth:
+                powers.append(cur)
+                step = [alg.mul_terms(a, s) for a in cur.rows.values() for s in seeds]
+                cur = closure_under(alg.field, alg.rmul_gen_maps(), [v for v in step if v])
+            yield seeds, powers
+
+
+@pytest.mark.parametrize("r,n", [(2, 3), (3, 3), (2, 4)])
+@pytest.mark.parametrize("kind", [H.FP13, H.CYC])
+def test_step_words_are_seed_products(r, n, kind):
+    # every step vector is the product of the row with the seed it stands
+    # for, and carries one color pair; the seeds a row of right color c
+    # stands against span the block's generators whose left color is c
+    for alg, ideal, words, word_seeds, seeds_of in _word_cases(r, n, kind):
+        checked = 0
+        for seeds, powers in _oracle_powers(alg, ideal, seeds_of, depth=2):
+            for power in powers:
+                for row in power.rows.values():
+                    c = _right_color(alg, row)
+                    got = words(row, c)
+                    assert got == [alg.mul_terms(row, s) for s in word_seeds(alg, c)]
+                    assert all(len(_color_pairs(alg, v)) == 1 for v in got if v)
+                    checked += 1
+        assert checked
+        for orbit in alg.central_color_blocks():
+            seeds = seeds_of(orbit)
+            for c in orbit:
+                meeting = [s for s in seeds if next(iter(s))[0] == c]
+                span = closure_under(alg.field, [], meeting)
+                assert closure_under(alg.field, [], word_seeds(alg, c)).rows == span.rows
 
 
 @pytest.mark.parametrize("r,n", [(2, 3), (3, 3)])
 @pytest.mark.parametrize("kind", [H.FP13, H.CYC])
 def test_skipped_color_pairs_vanish(r, n, kind):
     # every row of every power of every block against every seed: a pair
-    # whose inner colors differ has product zero, and such pairs occur
-    for alg, calls in _y_and_nil_blocks(r, n, kind):
+    # whose inner colors differ has product zero, and such pairs occur, so
+    # the words of the seeds that start at the row's right color are all
+    # its step vectors
+    for alg, ideal, _, _, seeds_of in _word_cases(r, n, kind):
         skipped = met = 0
-        for call in calls:
-            for power in _all_pair_powers(alg, call):
+        for seeds, powers in _oracle_powers(alg, ideal, seeds_of):
+            for power in powers:
                 for row in power.rows.values():
-                    for seed in call["seeds"]:
-                        if _right_color(alg, row) == _left_color(seed):
+                    for seed in seeds:
+                        if _right_color(alg, row) == next(iter(seed))[0]:
                             met += 1
                         else:
                             assert alg.mul_terms(row, seed) == {}
@@ -109,21 +146,31 @@ def test_skipped_color_pairs_vanish(r, n, kind):
         assert skipped and met
 
 
-@pytest.mark.parametrize("r,n", [(2, 3), (3, 3)])
-@pytest.mark.parametrize("kind", [H.FP13, H.CYC])
-def test_one_product_per_meeting_pair(r, n, kind):
-    # the recurrence forms each product of a row of J^k with a seed of the
-    # same inner color once, and no other
-    for alg, calls in _y_and_nil_blocks(r, n, kind):
-        for call in calls:
-            powers = _all_pair_powers(alg, call)
-            assert call["dims"] == [p.dim() for p in powers] + [0]
-            meeting = sum(_right_color(alg, row) == _left_color(seed)
-                          for p in powers for row in p.rows.values()
-                          for seed in call["seeds"])
-            assert all(_right_color(alg, row) == _left_color(seed)
-                       for row, seed in call["pairs"])
-            assert len(call["pairs"]) == meeting
+def _radical_power_dims(argv, capsys):
+    assert cli.main(["radical", *argv, "--field", "fp:13", "--json"]) == 0
+    return json.loads(capsys.readouterr().out)["power_dims"]
+
+
+def _generator_word_count(alg, c):
+    return sum(c[i - 1] != c[i] for i in range(1, alg.n))
+
+
+def test_braid_words_are_needed(monkeypatch, capsys):
+    # at r = 1 every color vector is constant, so there is no E_x g_i word
+    # and the braid commutators alone generate J
+    assert _radical_power_dims(["--r", "1", "--n", "4"], capsys) == [16, 6, 0]
+    real = modrep.commutator_words
+    monkeypatch.setattr(modrep, "commutator_words", lambda alg, row, c:
+                        real(alg, row, c)[:_generator_word_count(alg, c)])
+    assert _radical_power_dims(["--r", "1", "--n", "4"], capsys) != [16, 6, 0]
+
+
+def test_generator_words_are_needed(monkeypatch, capsys):
+    assert _radical_power_dims(["--r", "3", "--n", "3"], capsys) == [114, 48, 6, 0]
+    real = modrep.commutator_words
+    monkeypatch.setattr(modrep, "commutator_words", lambda alg, row, c:
+                        real(alg, row, c)[_generator_word_count(alg, c):])
+    assert _radical_power_dims(["--r", "3", "--n", "3"], capsys) != [114, 48, 6, 0]
 
 
 def test_right_closure_changes_y_powers(monkeypatch):
@@ -132,9 +179,9 @@ def test_right_closure_changes_y_powers(monkeypatch):
     alg = YAlgebra(2, 5, H.field(H.FP13, 2))
     ideal = modrep.commutator_ideal(alg)
     assert modrep.power_dims(alg, ideal)[:2] == [3678, 3210]
-    real = exactla.ideal_power_dims
-    monkeypatch.setattr(exactla, "ideal_power_dims",
-                        lambda *args, **kw: real(*args, **{**kw, "right_maps": []}))
+    real = exactla.step_power_dims
+    monkeypatch.setattr(exactla, "step_power_dims",
+                        lambda field, sub, step, right_maps: real(field, sub, step, []))
     assert modrep.power_dims(alg, ideal)[:2] == [3678, 3206]
 
 

@@ -13,7 +13,9 @@ adds the schema, r and n; mult and report print their own output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 
 from . import modrep, structure
@@ -314,7 +316,9 @@ def cmd_report(args, field) -> int:
     return 0 if all_ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one argument parser, built on the first call and then reused."""
     parser = argparse.ArgumentParser(
         prog="yoklab",
         description="Exact structural computations in Yokonuma-Hecke algebras "
@@ -370,9 +374,18 @@ def main(argv=None) -> int:
     field = _field_for(args)
     try:
         result = args.fn(args, field)
-        return result if isinstance(result, int) else _emit(args, *result)
+        code = result if isinstance(result, int) else _emit(args, *result)
+        # flush here, so that a closed pipe is seen inside this try
+        sys.stdout.flush()
+        return code
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader went away (as in `| head`): send what is left to devnull
+        # so that the flush at interpreter exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
         return 1
 
 

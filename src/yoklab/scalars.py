@@ -451,8 +451,28 @@ class CyclotomicField:
 # ---------------------------------------------------------------------------
 # prime field backend
 
+class _Memo(dict):
+    """A dict that builds a missing entry with ``build(key)`` and keeps it."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        got = self[key] = self.build(key)
+        return got
+
+
 class FpScalar:
-    """Residue in F_p."""
+    """Residue in F_p.
+
+    A field hands out one interned scalar per residue (``PrimeField._at``),
+    and every result is looked up there, so an operation between two scalars
+    of the same field object is one integer operation and one dict lookup.
+    Any other operand goes through ``_lift``.
+    """
 
     __slots__ = ("field", "value")
 
@@ -476,18 +496,22 @@ class FpScalar:
         return None
 
     def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return FpScalar(self.field, (self.value + o.value) % self.field.p)
+        f = self.field
+        if other.__class__ is not FpScalar or other.field is not f:
+            other = self._lift(other)
+            if other is None:
+                return NotImplemented
+        return f._at[(self.value + other.value) % f.p]
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return FpScalar(self.field, (self.value - o.value) % self.field.p)
+        f = self.field
+        if other.__class__ is not FpScalar or other.field is not f:
+            other = self._lift(other)
+            if other is None:
+                return NotImplemented
+        return f._at[(self.value - other.value) % f.p]
 
     def __rsub__(self, other):
         o = self._lift(other)
@@ -496,20 +520,23 @@ class FpScalar:
         return o - self
 
     def __neg__(self):
-        return FpScalar(self.field, -self.value % self.field.p)
+        f = self.field
+        return f._at[-self.value % f.p]
 
     def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return FpScalar(self.field, self.value * o.value % self.field.p)
+        f = self.field
+        if other.__class__ is not FpScalar or other.field is not f:
+            other = self._lift(other)
+            if other is None:
+                return NotImplemented
+        return f._at[self.value * other.value % f.p]
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.value == 0:
             raise ZeroDivisionError("scalar inverse of zero")
-        return FpScalar(self.field, pow(self.value, self.field.p - 2, self.field.p))
+        return self.field._inv[self.value]
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -526,7 +553,8 @@ class FpScalar:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        return FpScalar(self.field, pow(self.value, k, self.field.p))
+        f = self.field
+        return f._at[pow(self.value, k, f.p)]
 
     def __eq__(self, other):
         o = self._lift(other)
@@ -559,24 +587,34 @@ class PrimeField:
         # the construction forces exact multiplicative order r
         assert pow(z, r, p) == 1
         assert all(pow(z, r // f, p) != 1 for f in _prime_factors(r))
-        self.zero = FpScalar(self, 0)
-        self.one = FpScalar(self, 1)
-        self.zeta = FpScalar(self, z)
+        # residue -> its one scalar, and value -> inverse scalar, each filled
+        # on first use, so a large p builds only the residues it meets
+        self._at = _Memo(self._scalar)
+        self._inv = _Memo(self._inverse)
+        self.zero = self._at[0]
+        self.one = self._at[1]
+        self.zeta = self._at[z]
         self._zeta_pows = None
 
+    def _scalar(self, v: int) -> FpScalar:
+        return FpScalar(self, v)
+
+    def _inverse(self, v: int) -> FpScalar:
+        return self._at[pow(v, self.p - 2, self.p)]
+
     def from_int(self, k: int) -> FpScalar:
-        return FpScalar(self, k % self.p)
+        return self._at[k % self.p]
 
     def from_fraction(self, f) -> FpScalar:
         f = Fraction(f)
         if f.denominator % self.p == 0:
             raise ValueError(f"denominator divisible by p = {self.p}")
         den_inv = pow(f.denominator % self.p, self.p - 2, self.p)
-        return FpScalar(self, f.numerator * den_inv % self.p)
+        return self._at[f.numerator * den_inv % self.p]
 
     def zeta_pow(self, k: int) -> FpScalar:
         if self._zeta_pows is None:
-            self._zeta_pows = [FpScalar(self, pow(self.zeta.value, j, self.p))
+            self._zeta_pows = [self._at[pow(self.zeta.value, j, self.p)]
                                for j in range(self.r)]
         return self._zeta_pows[k % self.r]
 

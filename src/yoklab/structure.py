@@ -251,23 +251,28 @@ def triangularity_check(alg: YAlgebra) -> dict:
     produces monomials of the same or higher cell rank.
 
     Runs over the basis keys (c, w), colors outer and permutations inner.
-    Each key's one-term dict and rank are built once; every map of
-    all_generator_maps is applied to that dict, and cell_rank is computed
-    only for image keys other than the key itself.  Returns {"ok": bool,
-    "witness": None or the first offending (key, image key)}.
+    Each key's one-term dict is built once and every map of
+    all_generator_maps is applied to it.  cell_rank orders by (length, w)
+    first, so each permutation's position in that order is read from a
+    table built once, and colors are compared only when the permutations
+    tie.  Returns {"ok": bool, "witness": None or the first offending
+    (key, image key)}.
     """
     require_q0(alg)
     one = alg.field.one
     maps = alg.all_generator_maps()
+    order = sorted(alg.perms, key=lambda w: (alg._len[w], w))
+    pos = {w: k for k, w in enumerate(order)}
     for c in alg.colors:
         for w in alg.perms:
             key = (c, w)
             x = {key: one}
-            rank = cell_rank(alg, key)
+            rank = pos[w]
             for f in maps:
-                for k2 in f(x):
-                    if k2 != key and cell_rank(alg, k2) < rank:
-                        return {"ok": False, "witness": (key, k2)}
+                for c2, w2 in f(x):
+                    r2 = pos[w2]
+                    if r2 < rank or (r2 == rank and c2 < c):
+                        return {"ok": False, "witness": (key, (c2, w2))}
     return {"ok": True, "witness": None}
 
 

@@ -211,15 +211,33 @@ class YAlgebra(SparseAlgebra):
 
     # -- multiplication engine (E basis) ---------------------------------
 
+    # q and q - 1 are stored as _q and _qm1 with a zero value replaced by
+    # None, resolved once on assignment: the length-down steps skip a zero
+    # term instead of forming and dropping it, and a reassigned q or qm1
+    # takes effect at once
+
+    @property
+    def q(self):
+        return self.field.zero if self._q is None else self._q
+
+    @q.setter
+    def q(self, value):
+        self._q = None if value.is_zero() else value
+
+    @property
+    def qm1(self):
+        return self.field.zero if self._qm1 is None else self._qm1
+
+    @qm1.setter
+    def qm1(self, value):
+        self._qm1 = None if value.is_zero() else value
+
     def _live_pair(self):
-        """(q, q - 1) with each zero entry replaced by None: the length-down
-        steps skip a zero term instead of forming and dropping it.  Read on
-        every call, so a reassigned q or qm1 takes effect at once."""
-        return (None if self.q.is_zero() else self.q,
-                None if self.qm1.is_zero() else self.qm1)
+        """(q, q - 1) with each zero entry replaced by None."""
+        return self._q, self._qm1
 
     def _rmul_g(self, terms: dict, i: int) -> dict:
-        q, qm1 = self._live_pair()
+        q, qm1 = self._q, self._qm1
         step = self._rstep[i]
         out: dict = {}
         for (chi, w), a in terms.items():
@@ -234,7 +252,7 @@ class YAlgebra(SparseAlgebra):
         return out
 
     def _lmul_g(self, terms: dict, i: int) -> dict:
-        q, qm1 = self._live_pair()
+        q, qm1 = self._q, self._qm1
         step = self._lstep[i]
         out: dict = {}
         for (chi, w), a in terms.items():

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -334,3 +338,34 @@ def test_nil_simples_are_computed(monkeypatch, capsys):
     code, out, _ = run(capsys, "simples", "--nil", "--r", "2", "--n", "3")
     assert code == 1
     assert out == "one-dimensional simples: 0 (expected 8)\n"
+
+
+def test_usage_error_then_verdict_in_one_process(capsys):
+    # the parser is built once and reused, so a failed parse must leave it
+    # fit for the next call
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gram", "--r", "2"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --n" in capsys.readouterr().err
+    code, out, _ = run(capsys, "gram", "--r", "2", "--n", "3", "--field", "fp:13", "--json")
+    assert code == 0
+    assert json.loads(out) == {"schema": "yoklab/1", "r": 2, "n": 3, "dimension": 48,
+                               "gram_invertible": True, "witness_ok": True}
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_closed_pipe_gives_no_traceback():
+    # the output is larger than a pipe buffer, so the write that follows
+    # the reader's exit is sure to fail
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "yoklab.cli", "simples", "--r", "4", "--n", "4",
+         "--field", "fp:13", "--list", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err

@@ -1,5 +1,6 @@
 import doctest
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -246,3 +247,75 @@ def test_field_axioms_against_fraction_oracle(r):
         assert (a - b).is_zero() == (a == b)
         if a == b:
             assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_prime_field_results_are_interned(p):
+    # every result is the field's one scalar for its residue
+    f = PrimeField(p, 3)
+    at = f._at
+    for a in range(p):
+        x = f.from_int(a)
+        assert x is at[a]
+        assert -x is at[-a % p]
+        assert x ** 3 is at[pow(a, 3, p)]
+        assert f.parse(str(a)) is at[a]
+        if a:
+            assert x.inverse() is at[pow(a, p - 2, p)]
+            assert x.inverse() is x.inverse()
+        for b in range(p):
+            y = f.from_int(b)
+            assert x + y is at[(a + b) % p]
+            assert x - y is at[(a - b) % p]
+            assert x * y is at[a * b % p]
+    assert f.zero is at[0] and f.one is at[1] and f.zeta is at[f.zeta.value]
+    assert f.zeta_pow(2) is at[f.zeta.value ** 2 % p]
+    assert f.from_fraction(Fraction(1, 2)) is at[(p + 1) // 2]
+
+
+def test_prime_field_operands_from_another_build_combine():
+    f, g = PrimeField(13, 3), PrimeField(13, 3)
+    x, y = f.from_int(5), g.from_int(9)
+    assert x + y == f.one and x - y == f.from_int(9)
+    assert x * y == f.from_int(6) and y * x == g.from_int(6)
+    assert (x + y).field is f and (y + x).field is g
+    assert x == g.from_int(5) and hash(x) == hash(g.from_int(5))
+    assert x + 8 is f.zero and 8 - x is f.from_int(3) and 2 * x is f.from_int(10)
+    assert x * Fraction(1, 5) is f.one
+    # a pickled field is a separate build too
+    z = pickle.loads(pickle.dumps(x))
+    assert z.field is not f and z + x == f.from_int(10) and z.inverse() == x.inverse()
+
+
+def test_prime_fields_of_another_p_do_not_mix():
+    x, y = PrimeField(13, 3).one, PrimeField(7, 3).one
+    for op in ("__add__", "__sub__", "__mul__", "__truediv__", "__eq__"):
+        with pytest.raises(TypeError):
+            getattr(x, op)(y)
+
+
+def test_prime_field_inverse_of_zero_raises():
+    f = PrimeField(13, 3)
+    with pytest.raises(ZeroDivisionError):
+        f.zero.inverse()
+    with pytest.raises(ZeroDivisionError):
+        f.one / f.zero
+    with pytest.raises(ZeroDivisionError):
+        f.zero ** -1
+
+
+def test_large_prime_field_builds_only_residues_met():
+    p = 1000003
+    f = PrimeField(p, 3)
+    rng = random.Random(5)
+    met = {0, 1, f.zeta.value}
+    x = f.one
+    for _ in range(300):
+        k = rng.randrange(1, p)
+        y = f.from_int(k)
+        x = x * y + y
+        met |= {k, x.value, (x - y).value}
+        if not x.is_zero():
+            met.add(x.inverse().value)
+    assert set(f._at) <= met
+    assert len(f._at) <= 1300 and len(f._inv) <= 300

@@ -337,3 +337,15 @@ def test_zero_quadratic_terms_are_skipped(monkeypatch):
     assert modrep.power_dims(y, modrep.commutator_ideal(y)) == \
         H.classification_analysis(3, 3, H.FP13)["power_dims"]
     assert zeros == []
+
+
+def test_assigned_q_is_live():
+    # q and q - 1 are resolved to their None-for-zero pair on assignment
+    alg = YAlgebra(2, 3, field=H.field(H.FP13, 2))
+    assert alg._live_pair() == (None, -alg.field.one)
+    alg.q = alg.field.from_int(5)
+    assert alg._live_pair() == (alg.field.from_int(5), -alg.field.one)
+    assert alg.q == 5
+    alg.qm1 = alg.field.zero
+    assert alg._live_pair() == (alg.field.from_int(5), None)
+    assert alg.qm1.is_zero()

@@ -452,26 +452,32 @@ class CyclotomicField:
 # prime field backend
 
 class _Memo(dict):
-    """A dict that builds a missing entry with ``build(key)`` and keeps it."""
+    """A dict that builds a missing entry with ``build(key)`` and keeps it,
+    up to ``cap`` entries; past that, a new entry is built and not kept, so
+    the dict never outgrows ``cap`` however many keys a process meets."""
 
-    __slots__ = ("build",)
+    __slots__ = ("build", "cap")
 
-    def __init__(self, build):
+    def __init__(self, build, cap: int):
         super().__init__()
         self.build = build
+        self.cap = cap
 
     def __missing__(self, key):
-        got = self[key] = self.build(key)
+        got = self.build(key)
+        if len(self) < self.cap:
+            self[key] = got
         return got
 
 
 class FpScalar:
     """Residue in F_p.
 
-    A field hands out one interned scalar per residue (``PrimeField._at``),
-    and every result is looked up there, so an operation between two scalars
-    of the same field object is one integer operation and one dict lookup.
-    Any other operand goes through ``_lift``.
+    A field keeps one interned scalar per residue it has met, up to
+    ``PrimeField.MEMO_CAP`` of them (``PrimeField._at``), and every result is
+    looked up there, so an operation between two scalars of the same field
+    object is one integer operation and one dict lookup.  Any other operand
+    goes through ``_lift``.
     """
 
     __slots__ = ("field", "value")
@@ -571,6 +577,7 @@ class FpScalar:
 
 class PrimeField:
     kind = "PrimeField"
+    MEMO_CAP = 1 << 12
 
     def __init__(self, p: int, r: int):
         if r < 1:
@@ -588,16 +595,15 @@ class PrimeField:
         assert pow(z, r, p) == 1
         assert all(pow(z, r // f, p) != 1 for f in _prime_factors(r))
         # residue -> its one scalar, and value -> inverse scalar, each filled
-        # on first use, so a large p builds only the residues it meets
-        self._at = _Memo(self._scalar)
-        self._inv = _Memo(self._inverse)
+        # on first use and holding at most MEMO_CAP entries: every residue
+        # of a small p is kept, and a large p keeps only the first residues
+        # it meets (the verdicts over fp:1000003 meet fewer than 200)
+        self._at = _Memo(functools.partial(FpScalar, self), self.MEMO_CAP)
+        self._inv = _Memo(self._inverse, self.MEMO_CAP)
         self.zero = self._at[0]
         self.one = self._at[1]
         self.zeta = self._at[z]
         self._zeta_pows = None
-
-    def _scalar(self, v: int) -> FpScalar:
-        return FpScalar(self, v)
 
     def _inverse(self, v: int) -> FpScalar:
         return self._at[pow(v, self.p - 2, self.p)]

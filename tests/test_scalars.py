@@ -319,3 +319,25 @@ def test_large_prime_field_builds_only_residues_met():
             met.add(x.inverse().value)
     assert set(f._at) <= met
     assert len(f._at) <= 1300 and len(f._inv) <= 300
+
+
+def test_prime_field_tables_stop_at_the_cap(monkeypatch):
+    # past MEMO_CAP entries a result is built and not kept, so the tables
+    # stay bounded however many residues a large p meets
+    monkeypatch.setattr(PrimeField, "MEMO_CAP", 40)
+    p = 1000003
+    f = PrimeField(p, 3)
+    rng = random.Random(7)
+    x, v = f.one, 1
+    for _ in range(300):
+        k = rng.randrange(1, p)
+        y = f.from_int(k)
+        x, v = x * y + y, (v * k + k) % p
+        assert x.value == v and (x - y).value == (v - k) % p
+        if v:
+            assert (x.inverse() * x) is f.one
+    assert len(f._at) == 40 and len(f._inv) <= 40
+    k = next(k for k in range(2, p) if k not in f._at)
+    y = f.from_int(k)
+    assert y.value == k and y == f.from_int(k) and y is not f.from_int(k)
+    assert len(f._at) == 40

@@ -25,7 +25,7 @@ from collections import Counter
 
 from . import symgroup as sg
 from .algebra import (SparseAlgebra, SparseElement, braid_relations, far_relations,
-                      idempotent_relations, relation_report, sum_block_dims)
+                      idempotent_relations, index_maps, relation_report, sum_block_dims)
 from .exactla import _acc, closure_under, ideal_power_dims, vec_addmul
 
 __all__ = ["AKSAlgebra"]
@@ -66,9 +66,6 @@ class AKSAlgebra(SparseAlgebra):
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"h index {i} out of range")
         return SparseElement(self, "AKS", self._lmul_h(self.one().terms, i))
-
-    def basis_monomial(self, c, w) -> SparseElement:
-        return SparseElement(self, "AKS", {(tuple(c), tuple(w)): self.field.one})
 
     # -- engine ----------------------------------------------------------
 
@@ -157,14 +154,10 @@ class AKSAlgebra(SparseAlgebra):
         return out
 
     def lmul_gen_maps(self):
-        maps = [(lambda t, i=i: self._lmul_h(t, i)) for i in range(1, self.n)]
-        maps += [(lambda t, c=c: self._lmul_L(t, c)) for c in self.colors]
-        return maps
+        return self._block_maps(self.colors)[0]
 
     def rmul_gen_maps(self):
-        maps = [(lambda t, i=i: self._rmul_h(t, i)) for i in range(1, self.n)]
-        maps += [(lambda t, c=c: self._rmul_L(t, c)) for c in self.colors]
-        return maps
+        return self._block_maps(self.colors)[1]
 
     # -- presentation ------------------------------------------------------
 
@@ -241,11 +234,9 @@ class AKSAlgebra(SparseAlgebra):
         """Left and right multiplications by the generators of the block
         L_O with O = orbit: the h_i and the L_c with c in O, in that order
         (every other L_c kills the block)."""
-        left = [(lambda t, i=i: self._lmul_h(t, i)) for i in range(1, self.n)]
-        right = [(lambda t, i=i: self._rmul_h(t, i)) for i in range(1, self.n)]
-        left += [(lambda t, c=c: self._lmul_L(t, c)) for c in orbit]
-        right += [(lambda t, c=c: self._rmul_L(t, c)) for c in orbit]
-        return left, right
+        gens = range(1, self.n)
+        return (index_maps(self._lmul_h, gens) + index_maps(self._lmul_L, orbit),
+                index_maps(self._rmul_h, gens) + index_maps(self._rmul_L, orbit))
 
     def _orbit_power_dims(self, seeds, orbit) -> list[int]:
         """Power dimensions of the block J L_O, O = orbit, of the ideal J

@@ -28,9 +28,10 @@ from . import symgroup as sg
 from .exactla import _acc
 from .scalars import FieldSpec, make_field
 
-__all__ = ["SparseAlgebra", "SparseElement", "element_json_terms", "relation_report",
-           "torus_relations", "generator_torus_relations", "braid_relations",
-           "far_relations", "idempotent_relations", "color_orbits", "sum_block_dims"]
+__all__ = ["SparseAlgebra", "SparseElement", "element_json_terms", "index_maps",
+           "relation_report", "torus_relations", "generator_torus_relations",
+           "braid_relations", "far_relations", "idempotent_relations", "color_orbits",
+           "sum_block_dims"]
 
 
 def element_json_terms(obj, r: int, n: int, vec_names: dict) -> tuple[str, list]:
@@ -73,6 +74,11 @@ def _json_vector(item: dict, name: str, n: int) -> tuple:
             and all(type(x) is int for x in vec)):
         raise ValueError(f"{name!r} must be a list of {n} integers")
     return tuple(vec)
+
+
+def index_maps(fn, indices) -> list:
+    """The maps t -> fn(t, i), one per i in indices, in that order."""
+    return [lambda t, i=i: fn(t, i) for i in indices]
 
 
 def relation_report(presentation, rels) -> dict:
@@ -315,13 +321,6 @@ class SparseElement:
 
     def as_E(self) -> "SparseElement":
         return self.in_basis("E")
-
-    def as_T(self) -> "SparseElement":
-        return self.in_basis("T")
-
-    def coeff(self, key, basis: str | None = None):
-        src = self if basis is None else self.in_basis(basis)
-        return src.terms.get(key, self.alg.field.zero)
 
     def _check_mate(self, other):
         if other.alg is not self.alg:

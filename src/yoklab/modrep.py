@@ -36,11 +36,10 @@ words a -> a T_i to get its radical.  No power step forms a product.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from . import exactla, symgroup as sg
-from .algebra import sum_block_dims
+from .algebra import index_maps, sum_block_dims
 from .ycore import YAlgebra
 
 __all__ = [
@@ -70,16 +69,9 @@ def require_q0(alg: YAlgebra) -> None:
         raise ValueError("this structure theory is for the q = 0 specialization")
 
 
-@dataclass(frozen=True)
-class SimpleLabel:
-    c: tuple
-    parts: tuple  # one composition per maximal constant run of c
-
-
-@dataclass(frozen=True)
-class OneDimRep:
-    t_values: tuple
-    g_values: tuple
+# parts holds one composition per maximal constant run of c
+SimpleLabel = namedtuple("SimpleLabel", "c parts")
+OneDimRep = namedtuple("OneDimRep", "t_values g_values")
 
 
 def runs(c) -> list[tuple[int, int]]:
@@ -194,11 +186,6 @@ def _shape_groups(alg: YAlgebra) -> list[list]:
     return list(groups.values())
 
 
-def _g_maps(mul, n: int) -> list:
-    """x -> mul(x, i) for each braid generator index i."""
-    return [(lambda t, i=i: mul(t, i)) for i in range(1, n)]
-
-
 def _relabel(rows: dict, source: list, target: list) -> dict:
     """Rows of the block of orbit source carried to the block of target.
 
@@ -262,7 +249,8 @@ def block_ideal(alg: YAlgebra, seeds_of) -> exactla.Subspace:
     projections too.  The blocks have disjoint supports, so the union of
     their reduced bases is the reduced basis of J."""
     ideal = exactla.Subspace(alg.field)
-    maps = _g_maps(alg._lmul_g, alg.n) + _g_maps(alg._rmul_g, alg.n)
+    gens = range(1, alg.n)
+    maps = index_maps(alg._lmul_g, gens) + index_maps(alg._rmul_g, gens)
     for orbits in _shape_groups(alg):
         block = exactla.closure_under(alg.field, maps, seeds_of(orbits[0]))
         for orbit in orbits:
@@ -325,7 +313,7 @@ def block_power_dims(alg: YAlgebra, sub: exactla.Subspace, words) -> list[int]:
     by_left: dict = {}
     for p, row in sub.rows.items():
         by_left.setdefault(p[0], {})[p] = row
-    right_maps = _g_maps(alg._rmul_g, alg.n)
+    right_maps = index_maps(alg._rmul_g, range(1, alg.n))
     blocks = []
     for orbits in _shape_groups(alg):
         for chi in orbits[0]:

@@ -1,6 +1,6 @@
 """Exact coefficient fields carrying a primitive r-th root of unity.
 
-Two interchangeable backends:
+Two interchangeable backends behind one interface:
 
 * ``CyclotomicField(r)``: the field Q(zeta_r), realized as Q[X] modulo the
   r-th cyclotomic polynomial Phi_r.  A scalar is a tuple of integer
@@ -11,9 +11,16 @@ Two interchangeable backends:
   by integer rows, over the product of the denominators.  Reduction is
   modulo Phi_r, not X^r - 1, so the quotient is a genuine field and row
   reduction can divide freely.
-* ``PrimeField(p, r)``: residues mod a prime p with p = 1 (mod r).  The root
-  of unity is g^((p-1)/r) where g is the smallest primitive root mod p, a
-  deterministic choice.
+* ``PrimeField(p, r)``: residues mod a prime p < 2^40 with p = 1 (mod r).
+  The root of unity is g^((p-1)/r) where g is the smallest primitive root
+  mod p, a deterministic choice.
+
+The scalar classes share one base, ``_Scalar``, and the fields another,
+``_Field``.  A backend supplies only its own zero test, +, -, *, negation,
+inverse, == and hash (and its field's constructors and ``render``); the
+base holds the rest: coercion of ints, Fractions and same-field scalars
+(two fields are the same when their ``spec``, a ``FieldSpec``, is),
+reflected subtraction, division, powers, repr, ``parse`` and ``zeta_pow``.
 
 All arithmetic is exact: arbitrary-precision integers and Fractions only.
 ``CycScalar.coeffs`` gives a scalar's coordinates as Fractions.
@@ -31,7 +38,7 @@ import functools
 import math
 import operator
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 __all__ = [
@@ -175,6 +182,85 @@ def _parse_terms(text: str) -> list[tuple[Fraction, int]]:
 
 
 # ---------------------------------------------------------------------------
+# the shared interface
+
+# declarative handle: which backend, which r, and p for the prime one
+FieldSpec = namedtuple("FieldSpec", "kind r p", defaults=(None,))
+
+
+class _Scalar:
+    """What both scalar classes share, written over each backend's own +, -,
+    *, inverse and ``field``.  Each subclass binds the reflected operators
+    in its own class body, so a per-class method table lists all six."""
+
+    __slots__ = ()
+
+    def _lift(self, other):
+        """other as a scalar of this field; None for a non-scalar operand."""
+        if isinstance(other, self.__class__):
+            if other.field is self.field or other.field.spec == self.field.spec:
+                return other
+            raise TypeError("scalars from different fields")
+        if isinstance(other, int):
+            return self.field.from_int(other)
+        if isinstance(other, Fraction):
+            return self.field.from_fraction(other)
+        return None
+
+    def __rsub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
+
+    def __pow__(self, k: int):
+        if k < 0:
+            return self.inverse() ** (-k)
+        out = self.field.one
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __repr__(self):
+        return self.field.render(self)
+
+
+class _Field:
+    """What both fields share: the text format and the powers of zeta.  A
+    field has ``spec``, ``r``, ``zero``, ``one``, ``zeta``, ``from_int`` and
+    ``from_fraction``."""
+
+    _zeta_pows = None
+
+    def zeta_pow(self, k: int):
+        zp = self._zeta_pows
+        if zp is None:
+            zp = [self.one]
+            for _ in range(self.r - 1):
+                zp.append(zp[-1] * self.zeta)
+            self._zeta_pows = zp
+        return zp[k % self.r]
+
+    def parse(self, text: str):
+        out = self.zero
+        for coeff, exp in _parse_terms(text):
+            out = out + self.from_fraction(coeff) * self.zeta_pow(exp)
+        return out
+
+
+# ---------------------------------------------------------------------------
 # cyclotomic backend
 
 def _canonical(field, num: tuple, den: int) -> "CycScalar":
@@ -187,7 +273,7 @@ def _canonical(field, num: tuple, den: int) -> "CycScalar":
     return CycScalar(field, num, den)
 
 
-class CycScalar:
+class CycScalar(_Scalar):
     """Element of Q(zeta_r): integer numerators over one common denominator.
 
     The value is sum_k num[k] zeta^k / den in the power basis.  The form is
@@ -209,15 +295,6 @@ class CycScalar:
 
     def is_zero(self) -> bool:
         return not any(self.num)
-
-    def _lift(self, other):
-        if isinstance(other, CycScalar):
-            if other.field is self.field or other.field.r == self.field.r:
-                return other
-            raise TypeError("scalars from different fields")
-        if isinstance(other, (int, Fraction)):
-            return self.field.from_fraction(other)
-        return None
 
     def __add__(self, other):
         o = self._lift(other)
@@ -245,11 +322,7 @@ class CycScalar:
             den *= db
         return _canonical(self.field, num, den)
 
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+    __rsub__ = _Scalar.__rsub__
 
     def __neg__(self):
         return CycScalar(self.field, tuple(map(operator.neg, self.num)), self.den)
@@ -271,26 +344,6 @@ class CycScalar:
             return CycScalar(self.field, (self.den if c > 0 else -self.den,) + rest, abs(c))
         return self.field._inv(self)
 
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = self.field.one
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         o = self._lift(other)
         if o is None:
@@ -300,18 +353,15 @@ class CycScalar:
     def __hash__(self):
         return hash((self.field.r, self.num, self.den))
 
-    def __repr__(self):
-        return self.field.render(self)
 
-
-class CyclotomicField:
-    kind = "CyclotomicRational"
+class CyclotomicField(_Field):
     characteristic = 0
 
     def __init__(self, r: int):
         if r < 1:
             raise ValueError("r must be >= 1")
         self.r = r
+        self.spec = FieldSpec("CyclotomicRational", r)
         phi = cyclotomic_polynomial(r)
         self.degree = d = len(phi) - 1
         # integer rows for X^d .. X^(2d-2) modulo Phi_r, which is monic
@@ -334,7 +384,6 @@ class CyclotomicField:
             self.zeta = self.from_int(-phi[0])
         else:
             self.zeta = CycScalar(self, (0, 1) + (0,) * (d - 2))
-        self._zeta_pows = None
 
     # -- construction ------------------------------------------------------
     def from_fraction(self, f) -> CycScalar:
@@ -343,14 +392,6 @@ class CyclotomicField:
 
     def from_int(self, k: int) -> CycScalar:
         return CycScalar(self, (k,) + (0,) * (self.degree - 1))
-
-    def zeta_pow(self, k: int) -> CycScalar:
-        if self._zeta_pows is None:
-            zp = [self.one]
-            for _ in range(self.r - 1):
-                zp.append(self._mul(zp[-1], self.zeta))
-            self._zeta_pows = zp
-        return self._zeta_pows[k % self.r]
 
     # -- arithmetic core ---------------------------------------------------
     # one product kernel per field, picked by degree: Q (r = 1, 2) has one
@@ -416,12 +457,6 @@ class CyclotomicField:
         return self._mul(rest, norm.inverse())
 
     # -- text format ---------------------------------------------------
-    def parse(self, text: str) -> CycScalar:
-        out = self.zero
-        for coeff, exp in _parse_terms(text):
-            out = out + self.from_fraction(coeff) * self.zeta_pow(exp)
-        return out
-
     def render(self, s: CycScalar) -> str:
         pieces = []
         for k, c in enumerate(s.coeffs):
@@ -470,7 +505,7 @@ class _Memo(dict):
         return got
 
 
-class FpScalar:
+class FpScalar(_Scalar):
     """Residue in F_p.
 
     A field keeps one interned scalar per residue it has met, up to
@@ -488,18 +523,6 @@ class FpScalar:
 
     def is_zero(self) -> bool:
         return self.value == 0
-
-    def _lift(self, other):
-        if isinstance(other, FpScalar):
-            if other.field is self.field or (other.field.p == self.field.p
-                                             and other.field.r == self.field.r):
-                return other
-            raise TypeError("scalars from different fields")
-        if isinstance(other, int):
-            return self.field.from_int(other)
-        if isinstance(other, Fraction):
-            return self.field.from_fraction(other)
-        return None
 
     def __add__(self, other):
         f = self.field
@@ -519,11 +542,7 @@ class FpScalar:
                 return NotImplemented
         return f._at[(self.value - other.value) % f.p]
 
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+    __rsub__ = _Scalar.__rsub__
 
     def __neg__(self):
         f = self.field
@@ -544,24 +563,6 @@ class FpScalar:
             raise ZeroDivisionError("scalar inverse of zero")
         return self.field._inv[self.value]
 
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        f = self.field
-        return f._at[pow(self.value, k, f.p)]
-
     def __eq__(self, other):
         o = self._lift(other)
         if o is None:
@@ -571,15 +572,15 @@ class FpScalar:
     def __hash__(self):
         return hash(("fp", self.field.p, self.value))
 
-    def __repr__(self):
-        return str(self.value)
 
-
-class PrimeField:
-    kind = "PrimeField"
+class PrimeField(_Field):
     MEMO_CAP = 1 << 12
 
     def __init__(self, p: int, r: int):
+        # the primitive root comes from trial division of p - 1, about
+        # sqrt(p) steps, so p is capped before any other work
+        if p >= 1 << 40:
+            raise ValueError(f"p = {p} is too large (need p < 2^40)")
         if r < 1:
             raise ValueError("r must be >= 1")
         if not is_prime(p):
@@ -588,6 +589,7 @@ class PrimeField:
             raise ValueError(f"p = {p} is not congruent to 1 mod r = {r}")
         self.p = p
         self.r = r
+        self.spec = FieldSpec("PrimeField", r, p)
         self.characteristic = p
         g = smallest_primitive_root(p)
         z = pow(g, (p - 1) // r, p)
@@ -603,7 +605,6 @@ class PrimeField:
         self.zero = self._at[0]
         self.one = self._at[1]
         self.zeta = self._at[z]
-        self._zeta_pows = None
 
     def _inverse(self, v: int) -> FpScalar:
         return self._at[pow(v, self.p - 2, self.p)]
@@ -618,18 +619,6 @@ class PrimeField:
         den_inv = pow(f.denominator % self.p, self.p - 2, self.p)
         return self._at[f.numerator * den_inv % self.p]
 
-    def zeta_pow(self, k: int) -> FpScalar:
-        if self._zeta_pows is None:
-            self._zeta_pows = [self._at[pow(self.zeta.value, j, self.p)]
-                               for j in range(self.r)]
-        return self._zeta_pows[k % self.r]
-
-    def parse(self, text: str) -> FpScalar:
-        out = self.zero
-        for coeff, exp in _parse_terms(text):
-            out = out + self.from_fraction(coeff) * self.zeta_pow(exp)
-        return out
-
     def render(self, s: FpScalar) -> str:
         return str(s.value)
 
@@ -638,15 +627,6 @@ class PrimeField:
 
 
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FieldSpec:
-    """Declarative handle: which backend, which r, and p for the prime one."""
-
-    kind: str
-    r: int
-    p: int | None = None
-
 
 @functools.lru_cache(maxsize=None)
 def make_field(spec: FieldSpec):

@@ -52,8 +52,8 @@ from __future__ import annotations
 
 from . import symgroup as sg
 from .algebra import (SparseAlgebra, SparseElement, braid_relations, far_relations,
-                      generator_torus_relations, idempotent_relations, relation_report,
-                      torus_relations)
+                      generator_torus_relations, idempotent_relations, index_maps,
+                      relation_report, torus_relations)
 from .exactla import _acc
 
 __all__ = ["YAlgebra", "torus_to_E", "torus_to_T"]
@@ -164,12 +164,6 @@ class YAlgebra(SparseAlgebra):
         w = sg.right_mult_s(self.ident, i)
         return self.element({((0,) * self.n, w): self.field.one})
 
-    def t_monomial(self, a) -> SparseElement:
-        a = tuple(x % self.r for x in a)
-        if len(a) != self.n:
-            raise ValueError("exponent vector has wrong length")
-        return self.element({(a, self.ident): self.field.one})
-
     def g_w(self, w) -> SparseElement:
         # prefixes of a reduced word stay reduced, so every step is length-up
         cur = self.ident
@@ -231,10 +225,6 @@ class YAlgebra(SparseAlgebra):
     @qm1.setter
     def qm1(self, value):
         self._qm1 = None if value.is_zero() else value
-
-    def _live_pair(self):
-        """(q, q - 1) with each zero entry replaced by None."""
-        return self._q, self._qm1
 
     def _rmul_g(self, terms: dict, i: int) -> dict:
         q, qm1 = self._q, self._qm1
@@ -312,14 +302,12 @@ class YAlgebra(SparseAlgebra):
         return out
 
     def lmul_gen_maps(self):
-        maps = [(lambda t, i=i: self._lmul_g(t, i)) for i in range(1, self.n)]
-        maps += [(lambda t, j=j: self._lmul_t(t, j)) for j in range(1, self.n + 1)]
-        return maps
+        return (index_maps(self._lmul_g, range(1, self.n))
+                + index_maps(self._lmul_t, range(1, self.n + 1)))
 
     def rmul_gen_maps(self):
-        maps = [(lambda t, i=i: self._rmul_g(t, i)) for i in range(1, self.n)]
-        maps += [(lambda t, j=j: self._rmul_t(t, j)) for j in range(1, self.n + 1)]
-        return maps
+        return (index_maps(self._rmul_g, range(1, self.n))
+                + index_maps(self._rmul_t, range(1, self.n + 1)))
 
     # -- the flip automorphism -------------------------------------------
 

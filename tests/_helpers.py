@@ -582,7 +582,7 @@ def aks_scalar_rep_ok_all_colors(alg, c_star, xs) -> bool:
 # term through symgroup, and serve as oracles for the engine maps.
 
 def y_rmul_g_oracle(alg, terms: dict, i: int) -> dict:
-    q, qm1 = alg._live_pair()
+    q, qm1 = alg._q, alg._qm1
     out: dict = {}
     for (chi, w), a in terms.items():
         wsi = sg.right_mult_s(w, i)
@@ -597,7 +597,7 @@ def y_rmul_g_oracle(alg, terms: dict, i: int) -> dict:
 
 
 def y_lmul_g_oracle(alg, terms: dict, i: int) -> dict:
-    q, qm1 = alg._live_pair()
+    q, qm1 = alg._q, alg._qm1
     out: dict = {}
     for (chi, w), a in terms.items():
         winv = alg._inv[w]

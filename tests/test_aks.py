@@ -18,7 +18,7 @@ def test_dimension_and_unit():
     a = H.aksalg(2, 3)
     assert a.dimension == 48
     one = a.one()
-    x = a.basis_monomial((1, 2, 1), (2, 1, 3))
+    x = a.element({((1, 2, 1), (2, 1, 3)): a.field.one})
     assert one * x == x
     assert x * one == x
 
@@ -88,7 +88,7 @@ def test_right_maps_are_right_multiplications():
     assert len(rmaps) == len(gens)
     for _ in range(10):
         key = rng.choice(keys)
-        x = a.basis_monomial(*key)
+        x = a.element({key: a.field.one})
         for gen, rm in zip(gens, rmaps):
             assert rm(x.terms) == (x * gen).terms
 

@@ -305,7 +305,8 @@ def test_mult_rejects_wrong_length_exponents(capsys):
                                                "coeff": "1"}]})
 
 
-@pytest.mark.parametrize("r,field", [("2", "bogus"), ("4", "fp:7"), ("2", "fp:x")])
+@pytest.mark.parametrize("r,field", [("2", "bogus"), ("4", "fp:7"), ("2", "fp:x"),
+                                     ("2", "fp:1000000000000000000000000000057")])
 def test_dim_validates_field(capsys, r, field):
     # dim used to build its algebra over the default field and exit 0
     with pytest.raises(SystemExit) as exc:
@@ -352,6 +353,14 @@ def test_usage_error_then_verdict_in_one_process(capsys):
     assert json.loads(out) == {"schema": "yoklab/1", "r": 2, "n": 3, "dimension": 48,
                                "gram_invertible": True, "witness_ok": True}
     assert cli.build_parser() is cli.build_parser()
+
+
+def test_cli_import_leaves_dataclasses_out():
+    # pytest itself imports dataclasses, so only a fresh interpreter can tell
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys, yoklab.cli; sys.exit('dataclasses' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 def test_closed_pipe_gives_no_traceback():

@@ -86,7 +86,7 @@ def test_mixing_algebras_raises():
 
 def test_unknown_basis_is_rejected():
     with pytest.raises(ValueError):
-        H.nilalg(2, 2).one().as_T()
+        H.nilalg(2, 2).one().in_basis("T")
     with pytest.raises(ValueError):
         H.yalg(2, 2).zero("NIL")
 
@@ -138,7 +138,7 @@ def old_psi(alg, x):
 def old_lam_witness(alg, key):
     a, w = key
     u = sg.compose(alg.w0, sg.inverse(w))
-    return alg.T_w(u) * alg.t_monomial(tuple((-x) % alg.r for x in a))
+    return alg.T_w(u) * alg.element({(tuple((-x) % alg.r for x in a), alg.ident): alg.field.one})
 
 
 @pytest.mark.parametrize("r,n", [(1, 3), (2, 3), (3, 2), (2, 4)])

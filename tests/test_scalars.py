@@ -163,6 +163,28 @@ def test_prime_field_validation():
     PrimeField(7, 3)          # fine: 7 = 1 mod 3
 
 
+def test_prime_field_rejects_p_past_two_to_the_40():
+    # the primitive-root search costs about sqrt(p), so a large p is
+    # refused before any of it: a 31-digit prime, the first prime past 2^40
+    for p in (1000000000000000000000000000057, 1099511627791):
+        assert is_prime(p)
+        with pytest.raises(ValueError, match=r"2\^40"):
+            PrimeField(p, 2)
+    with pytest.raises(ValueError, match=r"2\^40"):
+        PrimeField(1 << 40, 2)
+    assert PrimeField(1099511627689, 4).p == 1099511627689   # the last one below
+
+
+def test_field_spec_fields():
+    assert FieldSpec._fields == ("kind", "r", "p")
+    assert FieldSpec("CyclotomicRational", 3).p is None
+    assert FieldSpec("PrimeField", 3, 13) == FieldSpec(kind="PrimeField", r=3, p=13)
+    assert FieldSpec("CyclotomicRational", 3) == FieldSpec(r=3, kind="CyclotomicRational")
+    assert hash(FieldSpec("PrimeField", 3, 13)) == hash(FieldSpec(p=13, r=3, kind="PrimeField"))
+    assert PrimeField(13, 3).spec == FieldSpec("PrimeField", 3, 13)
+    assert CyclotomicField(3).spec == FieldSpec("CyclotomicRational", 3)
+
+
 def test_cross_field_mixing_rejected():
     a = CyclotomicField(2).one
     b = PrimeField(13, 2).one

@@ -42,16 +42,16 @@ def test_basis_conversion_roundtrip():
         for a in alg.exponents:
             for w in alg.perms:
                 x = alg.element({(a, w): one}, "T")
-                assert x.as_E().as_T().terms == x.terms
+                assert x.as_E().in_basis("T").terms == x.terms
         for chi in alg.colors:
             for w in alg.perms:
                 x = alg.element({(chi, w): one}, "E")
-                assert x.as_T().as_E().terms == x.terms
+                assert x.in_basis("T").as_E().terms == x.terms
     alg = H.yalg(2, 3)
     rng = random.Random(5)
     for _ in range(20):
         x = alg.random_element(rng, basis="T")
-        assert x.as_E().as_T() == x
+        assert x.as_E().in_basis("T") == x
 
 
 def test_torus_idempotent_frozen():
@@ -60,7 +60,7 @@ def test_torus_idempotent_frozen():
     e = alg.e_idem(1)
     half = alg.field.from_fraction(Fraction(1, 2))
     ident = alg.ident
-    assert e.as_T().terms == {((0, 0), ident): half, ((1, 1), ident): half}
+    assert e.in_basis("T").terms == {((0, 0), ident): half, ((1, 1), ident): half}
     assert (e * e) == e
 
 
@@ -102,8 +102,8 @@ def test_torus_wraparound():
     alg = H.yalg(3, 2)
     t1 = alg.gen_t(1)
     assert t1 ** 3 == alg.one()
-    assert alg.t_monomial((4, 0)) == alg.t_monomial((1, 0))
-    assert alg.t_monomial((-1, 0)) == alg.t_monomial((2, 0))
+    assert t1 ** 4 == t1
+    assert t1 ** 2 == alg.element({((2, 0), alg.ident): alg.field.one})
 
 
 def test_generator_maps_match_products():
@@ -130,7 +130,7 @@ def test_element_operations():
     assert x ** 0 == alg.one()
     assert x ** 2 == x * x
     assert (x + y) * y == x * y + y * y
-    assert x.coeff(((0, 0), sg.right_mult_s(alg.ident, 1)), "T") == alg.field.one
+    assert x.in_basis("T").terms[((0, 0), sg.right_mult_s(alg.ident, 1))] == alg.field.one
     with pytest.raises(ValueError):
         x ** -1
     # cross-algebra mixing is rejected
@@ -164,7 +164,7 @@ def test_json_validation():
     good = {"basis": "T", "r": 2, "n": 2,
             "terms": [{"a": [0, 0], "w": [2, 1], "coeff": "1"}]}
     alg.element_from_json(good)
-    # torus exponents normalize mod r instead of erroring, same as t_monomial
+    # torus exponents normalize mod r instead of erroring
     wrapped = {**good, "terms": [{"a": [0, 5], "w": [2, 1], "coeff": "1"}]}
     assert alg.element_from_json(wrapped).terms == \
         {((0, 1), (2, 1)): alg.field.one}
@@ -294,7 +294,7 @@ def test_transform_round_trips(r, n):
 def phi_via_T(alg, x):
     """The flip computed in the T basis, converting there and back."""
     out = {}
-    for (a, w), c in x.as_T().terms.items():
+    for (a, w), c in x.in_basis("T").terms.items():
         out[(tuple(reversed(a)), sg.compose(alg.w0, sg.compose(w, alg.w0)))] = c
     res = alg.element(out, "T")
     return res if x.basis == "T" else res.as_E()
@@ -311,7 +311,7 @@ def test_phi_key_map_matches_T_route(r, n, kind):
         assert x.basis == "E"
         px = alg.phi(x)
         assert px.basis == "E" and px.terms == phi_via_T(alg, x).terms
-        xt = x.as_T()
+        xt = x.in_basis("T")
         pxt = alg.phi(xt)
         assert pxt.basis == "T" and pxt.terms == phi_via_T(alg, xt).terms
         assert alg.phi(px).terms == x.terms
@@ -342,10 +342,10 @@ def test_zero_quadratic_terms_are_skipped(monkeypatch):
 def test_assigned_q_is_live():
     # q and q - 1 are resolved to their None-for-zero pair on assignment
     alg = YAlgebra(2, 3, field=H.field(H.FP13, 2))
-    assert alg._live_pair() == (None, -alg.field.one)
+    assert (alg._q, alg._qm1) == (None, -alg.field.one)
     alg.q = alg.field.from_int(5)
-    assert alg._live_pair() == (alg.field.from_int(5), -alg.field.one)
+    assert (alg._q, alg._qm1) == (alg.field.from_int(5), -alg.field.one)
     assert alg.q == 5
     alg.qm1 = alg.field.zero
-    assert alg._live_pair() == (alg.field.from_int(5), None)
+    assert (alg._q, alg._qm1) == (alg.field.from_int(5), None)
     assert alg.qm1.is_zero()

@@ -20,7 +20,9 @@ The scalar classes share one base, ``_Scalar``, and the fields another,
 inverse, == and hash (and its field's constructors and ``render``); the
 base holds the rest: coercion of ints, Fractions and same-field scalars
 (two fields are the same when their ``spec``, a ``FieldSpec``, is),
-reflected subtraction, division, powers, repr, ``parse`` and ``zeta_pow``.
+reflected subtraction, division, powers by repeated squaring, repr,
+``parse`` and ``zeta_pow``.  Scalars of different fields or backends are
+unequal under ==, and +, - and * on them raise TypeError.
 
 All arithmetic is exact: arbitrary-precision integers and Fractions only.
 ``CycScalar.coeffs`` gives a scalar's coordinates as Fractions.
@@ -228,9 +230,13 @@ class _Scalar:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = self.field.one
-        for _ in range(k):
-            out = out * self
+        out, base = self.field.one, self
+        while k:   # square and multiply
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __repr__(self):
@@ -345,7 +351,12 @@ class CycScalar(_Scalar):
         return self.field._inv(self)
 
     def __eq__(self, other):
-        o = self._lift(other)
+        # a scalar of another field or backend is unequal, through
+        # NotImplemented, where +, - and * raise TypeError
+        try:
+            o = self._lift(other)
+        except TypeError:
+            return NotImplemented
         if o is None:
             return NotImplemented
         return self.num == o.num and self.den == o.den
@@ -564,7 +575,10 @@ class FpScalar(_Scalar):
         return self.field._inv[self.value]
 
     def __eq__(self, other):
-        o = self._lift(other)
+        try:   # as CycScalar.__eq__
+            o = self._lift(other)
+        except TypeError:
+            return NotImplemented
         if o is None:
             return NotImplemented
         return self.value == o.value

@@ -13,10 +13,12 @@ read tau off products in the E basis.  Everything about the Gram form comes
 from one set of tables, the (chi, w0) coefficients f_{u,v}(chi) of E_chi g_u
 g_v (gram_tables).  frobenius_check decides invertibility on the E-basis
 Gram, which splits into r^n blocks of size n! x n!, one per color, and
-reads each witness entry off the tables.  The T-basis Gram matrix,
-G[(a, u)][(b, v)] = tau(t^(a + u.b) g_u g_v), is a torus transform of the
-same tables (gram_matrix); it is built only for gram --export and the
-exhaustive Nakayama check.
+reads each witness entry off the tables.  The exhaustive Nakayama check
+compares tau(x y) with tau(phi(y) x) on E-basis pairs, where tau(E_a g_u
+E_b g_v) = [a = u.b] f_{u,v}(a) / r^n.  The T-basis Gram matrix, G[(a,
+u)][(b, v)] = tau(t^(a + u.b) g_u g_v), is a torus transform of the same
+tables (gram_entries); it is built whole only for gram --export, and read
+entry by entry only to count the pairs before a Nakayama failure.
 
 Cells: basis monomials (chi, w) are ranked by (length(w), w, chi).  At q = 0
 multiplication by any generator sends a basis monomial to monomials of the
@@ -32,6 +34,7 @@ import random
 
 from . import exactla, symgroup as sg
 from .algebra import SparseAlgebra, SparseElement
+from .exactla import _acc
 from .modrep import enumerate_labels, require_q0
 from .ycore import YAlgebra, torus_to_T
 
@@ -39,6 +42,7 @@ __all__ = [
     "tau",
     "tau_terms",
     "gram_tables",
+    "gram_entries",
     "gram_matrix",
     "singular_block",
     "frobenius_witness",
@@ -98,16 +102,15 @@ def gram_tables(alg: YAlgebra) -> dict:
     return f
 
 
-def gram_matrix(alg: YAlgebra):
-    """Gram matrix of tau(b_i b_j) over the sorted T-basis monomials.
+def gram_entries(alg: YAlgebra):
+    """The T-basis Gram entry rule: entry(x, y) = tau(b_x b_y) for T-basis
+    keys x and y.
 
-    For b_i = t^a g_u and b_j = t^b g_v the product is t^(a + u.b) g_u g_v,
+    For b_x = t^a g_u and b_y = t^b g_v the product is t^(a + u.b) g_u g_v,
     so G[(a, u)][(b, v)] = F_{u,v}(a + u.b) with F_{u,v}(c) = tau(t^c g_u
     g_v).  As t^c = sum_chi zeta^(c.chi) E_chi, F_{u,v}(c) = (1/r^n)
     sum_chi zeta^(c.chi) f_{u,v}(chi) with f the gram_tables: F_{u,v}(-c)
-    is the inverse torus transform of f_{u,v}.  The matrix has (r^n n!)^2
-    entries; frobenius_check decides invertibility without it."""
-    keys = t_basis_keys(alg)
+    is the inverse torus transform of f_{u,v}, one transform per table."""
     r, w0, exponents = alg.r, alg.w0, alg.exponents
     zero = alg.field.zero
     index = {a: k for k, a in enumerate(exponents)}
@@ -118,11 +121,19 @@ def gram_matrix(alg: YAlgebra):
     for uv, f in gram_tables(alg).items():
         tt = torus_to_T(alg.field, r, exponents, {(chi, w0): c for chi, c in f.items()})
         F[uv] = [tt.get((a, w0), zero) for a in exponents]
-    rows = []
-    for a, u in keys:
-        sums, mu = neg_sum[index[a]], moved[u]
-        rows.append([F[u, v][sums[mu[index[b]]]] for b, v in keys])
-    return keys, rows
+
+    def entry(x, y):
+        (a, u), (b, v) = x, y
+        return F[u, v][neg_sum[index[a]][moved[u][index[b]]]]
+    return entry
+
+
+def gram_matrix(alg: YAlgebra):
+    """Gram matrix of tau(b_i b_j) over the sorted T-basis monomials, for
+    gram --export: (r^n n!)^2 entries read through gram_entries."""
+    keys = t_basis_keys(alg)
+    entry = gram_entries(alg)
+    return keys, [[entry(x, y) for y in keys] for x in keys]
 
 
 def singular_block(alg: YAlgebra, tables: dict):
@@ -161,7 +172,7 @@ def frobenius_check(alg: YAlgebra) -> dict:
     witness j of the key (a, v) is the basis monomial (u.(-a), u), u = w0
     v^-1, so tau(j b_k) is the Gram entry F_{u,v}(0) = (1/r^n) sum_chi
     f_{u,v}(chi), the same for every a.  The T-basis Gram itself is not
-    built; nakayama_check(exhaustive=True) reads it entry by entry."""
+    built."""
     field, tables = alg.field, gram_tables(alg)
     rn = field.from_int(alg.r ** alg.n)
     return {
@@ -173,30 +184,67 @@ def frobenius_check(alg: YAlgebra) -> dict:
     }
 
 
-def _flip_pairs(alg: SparseAlgebra, keys, rows) -> tuple[int, bool]:
-    """Whether G[x][y] = G[phi(y)][x], that is tau(b_x b_y) = tau(phi(b_y)
-    b_x), for every pair of basis keys, x then y; phi sends each basis key
-    to a basis key.  Returns the pairs that passed and the verdict."""
-    pos = {k: i for i, k in enumerate(keys)}
-    one = alg.field.one
-    flip = [pos[next(iter(alg.phi(alg.element({k: one})).terms))] for k in keys]
+def _flip_holds(alg: YAlgebra, tables: dict) -> bool:
+    """tau(x y) = tau(phi(y) x) on every pair of E-basis keys, from the
+    gram_tables f: tau(E_a g_u . E_b g_v) = [a = u.b] f_{u,v}(a) / r^n.
+
+    For each key y = (b, v), with phi(y) read off alg.phi, both sides are
+    sparse maps x -> value, r^n cancelled: the left holds f_{u,v}(u.b) at
+    the n! keys (u.b, u), the right sums lam f_{v',u}(b') at (v'^-1.b', u)
+    over the terms lam (b', v') of phi(y).  Neither stores a zero."""
+    one, perms, act, inv = alg.field.one, alg.perms, alg.act, alg._inv
+    for b in alg.colors:
+        moved = [(act(u, b), u) for u in perms]
+        for v in perms:
+            y = (b, v)
+            lhs = {}
+            for a, u in moved:
+                c = tables[u, v].get(a)
+                if c is not None:
+                    lhs[a, u] = c
+            rhs = {}
+            for (b2, v2), lam in alg.phi(SparseElement(alg, "E", {y: one})).terms.items():
+                a = act(inv[v2], b2)
+                for u in perms:
+                    c = tables[v2, u].get(b2)
+                    if c is not None:
+                        _acc(rhs, (a, u), lam * c)
+            if lhs != rhs:
+                return False
+    return True
+
+
+def _flip_pairs_passed(alg: YAlgebra) -> int:
+    """Pairs of T-basis keys, x then y in sorted order, with G[x][y] =
+    G[phi(y)][x] before the first that fails, each entry read through
+    gram_entries; G[phi(y)][x] sums lam G[y'][x] over the terms lam y' of
+    phi(b_y)."""
+    keys = t_basis_keys(alg)
+    entry = gram_entries(alg)
+    zero, one = alg.field.zero, alg.field.one
+    flips = [list(alg.phi(alg.element({y: one})).terms.items()) for y in keys]
     pairs = 0
-    for ix, row in enumerate(rows):
-        for iy, entry in enumerate(row):
-            if not (entry == rows[flip[iy]][ix]):
-                return pairs, False
+    for x in keys:
+        for y, flip in zip(keys, flips):
+            if not (entry(x, y) == sum((lam * entry(y2, x) for y2, lam in flip), zero)):
+                return pairs
             pairs += 1
-    return pairs, True
+    return pairs
 
 
 def nakayama_check(alg: YAlgebra, exhaustive: bool = False, samples: int = 200,
                    seed: int = 0) -> dict:
     """tau(x y) = tau(phi(y) x), exhaustively on basis pairs or sampled.
 
-    On basis pairs this reads both sides off the Gram matrix."""
+    The exhaustive check decides it on E-basis pairs (_flip_holds), about
+    2 r^n n!^2 comparisons; both sides are bilinear and the torus transform
+    is invertible, so that is the statement on T-basis pairs.  A pass counts
+    all (r^n n!)^2 pairs, a failure the T-basis pairs, in sorted order, that
+    passed before the first failing one (_flip_pairs_passed)."""
     if exhaustive:
-        pairs, ok = _flip_pairs(alg, *gram_matrix(alg))
-        return {"mode": "exhaustive", "pairs": pairs, "ok": ok}
+        if _flip_holds(alg, gram_tables(alg)):
+            return {"mode": "exhaustive", "pairs": alg.dimension ** 2, "ok": True}
+        return {"mode": "exhaustive", "pairs": _flip_pairs_passed(alg), "ok": False}
     pairs = 0
     rng = random.Random(seed)
     for _ in range(samples):
@@ -234,11 +282,16 @@ def phi_checks(alg: YAlgebra, samples: int = 50, seed: int = 1) -> dict:
 # -- cells ----------------------------------------------------------------
 
 def beta(alg: YAlgebra, chi, w):
-    """Coefficient of (chi, w) inside the square of E_chi g_w."""
+    """Coefficient of (chi, w) inside the square of E_chi g_w.
+
+    E_chi g_w E_chi = E_chi E_{w.chi} g_w vanishes unless w.chi = chi, the
+    test mul_terms applies through its buckets; only then is the monomial
+    square formed."""
     require_q0(alg)
-    key = (tuple(chi), tuple(w))
-    b = {key: alg.field.one}
-    return alg.mul_terms(b, b).get(key, alg.field.zero)
+    chi, w = key = (tuple(chi), tuple(w))
+    if alg.act(alg._inv[w], chi) != chi:
+        return alg.field.zero
+    return alg._mono_mul(key, key).get(key, alg.field.zero)
 
 
 def cell_rank(alg: YAlgebra, key):

@@ -22,7 +22,8 @@ multiplication by a generator touches at most two terms:
 
 Each map reads w s_i or s_i w, and whether the length goes up, from the
 permutation tables _rstep and _lstep that SparseAlgebra builds once per
-algebra, one per side and i; t_j reads a list of the r powers of zeta.
+algebra, one per side and i; t_j reads zeta^(c mod r) from a list indexed
+by the color c.
 Two basis monomials interact only when the color parts are compatible:
 E_{chi'} g_{w'} E_chi g_w vanishes unless chi' = w'(chi).  At q = 0 every
 structure constant lies in {0, 1, -1}.
@@ -132,11 +133,13 @@ class YAlgebra(SparseAlgebra):
 
     def __init__(self, r: int, n: int, field=None, q=None):
         super().__init__(r, n, field)
+        self._mono_cache: dict = {}
         self._set_q(q)
         self._act_cache: dict = {}
-        self._mono_cache: dict = {}
         self._zeta = self.field.zeta_pow
         self._zetas = [self._zeta(k) for k in range(r)]
+        # zeta^(c mod r) at index c, for a color c in 1..r
+        self._color_zetas = [self._zetas[c % r] for c in range(r + 1)]
 
     def act(self, w, c):
         key = (w, c)
@@ -207,8 +210,8 @@ class YAlgebra(SparseAlgebra):
 
     # q and q - 1 are stored as _q and _qm1 with a zero value replaced by
     # None, resolved once on assignment: the length-down steps skip a zero
-    # term instead of forming and dropping it, and a reassigned q or qm1
-    # takes effect at once
+    # term instead of forming and dropping it.  Assigning either one empties
+    # the product cache, so a reassigned q or qm1 takes effect at once
 
     @property
     def q(self):
@@ -217,6 +220,7 @@ class YAlgebra(SparseAlgebra):
     @q.setter
     def q(self, value):
         self._q = None if value.is_zero() else value
+        self._mono_cache.clear()
 
     @property
     def qm1(self):
@@ -225,6 +229,7 @@ class YAlgebra(SparseAlgebra):
     @qm1.setter
     def qm1(self, value):
         self._qm1 = None if value.is_zero() else value
+        self._mono_cache.clear()
 
     def _rmul_g(self, terms: dict, i: int) -> dict:
         q, qm1 = self._q, self._qm1
@@ -260,14 +265,19 @@ class YAlgebra(SparseAlgebra):
         return out
 
     def _rmul_t(self, terms: dict, j: int) -> dict:
-        zetas, r = self._zetas, self.r
-        return {(chi, w): a * zetas[chi[w[j - 1] - 1] % r]
-                for (chi, w), a in terms.items()}
+        zc = self._color_zetas
+        out = {}
+        for key, a in terms.items():
+            chi, w = key
+            out[key] = a * zc[chi[w[j - 1] - 1]]
+        return out
 
     def _lmul_t(self, terms: dict, j: int) -> dict:
-        zetas, r = self._zetas, self.r
-        return {(chi, w): a * zetas[chi[j - 1] % r]
-                for (chi, w), a in terms.items()}
+        zc, k = self._color_zetas, j - 1
+        out = {}
+        for key, a in terms.items():
+            out[key] = a * zc[key[0][k]]
+        return out
 
     def _mono_mul(self, kx, ky) -> dict:
         """Product of two E-basis monomials, cached.

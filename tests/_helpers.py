@@ -251,6 +251,35 @@ def dense_frobenius(alg) -> dict:
             "witness_ok": witness_ok}
 
 
+def dense_nakayama(alg) -> dict:
+    """structure.nakayama_check(exhaustive=True) by the route it replaced:
+    the whole T-basis Gram matrix G, and G[x][y] = G[phi(y)][x], that is
+    tau(b_x b_y) = tau(phi(b_y) b_x), on every pair of basis keys, x then
+    y, with phi sending each basis key to a basis key.  pairs counts the
+    pairs that passed.  An oracle for the E-basis route."""
+    keys, rows = structure.gram_matrix(alg)
+    pos = {k: i for i, k in enumerate(keys)}
+    one = alg.field.one
+    flip = [pos[next(iter(alg.phi(alg.element({k: one})).terms))] for k in keys]
+    pairs = 0
+    for ix, row in enumerate(rows):
+        for iy, entry in enumerate(row):
+            if not (entry == rows[flip[iy]][ix]):
+                return {"mode": "exhaustive", "pairs": pairs, "ok": False}
+            pairs += 1
+    return {"mode": "exhaustive", "pairs": pairs, "ok": True}
+
+
+def phi_reversal_only(alg):
+    """A broken flip for alg: the key map (v, w) -> (reversed v, w), which
+    leaves out the w0-conjugation of the permutation (at n = 2 that
+    conjugation is the identity, so the map is phi there)."""
+    def phi(x):
+        return SparseElement(alg, x.basis, {(tuple(reversed(v)), w): c
+                                            for (v, w), c in x.terms.items()})
+    return phi
+
+
 def presentation_2_in_T(alg) -> dict:
     """YAlgebra.verify_presentation(2) by the route it replaced: every
     operand stays in the T basis, so each product goes to E and back, and

@@ -311,9 +311,58 @@ def test_prime_field_operands_from_another_build_combine():
 
 def test_prime_fields_of_another_p_do_not_mix():
     x, y = PrimeField(13, 3).one, PrimeField(7, 3).one
-    for op in ("__add__", "__sub__", "__mul__", "__truediv__", "__eq__"):
+    for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
         with pytest.raises(TypeError):
             getattr(x, op)(y)
+    # == answers False instead, through NotImplemented
+    assert x.__eq__(y) is NotImplemented
+
+
+@pytest.mark.parametrize("x,y", [
+    (PrimeField(13, 3).one, PrimeField(7, 3).one),
+    (CyclotomicField(2).one, PrimeField(13, 2).one),
+    (CyclotomicField(2).one, CyclotomicField(3).one),
+], ids=["fp13-fp7", "cyc-fp", "cyc2-cyc3"])
+def test_equality_across_fields_answers_false(x, y):
+    for a, b in ((x, y), (y, x)):
+        assert (a == b) is False
+        assert (a != b) is True
+        with pytest.raises(TypeError):
+            a + b
+        with pytest.raises(TypeError):
+            a - b
+        with pytest.raises(TypeError):
+            a * b
+
+
+@pytest.mark.parametrize("f", [CyclotomicField(3), PrimeField(13, 3), CyclotomicField(4)],
+                         ids=["cyc3", "fp13", "cyc4"])
+def test_power_matches_repeated_products(f):
+    for x in (f.zeta, f.zeta + 2, f.from_fraction(Fraction(-2, 3)), f.one, f.zero):
+        prod = f.one
+        for k in range(41):
+            assert x ** k == prod, (x, k)
+            if not x.is_zero():
+                assert x ** -k == prod.inverse(), (x, -k)
+            prod = prod * x
+
+
+@pytest.mark.parametrize("f", [CyclotomicField(3), PrimeField(13, 3)], ids=["cyc3", "fp13"])
+def test_huge_power_is_square_and_multiply(monkeypatch, f):
+    # k = 10**6 has 20 bits, so square and multiply forms at most 40
+    # products per power, where a plain loop forms k of them
+    cls, calls = type(f.one), []
+    mul = cls.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(cls, "__mul__", counted)
+    k = 10 ** 6
+    assert f.zeta ** k == f.zeta_pow(k)
+    assert f.zeta ** -k == f.zeta_pow(-k)
+    assert len(calls) <= 2 * 2 * k.bit_length()
 
 
 def test_prime_field_inverse_of_zero_raises():

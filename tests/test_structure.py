@@ -285,6 +285,57 @@ def test_exhaustive_nakayama_catches_identity_flip(monkeypatch, engine):
                                                     "ok": False}
 
 
+NAKAYAMA_SIZES = ([(r, n, kind) for r in (1, 2, 3) for n in (1, 2, 3)
+                   for kind in (H.FP13, H.CYC)]
+                  + [(2, 4, H.FP13), (2, 4, H.CYC)])
+
+
+@pytest.mark.parametrize("engine", ["y", "nil"])
+@pytest.mark.parametrize("r,n,kind", NAKAYAMA_SIZES)
+def test_exhaustive_nakayama_matches_dense_oracle(monkeypatch, engine, r, n, kind):
+    alg = (H.yalg if engine == "y" else H.nilalg)(r, n, kind)
+    expect = {"mode": "exhaustive", "pairs": alg.dimension ** 2, "ok": True}
+    assert nakayama_check(alg, exhaustive=True) == H.dense_nakayama(alg) == expect
+    if n >= 3:
+        # a flip without the w0-conjugation: both routes fail it, at the
+        # same T-basis pair
+        monkeypatch.setattr(alg, "phi", H.phi_reversal_only(alg))
+        got = nakayama_check(alg, exhaustive=True)
+        assert not got["ok"]
+        assert got == H.dense_nakayama(alg)
+
+
+@pytest.mark.parametrize("engine", [YAlgebra, NilAlgebra])
+@pytest.mark.parametrize("r,first", [(2, 51), (3, 165)])
+def test_exhaustive_nakayama_catches_a_broken_phi_key_map(monkeypatch, engine, r, first):
+    alg = engine(r, 3, field=H.field(H.FP13, r))
+    monkeypatch.setattr(alg, "phi", H.phi_reversal_only(alg))
+    expect = {"mode": "exhaustive", "pairs": first, "ok": False}
+    assert nakayama_check(alg, exhaustive=True) == expect == H.dense_nakayama(alg)
+
+
+def test_passing_exhaustive_nakayama_builds_no_gram_matrix(monkeypatch):
+    def refuse(alg):
+        raise AssertionError("T-basis Gram entries read")
+
+    monkeypatch.setattr(structure, "gram_matrix", refuse)
+    monkeypatch.setattr(structure, "gram_entries", refuse)
+    for alg in (H.yalg(2, 3, H.FP13), H.nilalg(3, 3, H.CYC), H.yalg(2, 4, H.CYC)):
+        got = nakayama_check(alg, exhaustive=True)
+        assert got == {"mode": "exhaustive", "pairs": alg.dimension ** 2, "ok": True}
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("kind", [H.FP13, H.CYC])
+def test_beta_is_the_square_coefficient(r, kind):
+    # two algebras, so that neither reads a product the other cached
+    alg, other = (YAlgebra(r, 3, field=H.field(kind, r)) for _ in range(2))
+    zero, one = alg.field.zero, alg.field.one
+    for key in ((c, w) for c in alg.colors for w in alg.perms):
+        square = other.mul_terms({key: one}, {key: one})
+        assert beta(alg, *key) == square.get(key, zero), key
+
+
 def test_witness_check_reads_the_gram(monkeypatch):
     alg = H.yalg(2, 3, H.FP13)
     keys = structure.t_basis_keys(alg)

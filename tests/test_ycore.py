@@ -349,3 +349,17 @@ def test_assigned_q_is_live():
     alg.qm1 = alg.field.zero
     assert (alg._q, alg._qm1) == (alg.field.from_int(5), None)
     assert alg.qm1.is_zero()
+
+
+def test_assigned_q_clears_the_product_cache():
+    # a monomial product cached at q = 0 must not outlive a new q
+    f = H.field(H.FP13, 2)
+    alg = YAlgebra(2, 3, field=f)
+    g1 = alg.gen_g(1).as_E()
+    at_zero = g1 * g1
+    alg.q = f.from_int(5)
+    alg.qm1 = f.from_int(4)
+    fresh = YAlgebra(2, 3, field=f, q=5)
+    fresh_g1 = fresh.gen_g(1).as_E()
+    assert (g1 * g1).terms == (fresh_g1 * fresh_g1).terms
+    assert (g1 * g1).terms != at_zero.terms

@@ -15,7 +15,12 @@ by a single h_i is a two-or-three term rewrite; products fold a reduced word
 of the left factor through the right factor.  Right multiplication by h_i is
 the Hecke rule on w alone, and by L_d the straightening of h_w L_d, cached
 per (w, d).  Both h_i maps read w s_i or s_i w from the permutation tables
-of SparseAlgebra.
+of SparseAlgebra, and skip a term whose coefficient q or q - 1 is zero.
+Reassigning q or qm1 empties the straightening cache.
+
+The commutator ideal is powered one orbit block at a time, and a power
+step takes a row to the products with the commutator seeds as words in the
+right maps (_commutator_words), so no seed product is formed.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from collections import Counter
 from . import symgroup as sg
 from .algebra import (SparseAlgebra, SparseElement, braid_relations, far_relations,
                       idempotent_relations, index_maps, relation_report, sum_block_dims)
-from .exactla import _acc, closure_under, ideal_power_dims, vec_addmul
+from .exactla import _acc, closure_under, step_power_dims, vec_addmul
 
 __all__ = ["AKSAlgebra"]
 
@@ -53,8 +58,9 @@ class AKSAlgebra(SparseAlgebra):
 
     def __init__(self, r: int, n: int, field=None, q=None):
         super().__init__(r, n, field)
-        self._set_q(q)
         self._hL_cache: dict = {}
+        self._meets_cache: dict = {}
+        self._set_q(q)
 
     def gen_L(self, c) -> SparseElement:
         c = tuple(c)
@@ -69,7 +75,12 @@ class AKSAlgebra(SparseAlgebra):
 
     # -- engine ----------------------------------------------------------
 
+    def _clear_caches(self) -> None:
+        self._hL_cache.clear()
+        self._meets_cache.clear()
+
     def _lmul_h(self, terms: dict, i: int) -> dict:
+        q, qm1 = self._q, self._qm1
         step = self._lstep[i]
         out: dict = {}
         for (c, w), a in terms.items():
@@ -80,13 +91,17 @@ class AKSAlgebra(SparseAlgebra):
             if up:
                 _acc(out, (sc, siw), a)
             else:
-                _acc(out, (sc, siw), a * self.q)
-                _acc(out, (sc, w), a * self.qm1)
+                if q is not None:
+                    _acc(out, (sc, siw), a * q)
+                if qm1 is not None:
+                    _acc(out, (sc, w), a * qm1)
             # straightening term from pushing h_i past L_c
+            if qm1 is None:
+                continue
             if c[i - 1] < c[i]:
-                _acc(out, (c, w), a * self.qm1)
+                _acc(out, (c, w), a * qm1)
             elif c[i - 1] > c[i]:
-                _acc(out, (sc, w), -(a * self.qm1))
+                _acc(out, (sc, w), -(a * qm1))
         return out
 
     def _lmul_L(self, terms: dict, c) -> dict:
@@ -94,6 +109,7 @@ class AKSAlgebra(SparseAlgebra):
 
     def _rmul_h(self, terms: dict, i: int) -> dict:
         # (L_c h_w) h_i is the Hecke rule on w alone; colors stay put
+        q, qm1 = self._q, self._qm1
         step = self._rstep[i]
         out: dict = {}
         for (c, w), a in terms.items():
@@ -101,8 +117,10 @@ class AKSAlgebra(SparseAlgebra):
             if up:
                 _acc(out, (c, wsi), a)
             else:
-                _acc(out, (c, wsi), a * self.q)
-                _acc(out, (c, w), a * self.qm1)
+                if q is not None:
+                    _acc(out, (c, wsi), a * q)
+                if qm1 is not None:
+                    _acc(out, (c, w), a * qm1)
         return out
 
     def _rmul_L(self, terms: dict, d) -> dict:
@@ -114,16 +132,25 @@ class AKSAlgebra(SparseAlgebra):
                 _acc(out, k, a * v)
         return out
 
-    def _right_product(self, x: dict, y: dict) -> dict:
-        """x y as the right action of each term L_d h_v of y on x; the same
-        product as mul_terms, cheaper when y is short and x long."""
-        out: dict = {}
-        for (d, v), b in y.items():
-            z = self._rmul_L(x, d)
-            for i in self._rword[v]:
-                z = self._rmul_h(z, i)
-            vec_addmul(out, b, z)
-        return out
+    def _rmul_Ls(self, terms: dict, orbit) -> dict:
+        """{d: terms L_d} for the d in orbit that terms meets, in one pass;
+        orbit is the S_n-orbit that holds every color of terms.  A term
+        (c, w) meets only the L_d whose straightening h_w L_d has a part of
+        color c, listed once per (w, c); every other terms L_d is 0."""
+        outs: dict = {}
+        for (c, w), a in terms.items():
+            meets = self._meets_cache.get((w, c))
+            if meets is None:
+                meets = [(d, part) for d in orbit
+                         if (part := self._straightened(w, d).get(c))]
+                self._meets_cache[(w, c)] = meets
+            for d, part in meets:
+                out = outs.get(d)
+                if out is None:
+                    out = outs[d] = {}
+                for k, v in part:
+                    _acc(out, k, a * v)
+        return outs
 
     def _straightened(self, w, d) -> dict:
         """h_w L_d in the basis, grouped by color: {c: [((c, u), coeff)]}."""
@@ -238,18 +265,50 @@ class AKSAlgebra(SparseAlgebra):
         return (index_maps(self._lmul_h, gens) + index_maps(self._lmul_L, orbit),
                 index_maps(self._rmul_h, gens) + index_maps(self._rmul_L, orbit))
 
+    def _commutator_words(self, a: dict, orbit) -> list[dict]:
+        """a . s for each commutator seed s = [h_i, h_(i+1)] and [h_i, L_c]
+        with c in orbit, for a row a of the block of orbit, as words in the
+        right maps R_i: x -> x h_i and R_c: x -> x L_c.
+
+        a (h_i h_(i+1) - h_(i+1) h_i) = R_(i+1)(R_i a) - R_i(R_(i+1) a) and
+        a (h_i L_c - L_c h_i) = R_c(R_i a) - R_i(R_c a).  Every other seed
+        gives 0: far h_i commute, and a = a L_O is killed by L_c for c
+        outside the orbit, which is central.  R_i a and R_c a are formed
+        once per row and shared by the words that start with them, and a
+        word is formed only where R_c(R_i a) or R_c a is nonzero.
+        """
+        minus_one = -self.field.one
+        by_h = [None] + [self._rmul_h(a, i) for i in range(1, self.n)]
+        by_L = self._rmul_Ls(a, orbit)
+        words = []
+        for i in range(1, self.n - 1):
+            word = self._rmul_h(by_h[i], i + 1)
+            vec_addmul(word, minus_one, self._rmul_h(by_h[i + 1], i))
+            words.append(word)
+        for i in range(1, self.n):
+            by_hL = self._rmul_Ls(by_h[i], orbit)
+            for c, ac in by_L.items():
+                word = by_hL.pop(c, {})
+                vec_addmul(word, minus_one, self._rmul_h(ac, i))
+                words.append(word)
+            words += by_hL.values()
+        return words
+
     def _orbit_power_dims(self, seeds, orbit) -> list[int]:
         """Power dimensions of the block J L_O, O = orbit, of the ideal J
         generated by seeds: the seeds cut to the colors in O generate it,
-        closed under the block's generators.  The step products J^k . seeds
-        run as right actions of the short seeds."""
+        closed under the block's generators.  A row a of J^k L_O has
+        a = a L_O, so a . (L_O s) = a . s, and the power step takes a to
+        its _commutator_words: J^(k+1) L_O is their closure under the right
+        maps, as the step is linear and the words are the products of a
+        with the generators of J."""
         inside = set(orbit)
         cut = [{k: v for k, v in s.items() if k[0] in inside} for s in seeds]
         cut = closure_under(self.field, [], [s for s in cut if s]).basis_rows()
         left, right = self._block_maps(orbit)
         ideal = closure_under(self.field, left + right, cut)
-        return ideal_power_dims(self.field, self._right_product, ideal,
-                                seeds=cut, right_maps=right)
+        return step_power_dims(self.field, ideal,
+                               lambda a: self._commutator_words(a, orbit), right)
 
     def _check_relabeling(self, source, target) -> None:
         """Exact check that (c, w) -> (sigma c, w), with sigma the monotone

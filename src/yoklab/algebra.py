@@ -206,6 +206,32 @@ class SparseAlgebra:
         self.q = q
         self.qm1 = q - self.field.one
 
+    # q and q - 1 are stored as _q and _qm1 with a zero value replaced by
+    # None, resolved once on assignment: the generator maps skip a zero
+    # term instead of forming and dropping it.  Assigning either one runs
+    # _clear_caches, so a reassigned q or qm1 takes effect at once
+
+    @property
+    def q(self):
+        return self.field.zero if self._q is None else self._q
+
+    @q.setter
+    def q(self, value):
+        self._q = None if value.is_zero() else value
+        self._clear_caches()
+
+    @property
+    def qm1(self):
+        return self.field.zero if self._qm1 is None else self._qm1
+
+    @qm1.setter
+    def qm1(self, value):
+        self._qm1 = None if value.is_zero() else value
+        self._clear_caches()
+
+    def _clear_caches(self) -> None:
+        """Empty the engine's caches of products that depend on q."""
+
     @property
     def dimension(self) -> int:
         return self.r ** self.n * math.factorial(self.n)

@@ -2,12 +2,15 @@
 
 Vectors are plain dicts mapping hashable, mutually comparable keys to
 nonzero scalars.  A ``Subspace`` keeps a reduced row echelon basis keyed by
-pivot, each pivot the least key of its row.  ``closure_under`` grows a span
-until it is stable under linear maps, and ``step_power_dims`` runs the one
-recurrence for the powers of an ideal, shared by the Y, AKS and nil
-engines: ``ideal_power_dims`` feeds it the products of each row with the
-ideal's generators, and the Y and nil blocks feed it words in the right
-generator maps.  Everything is exact; no floats anywhere.
+pivot, each pivot the least key of its row, and a column index from each
+non-pivot key to the rows that hold it, so an insert back-eliminates its
+new pivot from those rows only.  ``closure_under`` grows a span until it is
+stable under linear maps, and ``step_power_dims`` runs the one recurrence
+for the powers of an ideal, shared by the Y, AKS and nil engines, each of
+which feeds it words in its right generator maps.  ``ideal_power_dims`` is
+the same recurrence fed the products of each row with the ideal's
+generators, the reference form that the words are checked against.
+Everything is exact; no floats anywhere.
 """
 
 from __future__ import annotations
@@ -50,11 +53,23 @@ class Subspace:
 
     rows maps pivot key -> row dict; each row has coefficient 1 at its pivot
     and pivot keys of other rows eliminated, so reduction is a single pass.
+    A column index maps each non-pivot key to the pivots of the rows that
+    hold it, kept exact on every change to a row, so an insert
+    back-eliminates its new pivot from those rows alone.
+
+    Subspace(field, rows) adopts rows that are already reduced this way and
+    keyed by pivot, without copying them.  After that only insert writes
+    them, so the index stays exact.
     """
 
-    def __init__(self, field):
+    def __init__(self, field, rows=None):
         self.field = field
-        self.rows: dict = {}
+        self.rows: dict = {} if rows is None else rows
+        self._cols: dict = {}
+        for piv, row in self.rows.items():
+            for k in row:
+                if k != piv:
+                    self._cols.setdefault(k, set()).add(piv)
 
     def dim(self) -> int:
         return len(self.rows)
@@ -75,14 +90,31 @@ class Subspace:
         if not red:
             return None
         piv = min(red)
-        inv = red[piv].inverse()
-        row = {k: inv * c for k, c in red.items()}
-        row[piv] = self.field.one
-        for other in self.rows.values():
-            c = other.get(piv)
-            if c is not None:
-                vec_addmul(other, -c, row)
-        self.rows[piv] = row
+        inv = red.pop(piv).inverse()
+        tail = [(k, inv * c) for k, c in red.items()]
+        cols, rows = self._cols, self.rows
+        row = {piv: self.field.one}
+        for k, x in tail:
+            row[k] = x
+            cols.setdefault(k, set()).add(piv)
+        # piv becomes a pivot: clear it from the rows that hold it, and
+        # follow every key those rows gain or lose in the index
+        for p in cols.pop(piv, ()):
+            other = rows[p]
+            c = other.pop(piv)
+            for k, x in tail:
+                cur = other.get(k)
+                if cur is None:
+                    other[k] = -(c * x)
+                    cols[k].add(p)
+                else:
+                    nv = cur - c * x
+                    if nv.is_zero():
+                        del other[k]
+                        cols[k].discard(p)
+                    else:
+                        other[k] = nv
+        rows[piv] = row
         return row
 
     def contains(self, v: dict) -> bool:
@@ -156,7 +188,8 @@ def step_power_dims(field, sub: Subspace, step, right_maps) -> list[int]:
 
 
 def ideal_power_dims(field, product, sub: Subspace, seeds, right_maps) -> list[int]:
-    """step_power_dims with the step a -> a . s over the generators s of J.
+    """step_power_dims with the step a -> a . s over the generators s of J,
+    each product formed in full: the reference for the word steps.
 
     With sub = eJ and J the two-sided ideal generated by ``seeds``,
     eJ^(k+1) = closure(eJ^k . seeds) under the right maps: left factors of

@@ -31,6 +31,9 @@ generator maps, so both serve any Y engine at q = 0.  The commutator ideal
 passes commutator_seeds and commutator_words; the nil algebra, the Y
 engine with quadratic pair (0, 0), passes its monomials E_chi T_i and the
 words a -> a T_i to get its radical.  No power step forms a product.
+block_ideal and block_power_dims build each Subspace from rows that are
+already reduced, through exactla.Subspace(field, rows), which indexes them;
+nothing here writes the rows of a Subspace.
 """
 
 from __future__ import annotations
@@ -248,14 +251,14 @@ def block_ideal(alg: YAlgebra, seeds_of) -> exactla.Subspace:
     color pair, so the closure is stable under the t_j and the E_chi
     projections too.  The blocks have disjoint supports, so the union of
     their reduced bases is the reduced basis of J."""
-    ideal = exactla.Subspace(alg.field)
+    rows: dict = {}
     gens = range(1, alg.n)
     maps = index_maps(alg._lmul_g, gens) + index_maps(alg._rmul_g, gens)
     for orbits in _shape_groups(alg):
         block = exactla.closure_under(alg.field, maps, seeds_of(orbits[0]))
         for orbit in orbits:
-            ideal.rows.update(_relabel(block.rows, orbits[0], orbit))
-    return ideal
+            rows.update(_relabel(block.rows, orbits[0], orbit))
+    return exactla.Subspace(alg.field, rows)
 
 
 def commutator_words(alg: YAlgebra, row: dict, c: tuple) -> list[dict]:
@@ -317,8 +320,7 @@ def block_power_dims(alg: YAlgebra, sub: exactla.Subspace, words) -> list[int]:
     blocks = []
     for orbits in _shape_groups(alg):
         for chi in orbits[0]:
-            part = exactla.Subspace(alg.field)
-            part.rows = by_left.get(chi, {})
+            part = exactla.Subspace(alg.field, by_left.get(chi, {}))
             dims = exactla.step_power_dims(alg.field, part, step, right_maps)
             blocks.append((len(orbits), dims))
     return sum_block_dims(blocks)

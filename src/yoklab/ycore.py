@@ -208,27 +208,7 @@ class YAlgebra(SparseAlgebra):
 
     # -- multiplication engine (E basis) ---------------------------------
 
-    # q and q - 1 are stored as _q and _qm1 with a zero value replaced by
-    # None, resolved once on assignment: the length-down steps skip a zero
-    # term instead of forming and dropping it.  Assigning either one empties
-    # the product cache, so a reassigned q or qm1 takes effect at once
-
-    @property
-    def q(self):
-        return self.field.zero if self._q is None else self._q
-
-    @q.setter
-    def q(self, value):
-        self._q = None if value.is_zero() else value
-        self._mono_cache.clear()
-
-    @property
-    def qm1(self):
-        return self.field.zero if self._qm1 is None else self._qm1
-
-    @qm1.setter
-    def qm1(self, value):
-        self._qm1 = None if value.is_zero() else value
+    def _clear_caches(self) -> None:
         self._mono_cache.clear()
 
     def _rmul_g(self, terms: dict, i: int) -> dict:

@@ -13,9 +13,10 @@ from yoklab import AKSAlgebra, NilAlgebra, YAlgebra, make_field
 from yoklab.scalars import FieldSpec, _parse_terms, cyclotomic_polynomial
 from yoklab import modrep, structure, symgroup as sg
 from yoklab.algebra import (SparseElement, braid_relations, far_relations,
-                            idempotent_relations, relation_report)
+                            idempotent_relations, relation_report, sum_block_dims)
 from yoklab.aks import _straightening
-from yoklab.exactla import Subspace, _acc, closure_under, ideal_power_dims, invertible
+from yoklab.exactla import (Subspace, _acc, closure_under, ideal_power_dims, invertible,
+                            vec_addmul)
 
 FP13 = "fp13"
 CYC = "cyc"
@@ -159,12 +160,44 @@ def aks_ideal_power_dims(r: int, n: int, kind: str = CYC) -> list:
                             right_maps=a.rmul_gen_maps())
 
 
+def aks_orbit_block(a, orbit) -> tuple:
+    """(cut seeds, right maps, ideal) of the block J L_O of the AKS
+    commutator ideal J, O = orbit, built as AKSAlgebra._orbit_power_dims
+    builds it: a reduced basis of the seeds cut to O, the right generator
+    maps of the block, and the closure of the cut seeds under its maps."""
+    inside = set(orbit)
+    cut = [{k: v for k, v in s.items() if k[0] in inside} for s in a.commutator_seeds()]
+    cut = closure_under(a.field, [], [s for s in cut if s]).basis_rows()
+    left, right = a._block_maps(orbit)
+    return cut, right, closure_under(a.field, left + right, cut)
+
+
+@lru_cache(maxsize=None)
+def aks_orbit_power_dims(r: int, n: int, kind: str = CYC) -> list:
+    """AKS commutator power dimensions with every orbit block L_O powered
+    on its own, by mul_terms products with the seeds cut to O: an oracle
+    for the word step on one orbit per class."""
+    a = aksalg(r, n, kind)
+    blocks = []
+    for orbit in a.central_color_blocks():
+        cut, right, ideal = aks_orbit_block(a, orbit)
+        blocks.append((1, ideal_power_dims(a.field, a.mul_terms, ideal, cut, right)))
+    return sum_block_dims(blocks)
+
+
 def dense_rank(field, rows) -> int:
-    """Exact rank of a dense matrix (a list of scalar lists) by Gauss-Jordan
-    elimination: an oracle for the sparse Subspace rank."""
+    """Exact rank of a dense matrix (a list of scalar lists): an oracle for
+    the sparse Subspace rank."""
+    return len(dense_rref(field, rows))
+
+
+def dense_rref(field, rows) -> list:
+    """The nonzero rows of the reduced row echelon form of a dense matrix,
+    a list of scalar lists, by Gauss-Jordan elimination: an oracle for the
+    sparse Subspace rows, with the columns in key order."""
     mat = [list(r) for r in rows]
     if not mat:
-        return 0
+        return []
     ncols = len(mat[0])
     rank = 0
     for col in range(ncols):
@@ -185,7 +218,20 @@ def dense_rank(field, rows) -> int:
         rank += 1
         if rank == len(mat):
             break
-    return rank
+    return mat[:rank]
+
+
+def aks_right_product(alg, x: dict, y: dict) -> dict:
+    """x y in the AKS engine as the right action of each term L_d h_v of y
+    on x, through _rmul_L and a reduced word of _rmul_h: the seed products
+    the word step of AKSAlgebra._commutator_words replaces."""
+    out: dict = {}
+    for (d, v), b in y.items():
+        z = alg._rmul_L(x, d)
+        for i in alg._rword[v]:
+            z = alg._rmul_h(z, i)
+        vec_addmul(out, b, z)
+    return out
 
 
 def pairwise_power_dims(field, product, sub) -> list:

@@ -15,6 +15,7 @@ from yoklab.exactla import Subspace, closure_under
 
 import _helpers as H
 
+AKS_ORACLE_SIZES = [(r, n) for r in (1, 2, 3) for n in (1, 2, 3)] + [(2, 4), (3, 4)]
 Y_ORACLE_SIZES = ([(r, n, H.FP13) for r in (1, 2, 3) for n in (1, 2, 3, 4)]
                   + [(r, n, H.CYC) for r in (1, 2, 3) for n in (1, 2, 3)])
 
@@ -90,8 +91,7 @@ def _oracle_powers(alg, ideal, seeds_of, depth=None):
     for orbit in alg.central_color_blocks():
         seeds = seeds_of(orbit)
         for chi in orbit:
-            cur = Subspace(alg.field)
-            cur.rows = {p: row for p, row in ideal.rows.items() if p[0] == chi}
+            cur = Subspace(alg.field, {p: row for p, row in ideal.rows.items() if p[0] == chi})
             powers = []
             while cur.dim() and len(powers) != depth:
                 powers.append(cur)
@@ -192,6 +192,15 @@ def test_aks_orbit_blocks_match_full_route(r, n, kind):
         H.aks_ideal_power_dims(r, n, kind)
 
 
+@pytest.mark.parametrize("r,n,kind", [(r, n, kind) for r, n in AKS_ORACLE_SIZES
+                                      for kind in (H.CYC, H.FP13)])
+def test_aks_word_powers_match_mul_terms_products(r, n, kind):
+    # the word step on one orbit per class against the seed products, by
+    # mul_terms, on every orbit
+    assert H.aksalg(r, n, kind).commutator_power_dims() == \
+        H.aks_orbit_power_dims(r, n, kind)
+
+
 @pytest.mark.parametrize("r,n", [(2, 3), (3, 3), (2, 4)])
 @pytest.mark.parametrize("kind", [H.FP13, H.CYC])
 def test_aks_orbits_match_their_class(r, n, kind):
@@ -243,9 +252,28 @@ def test_aks_right_rules_match_mul_terms(kind):
         for gen, rmul in zip(gens, rmaps):
             assert rmul(x) == a.mul_terms(x, gen)
         y = a.random_element(rng).terms
-        assert a._right_product(x, y) == a.mul_terms(x, y)
+        assert H.aks_right_product(a, x, y) == a.mul_terms(x, y)
 
 
+@pytest.mark.parametrize("r,n", [(2, 3), (3, 3), (2, 4)])
+@pytest.mark.parametrize("kind", [H.FP13, H.CYC])
+def test_aks_step_words_match_seed_products(r, n, kind):
+    # on each orbit and at each power, the commutator words of a row span
+    # what its products with the cut seeds span, and the next powers agree
+    a = H.aksalg(r, n, kind)
+    for orbit in a.central_color_blocks():
+        cut, right, cur = H.aks_orbit_block(a, orbit)
+        while cur.dim():
+            by_words, by_seeds = [], []
+            for row in cur.rows.values():
+                words = a._commutator_words(row, orbit)
+                products = [H.aks_right_product(a, row, s) for s in cut]
+                assert closure_under(a.field, [], words).rows == \
+                    closure_under(a.field, [], products).rows
+                by_words += words
+                by_seeds += products
+            cur = closure_under(a.field, right, by_words)
+            assert cur.rows == closure_under(a.field, right, by_seeds).rows
 
 
 def test_centrality_guard_raises(monkeypatch, capsys):
@@ -273,8 +301,7 @@ def test_certificate_sees_a_missing_orbit_block():
     ideal = modrep.commutator_ideal(alg)
     assert modrep.semisimplicity_certificate(alg, ideal=ideal)["quotient_commutative"]
     drop = {(1, 1, 2), (1, 2, 1), (2, 1, 1)}
-    cut = Subspace(alg.field)
-    cut.rows = {p: row for p, row in ideal.rows.items() if p[0] not in drop}
+    cut = Subspace(alg.field, {p: row for p, row in ideal.rows.items() if p[0] not in drop})
     assert 0 < cut.dim() < ideal.dim()
     cert = modrep.semisimplicity_certificate(alg, ideal=cut)
     assert cert["quotient_commutative"] is False

@@ -122,3 +122,48 @@ def test_seeded_recurrence_matches_pairwise():
     ideal = closure_under(F, lmaps + rmaps, [s])
     assert ideal_power_dims(F, matmul, ideal, seeds=[s], right_maps=rmaps) \
         == H.pairwise_power_dims(F, matmul, ideal) == [5, 2, 0]
+
+
+def _index_of(rows):
+    """The column index rebuilt from rows: each non-pivot key -> the pivots
+    of the rows that hold it."""
+    cols: dict = {}
+    for piv, row in rows.items():
+        for k in row:
+            if k != piv:
+                cols.setdefault(k, set()).add(piv)
+    return cols
+
+
+def _check_against_dense(sub, field, inserted, keys):
+    assert {k: s for k, s in sub._cols.items() if s} == _index_of(sub.rows)
+    dense = H.dense_rref(field, [[row.get(k, field.zero) for k in keys] for row in inserted])
+    expect = {}
+    for line in dense:
+        row = {k: c for k, c in zip(keys, line) if not c.is_zero()}
+        expect[min(row)] = row
+    assert sub.rows == expect
+
+
+@pytest.mark.parametrize("kind", [H.CYC, H.FP13])
+def test_column_index_follows_every_insert(kind):
+    # interleaved inserts and checks: after each insert the index equals one
+    # rebuilt from rows, and rows equal the dense reduced row echelon form;
+    # a Subspace built from those rows carries on the same
+    f = H.field(kind, 1)
+    rng = random.Random(41)
+    keys = list(range(10))
+    for trial in range(30):
+        sub, inserted = Subspace(f), []
+        for _ in range(rng.randint(1, 12)):
+            vec = {k: f.from_int(rng.randint(-3, 3)) for k in keys if rng.random() < 0.35}
+            vec = {k: c for k, c in vec.items() if not c.is_zero()}
+            before = sub.dim()
+            stored = sub.insert(vec)
+            assert (stored is None) == (sub.dim() == before)
+            inserted.append(vec)
+            _check_against_dense(sub, f, inserted, keys)
+            assert sub.contains(vec)
+            if trial % 3 == 0:
+                sub = Subspace(f, {p: dict(row) for p, row in sub.rows.items()})
+                _check_against_dense(sub, f, inserted, keys)

@@ -105,7 +105,8 @@ def test_step_tables_match_symgroup(n):
             assert alg._lstep[i][w] == (siw, sg.length(siw) == sg.length(w) + 1)
 
 
-@pytest.mark.parametrize("name,q", [("Y", 0), ("Y", 5), ("nil", 0), ("AKS", 0), ("AKS", 5)])
+@pytest.mark.parametrize("name,q", [("Y", 0), ("Y", 5), ("Y", 1), ("nil", 0), ("AKS", 0),
+                                    ("AKS", 5), ("AKS", 1)])
 @pytest.mark.parametrize("r,n", [(2, 3), (3, 3), (2, 4)])
 @pytest.mark.parametrize("kind", FIELDS)
 def test_step_maps_match_per_term_oracles(name, q, r, n, kind):

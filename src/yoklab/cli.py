@@ -210,7 +210,7 @@ def cmd_gram(args, field):
     res = structure.frobenius_check(alg)
     verdict = "invertible"
     if not res["gram_invertible"]:
-        bad = structure.singular_block(alg, structure.gram_tables(alg))
+        bad = structure.singular_block(alg, structure.gram_blocks(alg))
         verdict = f"SINGULAR (block c = {bad})"
     lines = [f"gram matrix {res['dimension']}x{res['dimension']}: {verdict}",
              f"constructive witnesses: {_mark(res['witness_ok'])}"]

@@ -10,20 +10,22 @@ because the permutation parts multiply length-additively straight to w0.
 The trace, Gram, Frobenius, Nakayama, flip and cell checks serve the Y
 algebra and the nil algebra, the Y engine with T_i in place of g_i.  They
 read tau off products in the E basis.  Everything about the Gram form comes
-from one set of tables, the (chi, w0) coefficients f_{u,v}(chi) of E_chi g_u
-g_v (gram_tables).  frobenius_check decides invertibility on the E-basis
-Gram, which splits into r^n blocks of size n! x n!, one per color, and
-reads each witness entry off the tables.  The exhaustive Nakayama check
-compares tau(x y) with tau(phi(y) x) on E-basis pairs, where tau(E_a g_u
-E_b g_v) = [a = u.b] f_{u,v}(a) / r^n.  The T-basis Gram matrix, G[(a,
-u)][(b, v)] = tau(t^(a + u.b) g_u g_v), is a torus transform of the same
-tables (gram_entries); it is built whole only for gram --export, and read
-entry by entry only to count the pairs before a Nakayama failure.
+from the (chi, w0) coefficients f_{u,v}(chi) of E_chi g_u g_v, held as the
+r^n blocks of the E-basis Gram, one n! x n! block per color c with rows
+blocks[c][u] = {v: f_{u,v}(u.c)} (gram_blocks).  frobenius_check decides
+invertibility block by block and reads each witness entry off the blocks.
+The exhaustive Nakayama check compares tau(x y) with tau(phi(y) x) on
+E-basis pairs, where tau(E_a g_u E_b g_v) = [a = u.b] f_{u,v}(a) / r^n.  The
+T-basis Gram matrix, G[(a, u)][(b, v)] = tau(t^(a + u.b) g_u g_v), is a
+torus transform of the same values (gram_entries); it is built whole only
+for gram --export, and read entry by entry only to count the pairs before a
+Nakayama failure.
 
 Cells: basis monomials (chi, w) are ranked by (length(w), w, chi).  At q = 0
 multiplication by any generator sends a basis monomial to monomials of the
 same or higher rank, and the square of E_chi g_w touches the (chi, w)
-coefficient itself in a single scalar beta.  The keys with nonzero beta are
+coefficient itself in a single scalar beta, which vanishes unless w.chi =
+chi, so beta is formed only at those keys.  The keys with nonzero beta are
 predicted by the simple-module labels: (c, longest element of the Young
 subgroup of the flattened run compositions).
 """
@@ -41,7 +43,7 @@ from .ycore import YAlgebra, torus_to_T
 __all__ = [
     "tau",
     "tau_terms",
-    "gram_tables",
+    "gram_blocks",
     "gram_entries",
     "gram_matrix",
     "singular_block",
@@ -79,27 +81,34 @@ def t_basis_keys(alg: SparseAlgebra) -> list:
     return sorted((a, w) for a in alg.exponents for w in alg.perms)
 
 
-def gram_tables(alg: YAlgebra) -> dict:
-    """f[u, v] = {chi: the (chi, w0) coefficient of E_chi g_u . g_v}.
+def gram_blocks(alg: YAlgebra) -> dict:
+    """blocks[c][u] = {v: f_{u,v}(u.c)}, with f_{u,v}(chi) the (chi, w0)
+    coefficient of E_chi g_u . g_v.
 
-    Right multiplication by g_i keeps the color, and E_chi g_u g_v = E_chi
-    g_u E_{u^-1 chi} g_v, so these are the values tau reads off the
-    monomial products: n!^2 r^n of them, each product a shorter one times a
-    g_i and kept out of the product cache.  Zero values are not stored."""
-    w0, one = alg.w0, alg.field.one
+    tau(E_chi' g_u E_c g_v) vanishes unless chi' = u.c, so the E-basis Gram
+    is, after a permutation, block-diagonal with one n! x n! block per
+    color c, whose row u is blocks[c][u] (up to the unit 1/r^n).  Right
+    multiplication by g_i keeps the left color, so one pass per u takes
+    the r^n-term sum of E_chi g_u over every chi through the g_v, each
+    product a shorter one times a g_i: n!(n! - 1) calls of _rmul_g in all,
+    none through the product cache.  Every row is present; zero values are
+    not stored."""
+    w0, one, act, inv = alg.w0, alg.field.one, alg.act, alg._inv
     by_length = sorted(alg.perms, key=alg._len.__getitem__)
-    f = {(u, v): {} for u in alg.perms for v in alg.perms}
+    blocks = {c: {} for c in alg.colors}
     for u in alg.perms:
-        for chi in alg.colors:
-            prods = {alg.ident: {(chi, u): one}}
-            for v in by_length[1:]:
-                i = alg._rword[v][-1]
-                prods[v] = alg._rmul_g(prods[alg._rstep[i][v][0]], i)
-            for v, p in prods.items():
-                c = p.get((chi, w0))
-                if c is not None:
-                    f[u, v][chi] = c
-    return f
+        prods = {alg.ident: {(chi, u): one for chi in alg.colors}}
+        for v in by_length[1:]:
+            i = alg._rword[v][-1]
+            prods[v] = alg._rmul_g(prods[alg._rstep[i][v][0]], i)
+        rows = {chi: {} for chi in alg.colors}
+        for v, p in prods.items():
+            for (chi, w), c in p.items():
+                if w == w0:
+                    rows[chi][v] = c
+        for chi, row in rows.items():
+            blocks[act(inv[u], chi)][u] = row
+    return blocks
 
 
 def gram_entries(alg: YAlgebra):
@@ -109,17 +118,24 @@ def gram_entries(alg: YAlgebra):
     For b_x = t^a g_u and b_y = t^b g_v the product is t^(a + u.b) g_u g_v,
     so G[(a, u)][(b, v)] = F_{u,v}(a + u.b) with F_{u,v}(c) = tau(t^c g_u
     g_v).  As t^c = sum_chi zeta^(c.chi) E_chi, F_{u,v}(c) = (1/r^n)
-    sum_chi zeta^(c.chi) f_{u,v}(chi) with f the gram_tables: F_{u,v}(-c)
-    is the inverse torus transform of f_{u,v}, one transform per table."""
+    sum_chi zeta^(c.chi) f_{u,v}(chi), with f_{u,v}(u.c) read off
+    gram_blocks: F_{u,v}(-c) is the inverse torus transform of f_{u,v},
+    one transform per pair (u, v)."""
     r, w0, exponents = alg.r, alg.w0, alg.exponents
     zero = alg.field.zero
     index = {a: k for k, a in enumerate(exponents)}
     neg_sum = [[index[tuple((-x - y) % r for x, y in zip(a, b))] for b in exponents]
                for a in exponents]
     moved = {u: [index[sg.act_on_colors(u, b)] for b in exponents] for u in alg.perms}
+    f = {(u, v): {} for u in alg.perms for v in alg.perms}
+    for c, block in gram_blocks(alg).items():
+        for u, row in block.items():
+            chi = alg.act(u, c)
+            for v, val in row.items():
+                f[u, v][chi, w0] = val
     F = {}
-    for uv, f in gram_tables(alg).items():
-        tt = torus_to_T(alg.field, r, exponents, {(chi, w0): c for chi, c in f.items()})
+    for uv, terms in f.items():
+        tt = torus_to_T(alg.field, r, exponents, terms)
         F[uv] = [tt.get((a, w0), zero) for a in exponents]
 
     def entry(x, y):
@@ -136,19 +152,13 @@ def gram_matrix(alg: YAlgebra):
     return keys, [[entry(x, y) for y in keys] for x in keys]
 
 
-def singular_block(alg: YAlgebra, tables: dict):
-    """Color c of the first singular E-basis Gram block, or None.
-
-    tau(E_chi' g_u E_c g_v) vanishes unless chi' = u.c, so the E-basis Gram
-    is, after a permutation, block-diagonal with one n! x n! block M_c per
-    color c: M_c[u][v] = f_{u,v}(u.c), up to the unit 1/r^n."""
-    zero = alg.field.zero
-    for c in alg.colors:
-        block = []
-        for u in alg.perms:
-            chi = alg.act(u, c)
-            block.append([tables[u, v].get(chi, zero) for v in alg.perms])
-        if not exactla.invertible(alg.field, block):
+def singular_block(alg: YAlgebra, blocks: dict):
+    """Color c of the first singular E-basis Gram block of gram_blocks, or
+    None: the n! sparse rows of a block, keyed by v, are inserted into one
+    Subspace, and the block is singular when one of them adds nothing."""
+    for c, block in blocks.items():
+        sub = exactla.Subspace(alg.field)
+        if any(sub.insert(row) is None for row in block.values()):
             return c
     return None
 
@@ -164,51 +174,49 @@ def frobenius_witness(alg: SparseAlgebra, key) -> SparseElement:
 
 
 def frobenius_check(alg: YAlgebra) -> dict:
-    """Gram invertibility plus witnesses, read off the gram_tables.
+    """Gram invertibility plus witnesses, read off the gram_blocks.
 
     The T-basis Gram is A G^E B with A and B the torus transforms, which are
     invertible because r is a unit in the field, so it is invertible iff
     every n! x n! block of the E-basis Gram is (singular_block).  The
     witness j of the key (a, v) is the basis monomial (u.(-a), u), u = w0
     v^-1, so tau(j b_k) is the Gram entry F_{u,v}(0) = (1/r^n) sum_chi
-    f_{u,v}(chi), the same for every a.  The T-basis Gram itself is not
-    built."""
-    field, tables = alg.field, gram_tables(alg)
-    rn = field.from_int(alg.r ** alg.n)
+    f_{u,v}(chi), the same for every a: the sum of the (u, v) entries of
+    all r^n blocks.  The T-basis Gram itself is not built."""
+    field, blocks = alg.field, gram_blocks(alg)
+    zero, rn = field.zero, field.from_int(alg.r ** alg.n)
+    partner = {v: sg.compose(alg.w0, alg._inv[v]) for v in alg.perms}
     return {
         "dimension": alg.dimension,
-        "gram_invertible": singular_block(alg, tables) is None,
+        "gram_invertible": singular_block(alg, blocks) is None,
         "witness_ok": all(
-            sum(tables[sg.compose(alg.w0, alg._inv[v]), v].values(), field.zero) == rn
-            for v in alg.perms),
+            sum((block[u].get(v, zero) for block in blocks.values()), zero) == rn
+            for v, u in partner.items()),
     }
 
 
-def _flip_holds(alg: YAlgebra, tables: dict) -> bool:
-    """tau(x y) = tau(phi(y) x) on every pair of E-basis keys, from the
-    gram_tables f: tau(E_a g_u . E_b g_v) = [a = u.b] f_{u,v}(a) / r^n.
+def _flip_holds(alg: YAlgebra, blocks: dict) -> bool:
+    """tau(x y) = tau(phi(y) x) on every pair of E-basis keys, from
+    gram_blocks: tau(E_a g_u . E_b g_v) = [a = u.b] f_{u,v}(a) / r^n.
 
     For each key y = (b, v), with phi(y) read off alg.phi, both sides are
-    sparse maps x -> value, r^n cancelled: the left holds f_{u,v}(u.b) at
-    the n! keys (u.b, u), the right sums lam f_{v',u}(b') at (v'^-1.b', u)
-    over the terms lam (b', v') of phi(y).  Neither stores a zero."""
-    one, perms, act, inv = alg.field.one, alg.perms, alg.act, alg._inv
-    for b in alg.colors:
-        moved = [(act(u, b), u) for u in perms]
-        for v in perms:
-            y = (b, v)
-            lhs = {}
-            for a, u in moved:
-                c = tables[u, v].get(a)
-                if c is not None:
-                    lhs[a, u] = c
+    sparse maps x -> value, r^n cancelled.  The left holds f_{u,v}(u.b) at
+    the keys (u.b, u), column v of block b.  The right sums lam f_{v',u}(b')
+    at (a, u), a = v'^-1.b', over the terms lam (b', v') of phi(y): row v'
+    of block a.  Neither stores a zero."""
+    one, act, inv = alg.field.one, alg.act, alg._inv
+    for b, block in blocks.items():
+        columns = {v: {} for v in alg.perms}
+        for u, row in block.items():
+            x = (act(u, b), u)
+            for v, c in row.items():
+                columns[v][x] = c
+        for v, lhs in columns.items():
             rhs = {}
-            for (b2, v2), lam in alg.phi(SparseElement(alg, "E", {y: one})).terms.items():
+            for (b2, v2), lam in alg.phi(SparseElement(alg, "E", {(b, v): one})).terms.items():
                 a = act(inv[v2], b2)
-                for u in perms:
-                    c = tables[v2, u].get(b2)
-                    if c is not None:
-                        _acc(rhs, (a, u), lam * c)
+                for u, c in blocks[a][v2].items():
+                    _acc(rhs, (a, u), lam * c)
             if lhs != rhs:
                 return False
     return True
@@ -242,7 +250,7 @@ def nakayama_check(alg: YAlgebra, exhaustive: bool = False, samples: int = 200,
     all (r^n n!)^2 pairs, a failure the T-basis pairs, in sorted order, that
     passed before the first failing one (_flip_pairs_passed)."""
     if exhaustive:
-        if _flip_holds(alg, gram_tables(alg)):
+        if _flip_holds(alg, gram_blocks(alg)):
             return {"mode": "exhaustive", "pairs": alg.dimension ** 2, "ok": True}
         return {"mode": "exhaustive", "pairs": _flip_pairs_passed(alg), "ok": False}
     pairs = 0
@@ -330,11 +338,12 @@ def triangularity_check(alg: YAlgebra) -> dict:
 
 
 def _nonzero_betas(alg: YAlgebra) -> dict:
-    """beta at every key (c, w) where it is nonzero."""
+    """beta at every key (c, w) where it is nonzero.  beta vanishes unless
+    w.c = c, so only the fixed colors of each w are visited."""
     require_q0(alg)
     out = {}
-    for c in alg.colors:
-        for w in alg.perms:
+    for w in alg.perms:
+        for c in sg.fixed_colors(w, alg.r):
             b = beta(alg, c, w)
             if not b.is_zero():
                 out[c, w] = b

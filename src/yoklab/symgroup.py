@@ -27,6 +27,7 @@ __all__ = [
     "longest_element",
     "young_longest",
     "act_on_colors",
+    "fixed_colors",
     "all_permutations",
     "compositions",
     "composition_descents",
@@ -115,6 +116,22 @@ def act_on_colors(w: Perm, colors: tuple) -> tuple:
     """Place permutation on color vectors: (w.c)[i] = c[w^{-1}(i)]."""
     winv = inverse(w)
     return tuple(colors[winv[i] - 1] for i in range(len(w)))
+
+
+def fixed_colors(w: Perm, r: int) -> list[tuple]:
+    """The colors c in {1..r}^n with w.c = c, those constant on each cycle
+    of w, in increasing order: r^(number of cycles) of them."""
+    cycle = [None] * len(w)
+    count = 0
+    for start in range(len(w)):
+        if cycle[start] is None:
+            k = start
+            while cycle[k] is None:
+                cycle[k] = count
+                k = w[k] - 1
+            count += 1
+    return [tuple(vals[k] for k in cycle)
+            for vals in itertools.product(range(1, r + 1), repeat=count)]
 
 
 def all_permutations(n: int):

@@ -356,31 +356,79 @@ def presentation_2_in_T(alg) -> dict:
     return relation_report(2, rels + braid_relations(g, "g") + far_relations(g, "g"))
 
 
-def patch_gram_tables(monkeypatch, edit):
-    """Make structure.gram_tables return its tables after edit(alg, f)."""
-    tables = structure.gram_tables
+def one_term_gram_tables(alg) -> dict:
+    """f[u, v] = {chi: the (chi, w0) coefficient of E_chi g_u . g_v}, each
+    product formed from the one-term dict {(chi, u): 1}, one right
+    multiplication per (u, chi, v != 1), zero values left out: an oracle
+    for the one pass per u of structure.gram_blocks."""
+    w0, one = alg.w0, alg.field.one
+    by_length = sorted(alg.perms, key=alg._len.__getitem__)
+    f = {(u, v): {} for u in alg.perms for v in alg.perms}
+    for u in alg.perms:
+        for chi in alg.colors:
+            prods = {alg.ident: {(chi, u): one}}
+            for v in by_length[1:]:
+                i = alg._rword[v][-1]
+                prods[v] = alg._rmul_g(prods[alg._rstep[i][v][0]], i)
+            for v, p in prods.items():
+                c = p.get((chi, w0))
+                if c is not None:
+                    f[u, v][chi] = c
+    return f
+
+
+def gram_row(alg, blocks, u, chi) -> dict:
+    """{v: f_{u,v}(chi)}, the row u of the block of the color c with u.c =
+    chi: where gram_blocks keeps the values f_{u,v}(chi) for this u and chi."""
+    return blocks[alg.act(alg._inv[u], chi)][u]
+
+
+def patch_gram_blocks(monkeypatch, edit):
+    """Make structure.gram_blocks return its blocks after edit(alg, blocks)."""
+    build = structure.gram_blocks
 
     def patched(alg):
-        f = tables(alg)
-        edit(alg, f)
-        return f
+        blocks = build(alg)
+        edit(alg, blocks)
+        return blocks
 
-    monkeypatch.setattr(structure, "gram_tables", patched)
+    monkeypatch.setattr(structure, "gram_blocks", patched)
 
 
 def singular_block_mutant(monkeypatch, c):
     """Make the E-basis Gram block M_c singular and leave every other block
     as it is: the row of the identity repeats the row of w0 (for n = 1,
-    where they coincide, the one row is zeroed)."""
-    def edit(alg, f):
-        u1, u2 = alg.ident, alg.w0
-        for v in alg.perms:
-            src = f[u2, v].get(alg.act(u2, c)) if u1 != u2 else None
-            if src is None:
-                f[u1, v].pop(alg.act(u1, c), None)
-            else:
-                f[u1, v][alg.act(u1, c)] = src
-    patch_gram_tables(monkeypatch, edit)
+    where they coincide, the one row is emptied)."""
+    def edit(alg, blocks):
+        block = blocks[c]
+        block[alg.ident] = dict(block[alg.w0]) if alg.ident != alg.w0 else {}
+    patch_gram_blocks(monkeypatch, edit)
+
+
+def all_keys_nonzero_betas(alg) -> dict:
+    """beta at every key (c, w) where it is nonzero, found by evaluating
+    structure.beta at all r^n n! keys: an oracle for the fixed-color scan
+    of structure._nonzero_betas."""
+    out = {}
+    for c in alg.colors:
+        for w in alg.perms:
+            b = structure.beta(alg, c, w)
+            if not b.is_zero():
+                out[c, w] = b
+    return out
+
+
+def cycle_count(w) -> int:
+    """Number of cycles of the permutation w, singletons included."""
+    seen, count = set(), 0
+    for start in w:
+        if start not in seen:
+            count += 1
+            k = start
+            while k not in seen:
+                seen.add(k)
+                k = w[k - 1]
+    return count
 
 
 @lru_cache(maxsize=None)

@@ -222,7 +222,10 @@ def test_classification_match_computes_beta_once_per_key(monkeypatch):
     monkeypatch.setattr(structure, "beta", counted)
     got = classification_match(alg)
     assert got["match"] and got["beta_signs_ok"] and got["count"] == 18
-    assert len(calls) == len(set(calls)) == alg.dimension
+    # beta vanishes off the keys with w.c = c, so only those are visited
+    fixed = {(c, w) for c in alg.colors for w in alg.perms if alg.act(w, c) == c}
+    assert len(calls) == len(set(calls)) == len(fixed) == 24
+    assert set(calls) == fixed
 
 
 def test_classification_match_checks_each_predicted_sign(monkeypatch):
@@ -325,6 +328,24 @@ def test_passing_exhaustive_nakayama_builds_no_gram_matrix(monkeypatch):
         assert got == {"mode": "exhaustive", "pairs": alg.dimension ** 2, "ok": True}
 
 
+@pytest.mark.parametrize("r,n", [(r, n) for r in (1, 2, 3) for n in (1, 2, 3)]
+                         + [(2, 4), (4, 4)])
+def test_nonzero_betas_match_the_all_keys_scan(monkeypatch, r, n):
+    alg = H.yalg(r, n, H.FP13)
+    expect = H.all_keys_nonzero_betas(alg)
+    calls = []
+    real = structure.beta
+
+    def counted(alg, chi, w):
+        calls.append((chi, w))
+        return real(alg, chi, w)
+
+    monkeypatch.setattr(structure, "beta", counted)
+    assert structure._nonzero_betas(alg) == expect
+    assert len(calls) == len(set(calls)) == sum(r ** H.cycle_count(w) for w in alg.perms)
+    assert all(alg.act(w, c) == c for c, w in calls)
+
+
 @pytest.mark.parametrize("r", [2, 3])
 @pytest.mark.parametrize("kind", [H.FP13, H.CYC])
 def test_beta_is_the_square_coefficient(r, kind):
@@ -345,16 +366,18 @@ def test_witness_check_reads_the_gram(monkeypatch):
         assert tau(alg, j * alg.element({k: alg.field.one})) == alg.field.one
     assert frobenius_check(alg)["witness_ok"]
     # the witness entry of the keys (a, v) is F_{u,v}(0), u = w0 v^-1, the
-    # sum over the table f_{u,v}; one wrong value in that table is a wrong
-    # witness entry, in the Gram matrix as well
+    # sum of f_{u,v}(chi) over the colors chi; one wrong value f_{u,v}(chi),
+    # at the first chi where it is nonzero, is a wrong witness entry, in
+    # the Gram matrix as well
     v = keys[5][1]
     u = sg.compose(alg.w0, sg.inverse(v))
 
-    def edit(alg, f):
-        chi = next(iter(f[u, v]))
-        f[u, v][chi] = f[u, v][chi] + alg.field.one
+    def edit(alg, blocks):
+        chi = next(chi for chi in alg.colors if v in H.gram_row(alg, blocks, u, chi))
+        row = H.gram_row(alg, blocks, u, chi)
+        row[v] = row[v] + alg.field.one
 
-    H.patch_gram_tables(monkeypatch, edit)
+    H.patch_gram_blocks(monkeypatch, edit)
     assert not frobenius_check(alg)["witness_ok"]
     assert not H.dense_frobenius(alg)["witness_ok"]
     assert frobenius_check(alg)["gram_invertible"]
@@ -370,7 +393,7 @@ def test_gram_blocks_match_dense_oracle(monkeypatch, engine, r, n, kind):
     alg = (H.yalg if engine == "y" else H.nilalg)(r, n, kind)
     expect = {"dimension": alg.dimension, "gram_invertible": True, "witness_ok": True}
     assert frobenius_check(alg) == H.dense_frobenius(alg) == expect
-    assert structure.singular_block(alg, structure.gram_tables(alg)) is None
+    assert structure.singular_block(alg, structure.gram_blocks(alg)) is None
     # one singular block: the blocks and the dense T-basis matrix, built
     # from the same tables, must both see it, and the blocks name it
     c = alg.colors[len(alg.colors) // 2]
@@ -378,7 +401,7 @@ def test_gram_blocks_match_dense_oracle(monkeypatch, engine, r, n, kind):
     got = frobenius_check(alg)
     assert not got["gram_invertible"]
     assert got == H.dense_frobenius(alg)
-    assert structure.singular_block(alg, structure.gram_tables(alg)) == c
+    assert structure.singular_block(alg, structure.gram_blocks(alg)) == c
 
 
 @pytest.mark.parametrize("r,n", [(2, 3), (3, 2)])
@@ -393,16 +416,54 @@ def test_gram_blocks_match_dense_oracle_on_random_tables(monkeypatch, r, n):
         values = {(u, v, chi): alg.field.from_int(rng.randrange(13))
                   for u in alg.perms for v in alg.perms for chi in alg.colors}
 
-        def edit(alg, f, values=values):
+        def edit(alg, blocks, values=values):
             for (u, v, chi), c in values.items():
+                row = H.gram_row(alg, blocks, u, chi)
                 if c.is_zero():
-                    f[u, v].pop(chi, None)
+                    row.pop(v, None)
                 else:
-                    f[u, v][chi] = c
+                    row[v] = c
 
         monkeypatch.undo()
-        H.patch_gram_tables(monkeypatch, edit)
+        H.patch_gram_blocks(monkeypatch, edit)
         got = frobenius_check(alg)
         assert got == H.dense_frobenius(alg)
         seen.add(got["gram_invertible"])
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("engine", ["y", "nil"])
+@pytest.mark.parametrize("r,n,kind", FROBENIUS_SIZES + [(2, 4, H.CYC)])
+def test_gram_blocks_match_one_term_tables(engine, r, n, kind):
+    # every value of the one pass per u against the products of the
+    # one-term dicts {(chi, u): 1}, block by block and row by row
+    alg = (H.yalg if engine == "y" else H.nilalg)(r, n, kind)
+    f = H.one_term_gram_tables(alg)
+    blocks = structure.gram_blocks(alg)
+    assert list(blocks) == alg.colors
+    for c, block in blocks.items():
+        assert list(block) == alg.perms
+        for u, row in block.items():
+            chi = alg.act(u, c)
+            assert row == {v: f[u, v][chi] for v in alg.perms if chi in f[u, v]}
+            assert not any(x.is_zero() for x in row.values())
+
+
+@pytest.mark.parametrize("engine", [YAlgebra, NilAlgebra])
+@pytest.mark.parametrize("r,n", [(1, 1), (2, 3), (3, 4)])
+def test_gram_blocks_make_one_right_multiplication_per_step(monkeypatch, engine, r, n):
+    alg = engine(r, n, field=H.field(H.FP13, r))
+    calls = []
+    real = alg._rmul_g
+
+    def counted(terms, i):
+        calls.append(len(terms))
+        return real(terms, i)
+
+    monkeypatch.setattr(alg, "_rmul_g", counted)
+    structure.gram_blocks(alg)
+    nf = len(alg.perms)
+    assert len(calls) == nf * (nf - 1)
+    if nf > 1:
+        # each pass starts from the sum over all r^n colors
+        assert calls[::nf - 1] == [r ** n] * nf

@@ -85,6 +85,16 @@ def test_act_on_colors():
                 sg.act_on_colors(u, sg.act_on_colors(v, c))
 
 
+def test_fixed_colors_are_the_colors_w_fixes():
+    assert sg.fixed_colors((2, 1, 3), 2) == [(1, 1, 1), (1, 1, 2), (2, 2, 1), (2, 2, 2)]
+    for n in (1, 2, 3, 4):
+        for r in (1, 2, 3):
+            colors = list(itertools.product(range(1, r + 1), repeat=n))
+            for w in sg.all_permutations(n):
+                assert sg.fixed_colors(w, r) == [c for c in colors
+                                                 if sg.act_on_colors(w, c) == c]
+
+
 def test_compositions():
     assert sg.compositions(3) == [(3,), (1, 2), (2, 1), (1, 1, 1)]
     for n in (1, 2, 3, 4, 5, 6):

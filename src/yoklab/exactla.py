@@ -4,12 +4,15 @@ Vectors are plain dicts mapping hashable, mutually comparable keys to
 nonzero scalars.  A ``Subspace`` keeps a reduced row echelon basis keyed by
 pivot, each pivot the least key of its row, and a column index from each
 non-pivot key to the rows that hold it, so an insert back-eliminates its
-new pivot from those rows only.  ``closure_under`` grows a span until it is
-stable under linear maps, and ``step_power_dims`` runs the one recurrence
-for the powers of an ideal, shared by the Y, AKS and nil engines, each of
-which feeds it words in its right generator maps.  ``ideal_power_dims`` is
-the same recurrence fed the products of each row with the ideal's
-generators, the reference form that the words are checked against.
+new pivot from those rows only.  A one-term vector {k: c} skips the
+reduction: no row holds another row's pivot, so it lies in the span exactly
+when k is the pivot of a one-term row, and when k is no pivot it is stored
+as the row {k: 1}.  ``closure_under`` grows a span until it is stable
+under linear maps, and ``step_power_dims`` runs the one recurrence for the
+powers of an ideal, shared by the Y, AKS and nil engines, each of which
+feeds it words in its right generator maps.  ``ideal_power_dims`` is the
+same recurrence fed the products of each row with the ideal's generators,
+the reference form that the words are checked against.
 Everything is exact; no floats anywhere.
 """
 
@@ -85,14 +88,32 @@ class Subspace:
 
     def insert(self, v: dict):
         """Add v to the span.  Returns the stored normalized row, or None
-        when v was already in the span."""
-        red = self.reduce(v)
-        if not red:
-            return None
-        piv = min(red)
-        inv = red.pop(piv).inverse()
-        tail = [(k, inv * c) for k, c in red.items()]
+        when v was already in the span.
+
+        A one-term vector {k: c} is decided by a pivot lookup.  Reduction
+        changes only the coefficients at pivots, and no row holds another
+        row's pivot, so the residue of {k: c} is c times the tail of the row
+        with pivot k, or {k: c} itself when k is no pivot.  It is therefore
+        in the span exactly when k is the pivot of a one-term row, and
+        otherwise, when k is no pivot, it becomes the row {k: 1} with no
+        reduction.  The pivot of a longer row takes the general path.
+        """
         cols, rows = self._cols, self.rows
+        tail = None
+        if len(v) == 1:
+            (piv,) = v
+            held = rows.get(piv)
+            if held is None:
+                tail = []
+            elif len(held) == 1:
+                return None
+        if tail is None:
+            red = self.reduce(v)
+            if not red:
+                return None
+            piv = min(red)
+            inv = red.pop(piv).inverse()
+            tail = [(k, inv * c) for k, c in red.items()]
         row = {piv: self.field.one}
         for k, x in tail:
             row[k] = x

@@ -38,6 +38,7 @@ nothing here writes the rows of a Subspace.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter, namedtuple
 
@@ -123,12 +124,24 @@ def rep_of_label(alg: YAlgebra, label: SimpleLabel) -> OneDimRep:
     return OneDimRep(t_values=t_values, g_values=g_values)
 
 
+@functools.lru_cache(maxsize=1024)
+def _e_value(field, a, b):
+    """(1/r) sum_s a^s b^(-s): the value of e_i = (1/r) sum_s t_i^s t_(i+1)^(-s)
+    where t_i acts by a and t_(i+1) by b.  It depends on the pair alone, and
+    a sweep meets only r^2 pairs, so each is computed once."""
+    r = field.r
+    inv_r = field.one / field.from_int(r)
+    e_val = field.zero
+    for s in range(r):
+        e_val = e_val + inv_r * (a ** s) * (b ** s).inverse()
+    return e_val
+
+
 def check_one_dim(alg: YAlgebra, rep: OneDimRep) -> bool:
     """Exact relation check for a scalar system (any q)."""
     field, r, n = alg.field, alg.r, alg.n
     v, x = rep.t_values, rep.g_values
     one = field.one
-    inv_r = one / field.from_int(r)
     for i in range(n):
         if not (v[i] ** r - one).is_zero():
             return False
@@ -139,9 +152,7 @@ def check_one_dim(alg: YAlgebra, rep: OneDimRep) -> bool:
             return False
         if not (xi * v[i] - v[i - 1] * xi).is_zero():
             return False
-        e_val = field.zero
-        for s in range(r):
-            e_val = e_val + inv_r * (v[i - 1] ** s) * (v[i] ** s).inverse()
+        e_val = _e_value(field, v[i - 1], v[i])
         if not (xi * xi - (alg.q + alg.qm1 * e_val * xi)).is_zero():
             return False
     # braid words agree automatically for commuting scalars satisfying the

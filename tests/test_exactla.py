@@ -167,3 +167,35 @@ def test_column_index_follows_every_insert(kind):
             if trial % 3 == 0:
                 sub = Subspace(f, {p: dict(row) for p, row in sub.rows.items()})
                 _check_against_dense(sub, f, inserted, keys)
+
+
+@pytest.mark.parametrize("kind", [H.CYC, H.FP13])
+def test_one_term_inserts_match_dense(kind):
+    # a stream mostly of one-term vectors: a fresh key, a key that other rows
+    # hold off their pivots, the pivot of a one-term row and the pivot of a
+    # longer row must each come up, and after every insert the rows equal the
+    # dense reduced row echelon form and the index equals a rebuilt one
+    f = H.field(kind, 1)
+    rng = random.Random(53)
+    keys = list(range(8))
+    seen = set()
+    for _ in range(40):
+        sub, inserted = Subspace(f), []
+        for _ in range(rng.randint(2, 10)):
+            if rng.random() < 0.75:
+                k = rng.choice(keys)
+                vec = {k: f.from_int(rng.choice([-2, -1, 1, 3]))}
+                held = sub.rows.get(k)
+                if held is None:
+                    seen.add("held off pivot" if sub._cols.get(k) else "fresh")
+                else:
+                    seen.add("one-term pivot" if len(held) == 1 else "longer pivot")
+            else:
+                vec = {k: f.from_int(rng.randint(-3, 3)) for k in keys if rng.random() < 0.4}
+                vec = {k: c for k, c in vec.items() if not c.is_zero()}
+            before = sub.dim()
+            stored = sub.insert(vec)
+            assert (stored is None) == (sub.dim() == before)
+            inserted.append(vec)
+            _check_against_dense(sub, f, inserted, keys)
+    assert seen == {"fresh", "held off pivot", "one-term pivot", "longer pivot"}

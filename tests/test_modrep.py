@@ -1,6 +1,9 @@
+import itertools
+import json
+
 import pytest
 
-from yoklab import modrep, symgroup as sg
+from yoklab import cli, modrep, symgroup as sg
 from yoklab.modrep import (
     SimpleLabel,
     check_one_dim,
@@ -82,6 +85,60 @@ def test_bruteforce_matches_labels():
         labeled = {(rep_of_label(alg, lab).t_values, rep_of_label(alg, lab).g_values)
                    for lab in enumerate_labels(r, n)}
         assert {(rep.t_values, rep.g_values) for rep in brute} == labeled
+
+
+def _one_dim_holds(alg, rep) -> bool:
+    """check_one_dim with every e_i value summed afresh: the uncached
+    reference for the sweep."""
+    f, r = alg.field, alg.r
+    v, x = rep.t_values, rep.g_values
+    if any(not (t ** r - f.one).is_zero() for t in v):
+        return False
+    for i in range(1, alg.n):
+        xi, a, b = x[i - 1], v[i - 1], v[i]
+        if not ((xi * a - b * xi).is_zero() and (xi * b - a * xi).is_zero()):
+            return False
+        e_val = f.zero
+        for s in range(r):
+            e_val = e_val + (a ** s) * (b ** s).inverse() / f.from_int(r)
+        if not (xi * xi - (alg.q + alg.qm1 * e_val * xi)).is_zero():
+            return False
+    return all((a * b * a - b * a * b).is_zero() for a, b in zip(x, x[1:]))
+
+
+def _sweep_candidates(alg):
+    f = alg.field
+    for c in itertools.product(range(alg.r), repeat=alg.n):
+        for xs in itertools.product((f.zero, -f.one), repeat=alg.n - 1):
+            yield modrep.OneDimRep(tuple(f.zeta_pow(k) for k in c), xs)
+
+
+@pytest.mark.parametrize("r, n, kind", [(3, 3, H.CYC), (2, 3, H.FP13)])
+def test_cached_e_values_keep_every_sweep_verdict(r, n, kind):
+    alg = H.yalg(r, n, kind)
+    verdicts = [(check_one_dim(alg, rep), _one_dim_holds(alg, rep))
+                for rep in _sweep_candidates(alg)]
+    assert all(got == want for got, want in verdicts)
+    assert {got for got, _ in verdicts} == {True, False}
+
+
+def test_e_value_cache_needs_both_t_values(monkeypatch, capsys):
+    # e_i depends on t_i and t_(i+1): a cache keyed by t_i alone hands one
+    # pair's value to another, and the sweep's count moves
+    def count():
+        assert cli.main(["simples", "--bruteforce", "--r", "3", "--n", "3", "--json"]) in (0, 1)
+        return json.loads(capsys.readouterr().out)["bruteforce"]
+
+    assert count() == 48
+    e_value, by_t_i = modrep._e_value.__wrapped__, {}
+
+    def keyed_by_t_i(field, a, b):
+        if (field, a) not in by_t_i:
+            by_t_i[(field, a)] = e_value(field, a, b)
+        return by_t_i[(field, a)]
+
+    monkeypatch.setattr(modrep, "_e_value", keyed_by_t_i)
+    assert count() != 48
 
 
 def test_commutator_ideal_power_dims_frozen():

@@ -18,9 +18,11 @@ per (w, d).  Both h_i maps read w s_i or s_i w from the permutation tables
 of SparseAlgebra, and skip a term whose coefficient q or q - 1 is zero.
 Reassigning q or qm1 empties the straightening cache.
 
-The commutator ideal is powered one orbit block at a time, and a power
-step takes a row to the products with the commutator seeds as words in the
-right maps (_commutator_words), so no seed product is formed.
+The commutator ideal is closed and powered one orbit block at a time from
+one function, _commutator_words, the products of a row with the commutator
+seeds as words in the right maps: applied to the block's unit L_O it gives
+the block's generators, and a power step applies it to every row, so no
+seed product is formed.
 """
 
 from __future__ import annotations
@@ -294,19 +296,19 @@ class AKSAlgebra(SparseAlgebra):
             words += by_hL.values()
         return words
 
-    def _orbit_power_dims(self, seeds, orbit) -> list[int]:
-        """Power dimensions of the block J L_O, O = orbit, of the ideal J
-        generated by seeds: the seeds cut to the colors in O generate it,
-        closed under the block's generators.  A row a of J^k L_O has
-        a = a L_O, so a . (L_O s) = a . s, and the power step takes a to
-        its _commutator_words: J^(k+1) L_O is their closure under the right
-        maps, as the step is linear and the words are the products of a
-        with the generators of J."""
-        inside = set(orbit)
-        cut = [{k: v for k, v in s.items() if k[0] in inside} for s in seeds]
-        cut = closure_under(self.field, [], [s for s in cut if s]).basis_rows()
+    def _orbit_power_dims(self, orbit) -> list[int]:
+        """Power dimensions of the block J L_O, O = orbit, of the commutator
+        ideal J.  L_O is central, so J L_O is generated by the L_O s over
+        the commutator seeds s, and those are the _commutator_words of L_O
+        itself: the block is their closure under its generators.  A row a
+        of J^k L_O has a = a L_O, so a . (L_O s) = a . s, and the power step
+        takes a to its _commutator_words: J^(k+1) L_O is their closure under
+        the right maps, as the step is linear and the words are the
+        products of a with the generators of J."""
+        one = self.field.one
+        seeds = self._commutator_words({(c, self.ident): one for c in orbit}, orbit)
         left, right = self._block_maps(orbit)
-        ideal = closure_under(self.field, left + right, cut)
+        ideal = closure_under(self.field, left + right, seeds)
         return step_power_dims(self.field, ideal,
                                lambda a: self._commutator_words(a, orbit), right)
 
@@ -355,12 +357,11 @@ class AKSAlgebra(SparseAlgebra):
         for orbit in self.central_color_blocks():
             counts = Counter(orbit[0])
             classes.setdefault(tuple(counts[x] for x in sorted(counts)), []).append(orbit)
-        seeds = self.commutator_seeds()
         blocks = []
         for orbits in classes.values():
             for orbit in orbits[1:]:
                 self._check_relabeling(orbits[0], orbit)
-            blocks.append((len(orbits), self._orbit_power_dims(seeds, orbits[0])))
+            blocks.append((len(orbits), self._orbit_power_dims(orbits[0])))
         return sum_block_dims(blocks)
 
     def __repr__(self):

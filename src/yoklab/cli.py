@@ -300,7 +300,7 @@ def cmd_report(args, field) -> int:
             "certified": cert["certified"],
         },
         "frobenius": frob,
-        "nakayama": {"mode": naka["mode"], "pairs": naka["pairs"], "ok": naka["ok"]},
+        "nakayama": naka,
         "cells": {"triangular": tri["ok"], "count": match["count"],
                   "match": match["match"], "beta_signs_ok": match["beta_signs_ok"]},
         "nil": {"radical_power_dims": nil_dims,

@@ -22,7 +22,6 @@ __all__ = [
     "vec_addmul",
     "Subspace",
     "closure_under",
-    "invertible",
     "step_power_dims",
     "ideal_power_dims",
 ]
@@ -141,9 +140,6 @@ class Subspace:
     def contains(self, v: dict) -> bool:
         return not self.reduce(v)
 
-    def basis_rows(self) -> list[dict]:
-        return [dict(r) for r in self.rows.values()]
-
 
 def closure_under(field, maps, seed) -> Subspace:
     """Smallest subspace containing seed and stable under each map.
@@ -168,18 +164,6 @@ def closure_under(field, maps, seed) -> Subspace:
             if row is not None:
                 work.append(dict(row))
     return sub
-
-
-def invertible(field, rows) -> bool:
-    """A matrix, given as a list of scalar lists, is invertible when it is
-    square and every row inserts into a Subspace (no row depends on the
-    rows before it)."""
-    n = len(rows)
-    if n == 0 or any(len(row) != n for row in rows):
-        return False
-    sub = Subspace(field)
-    return all(sub.insert({j: c for j, c in enumerate(row) if not c.is_zero()})
-               is not None for row in rows)
 
 
 def step_power_dims(field, sub: Subspace, step, right_maps) -> list[int]:

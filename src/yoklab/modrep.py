@@ -24,13 +24,15 @@ Before relying on the split, an exact check confirms that every e_O
 commutes with every generator (SparseAlgebra.central_color_blocks) and
 raises ArithmeticError if one does not.
 
-The blocked closure (block_ideal) takes the generators of each block as a
-function of its orbit, and the blocked powers (block_power_dims) take the
-products of a row with the generators it meets, as words in the right
-generator maps, so both serve any Y engine at q = 0.  The commutator ideal
-passes commutator_seeds and commutator_words; the nil algebra, the Y
-engine with quadratic pair (0, 0), passes its monomials E_chi T_i and the
-words a -> a T_i to get its radical.  No power step forms a product.
+The blocked closure (block_ideal) and the blocked powers (block_power_dims)
+take one function words(a, c): the products of a row a of right color c
+with the generators of the ideal that it meets, as words in the right
+generator maps.  On the unit E_chi these words are the generators
+themselves, so the closure is seeded by them, and a power step takes each
+row to its words: an ideal's generators are written once, and both serve
+any Y engine at q = 0.  The commutator ideal passes commutator_words; the
+nil algebra, the Y engine with quadratic pair (0, 0), passes the words
+a -> a T_i to get its radical.  No power step forms a product.
 block_ideal and block_power_dims build each Subspace from rows that are
 already reduced, through exactla.Subspace(field, rows), which indexes them;
 nothing here writes the rows of a Subspace.
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import Counter, namedtuple
 
 from . import exactla, symgroup as sg
@@ -55,7 +58,6 @@ __all__ = [
     "rep_of_label",
     "check_one_dim",
     "enumerate_one_dim_bruteforce",
-    "commutator_seeds",
     "block_ideal",
     "commutator_words",
     "block_power_dims",
@@ -219,43 +221,20 @@ def _relabel(rows: dict, source: list, target: list) -> dict:
             for p, row in rows.items()}
 
 
-def commutator_seeds(alg: YAlgebra, orbit) -> list[dict]:
-    """Generators of the block J e_O of the commutator ideal J, with orbit O.
-
-    The commutators [g_i, g_{i+1}] e_O and [g_i, E_chi] = E_{s_i chi} g_i -
-    E_chi g_i for chi in O generate J e_O: the t_j are combinations of the
-    E_chi and each E_chi a polynomial in the t_j, so these generate the same
-    ideal as [g_i, t_j], and every other pair of generators commutes.  J e_O
-    is stable under x -> E_a x E_b, so each seed is split into its (left
-    color, right color) components; the span of those is returned as a
-    reduced basis.
-    """
+def _unit_seeds(alg: YAlgebra, words, orbit) -> list[dict]:
+    """words(E_chi, chi) for each chi in orbit.  E_chi s = s for each
+    generator s of the block whose left color is chi, so these are the
+    block's generators."""
     one = alg.field.one
-    e = {(chi, alg.ident): one for chi in orbit}
-    seeds = []
-    for i in range(1, alg.n - 1):
-        s = alg._lmul_g(alg._lmul_g(e, i + 1), i)
-        exactla.vec_addmul(s, -one, alg._lmul_g(alg._lmul_g(e, i), i + 1))
-        seeds.append(s)
-    for i in range(1, alg.n):
-        for chi in orbit:
-            x = {(chi, alg.ident): one}
-            s = alg._lmul_g(x, i)
-            exactla.vec_addmul(s, -one, alg._rmul_g(x, i))
-            seeds.append(s)
-    parts = []
-    for s in seeds:
-        split: dict = {}
-        for (chi, w), c in s.items():
-            split.setdefault((chi, alg.act(alg._inv[w], chi)), {})[(chi, w)] = c
-        parts += split.values()
-    return exactla.closure_under(alg.field, [], parts).basis_rows()
+    return [v for chi in orbit for v in words({(chi, alg.ident): one}, chi)]
 
 
-def block_ideal(alg: YAlgebra, seeds_of) -> exactla.Subspace:
-    """Two-sided ideal J, in the E basis, whose block J e_O is generated by
-    seeds_of(O): vectors with one (left color, right color) pair in O, given
-    alike for every orbit up to relabeling the colors.
+def block_ideal(alg: YAlgebra, words) -> exactla.Subspace:
+    """Two-sided ideal J, in the E basis, whose generators are the step
+    words of block_power_dims applied to the units: the block J e_O is
+    generated by words(E_chi, chi) for chi in O, vectors with one (left
+    color, right color) pair each, given alike for every orbit up to
+    relabeling the colors.
 
     One closure per shape, under left and right multiplication by the g_i,
     carried to every orbit of that shape.  The g_i maps keep a vector at one
@@ -266,23 +245,30 @@ def block_ideal(alg: YAlgebra, seeds_of) -> exactla.Subspace:
     gens = range(1, alg.n)
     maps = index_maps(alg._lmul_g, gens) + index_maps(alg._rmul_g, gens)
     for orbits in _shape_groups(alg):
-        block = exactla.closure_under(alg.field, maps, seeds_of(orbits[0]))
+        block = exactla.closure_under(alg.field, maps, _unit_seeds(alg, words, orbits[0]))
         for orbit in orbits:
             rows.update(_relabel(block.rows, orbits[0], orbit))
     return exactla.Subspace(alg.field, rows)
 
 
 def commutator_words(alg: YAlgebra, row: dict, c: tuple) -> list[dict]:
-    """row . s for every color-split commutator seed s whose left color is
-    c, the right color of row, as words in the right maps R_i: a -> a g_i.
+    """row . s for every generator s of the commutator ideal J whose left
+    color is c, the right color of row, as words in the right maps
+    R_i: a -> a g_i.
 
-    The split seeds (commutator_seeds) that start at c are E_c g_i, up to
-    sign, for each i with c_i != c_{i+1}, and the right-color components of
+    The commutators [g_i, g_{i+1}] and [g_i, E_chi] = E_{s_i chi} g_i -
+    E_chi g_i generate J: the t_j are combinations of the E_chi and each
+    E_chi a polynomial in the t_j, so these generate the same ideal as
+    [g_i, t_j], and every other pair of generators commutes.  J is stable
+    under x -> E_a x E_b, so the (left color, right color) components of
+    these generate it too.  Those that start at c are E_c g_i, up to sign,
+    for each i with c_i != c_{i+1}, and the right-color components of
     E_c [g_i, g_{i+1}].  As row = row E_c, the first give R_i(row) and the
     others the components of R_{i+1}(R_i row) - R_i(R_{i+1} row).  The two
     words end at c with its entries i, i+1, i+2 rotated one way and the
     other, which agree only when c_i = c_{i+1} = c_{i+2}; then the
-    difference is one word, otherwise each is a component on its own.
+    difference is one word, otherwise each is a component on its own.  On
+    row = E_c the words are these generators, the seeds of block_ideal.
 
     The words come in order: R_i(row) for each i with c_i != c_{i+1}, then
     for each i <= n - 2 the difference or the pair R_{i+1}(R_i row),
@@ -339,7 +325,7 @@ def block_power_dims(alg: YAlgebra, sub: exactla.Subspace, words) -> list[int]:
 
 def commutator_ideal(alg: YAlgebra) -> exactla.Subspace:
     """Two-sided ideal generated by commutators of generators, in the E basis."""
-    return block_ideal(alg, lambda orbit: commutator_seeds(alg, orbit))
+    return block_ideal(alg, lambda row, c: commutator_words(alg, row, c))
 
 
 def power_dims(alg: YAlgebra, sub: exactla.Subspace) -> list[int]:
@@ -386,25 +372,20 @@ def semisimplicity_certificate(alg: YAlgebra, ideal=None) -> dict:
         if not commutative:
             break
 
-    complement = [k for k in sorted(keys) if k not in ideal.rows]
+    # each label's character row, its nonzero values on the complement keys
+    # of its own color, is inserted into one Subspace: the square character
+    # matrix is invertible exactly when every row adds a dimension
+    complement = [k for k in keys if k not in ideal.rows]
     chars_invertible = False
     if len(complement) == len(labels):
-        reps = [rep_of_label(alg, lab) for lab in labels]
-        mat = []
-        for lab, rep in zip(labels, reps):
-            row = []
-            for (chi, w) in complement:
-                if chi != lab.c:
-                    row.append(field.zero)
-                    continue
-                val = field.one
-                for i in alg._rword[w]:
-                    val = val * rep.g_values[i - 1]
-                    if val.is_zero():
-                        break
-                row.append(val)
-            mat.append(row)
-        chars_invertible = exactla.invertible(field, mat)
+        def char_row(lab):
+            g = rep_of_label(alg, lab).g_values
+            row = {(chi, w): math.prod((g[i - 1] for i in alg._rword[w]), start=field.one)
+                   for chi, w in complement if chi == lab.c}
+            return {k: v for k, v in row.items() if not v.is_zero()}
+
+        sub = exactla.Subspace(field)
+        chars_invertible = all(sub.insert(char_row(lab)) is not None for lab in labels)
 
     return {
         "dimension": alg.dimension,

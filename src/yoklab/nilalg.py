@@ -18,8 +18,10 @@ monomial or zero,
 
 The radical is the two-sided ideal generated by T_1..T_{n-1}, the span of
 all t^a T_w with w != identity.  It and its powers are computed by the
-color-orbit blocks of modrep, each block seeded by the monomials E_chi T_i
-with chi in its orbit; a power step takes a row a to the words a T_i.  The tests hold them against the closed form: J^k
+color-orbit blocks of modrep from one function, radical_words, which takes
+a row a to the words a T_i: a power step applies it to every row, and each
+block is seeded by its values on the units E_chi, the monomials E_chi T_i
+with chi in the orbit.  The tests hold them against the closed form: J^k
 is spanned by the keys with length(w) >= k, so the nilpotency index is
 length(w0) + 1.  The one-dimensional simples come from modrep's sweep
 over scalar systems, Y's relation check run at the pair (0, 0): a scalar
@@ -31,7 +33,7 @@ flip and cell checks in structure serve both engines.
 
 from __future__ import annotations
 
-from . import exactla, modrep, symgroup as sg
+from . import exactla, modrep
 from .algebra import (braid_relations, far_relations, generator_torus_relations,
                       relation_report, torus_relations)
 from .ycore import YAlgebra
@@ -59,21 +61,14 @@ class NilAlgebra(YAlgebra):
         rels += braid_relations(T, "T") + far_relations(T, "T")
         return relation_report("nil", rels)
 
-    def radical_seeds(self, orbit) -> list[dict]:
-        """E_chi T_i for chi in orbit and each i: they generate the block of
-        the radical, the ideal generated by T_i = sum_chi E_chi T_i, at the
-        orbit."""
-        one = self.field.one
-        return [{(chi, sg.right_mult_s(self.ident, i)): one}
-                for i in range(1, self.n) for chi in orbit]
-
     def radical_words(self, row: dict, c: tuple) -> list[dict]:
         """row . E_c T_i = row T_i for each i, for a row of right color c:
-        the products of row with the seeds it meets, as right maps."""
+        the products of row with the generators E_c T_i of the radical that
+        it meets, as right maps.  On row = E_c they are those generators."""
         return [self._rmul_g(row, i) for i in range(1, self.n)]
 
     def radical(self) -> exactla.Subspace:
-        return modrep.block_ideal(self, self.radical_seeds)
+        return modrep.block_ideal(self, self.radical_words)
 
     def radical_power_dims(self) -> list[int]:
         return modrep.block_power_dims(self, self.radical(), self.radical_words)

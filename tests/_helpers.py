@@ -15,8 +15,7 @@ from yoklab import modrep, structure, symgroup as sg
 from yoklab.algebra import (SparseElement, braid_relations, far_relations,
                             idempotent_relations, relation_report, sum_block_dims)
 from yoklab.aks import _straightening
-from yoklab.exactla import (Subspace, _acc, closure_under, ideal_power_dims, invertible,
-                            vec_addmul)
+from yoklab.exactla import Subspace, _acc, closure_under, ideal_power_dims, vec_addmul
 
 FP13 = "fp13"
 CYC = "cyc"
@@ -160,14 +159,58 @@ def aks_ideal_power_dims(r: int, n: int, kind: str = CYC) -> list:
                             right_maps=a.rmul_gen_maps())
 
 
+def y_block_seeds(alg, orbit) -> list:
+    """Generators of the block J e_O of Y's commutator ideal J, O = orbit,
+    from their definition: the commutators [g_i, g_{i+1}] e_O and
+    [g_i, E_chi] = E_{s_i chi} g_i - E_chi g_i for chi in O, each split into
+    its (left color, right color) components, as a reduced basis of their
+    span.  An oracle for the words of modrep.commutator_words on the units
+    E_chi, which seed modrep.commutator_ideal."""
+    one = alg.field.one
+    e = {(chi, alg.ident): one for chi in orbit}
+    seeds = []
+    for i in range(1, alg.n - 1):
+        s = alg._lmul_g(alg._lmul_g(e, i + 1), i)
+        vec_addmul(s, -one, alg._lmul_g(alg._lmul_g(e, i), i + 1))
+        seeds.append(s)
+    for i in range(1, alg.n):
+        for chi in orbit:
+            x = {(chi, alg.ident): one}
+            s = alg._lmul_g(x, i)
+            vec_addmul(s, -one, alg._rmul_g(x, i))
+            seeds.append(s)
+    parts = []
+    for s in seeds:
+        split: dict = {}
+        for (chi, w), c in s.items():
+            split.setdefault((chi, alg.act(alg._inv[w], chi)), {})[(chi, w)] = c
+        parts += split.values()
+    return list(closure_under(alg.field, [], parts).rows.values())
+
+
+def nil_block_seeds(alg, orbit) -> list:
+    """E_chi T_i for chi in orbit and each i, the monomials that generate
+    the block of the nil radical at the orbit: an oracle for
+    NilAlgebra.radical_words on the units E_chi."""
+    return [{(chi, sg.right_mult_s(alg.ident, i)): alg.field.one}
+            for i in range(1, alg.n) for chi in orbit]
+
+
+def aks_cut_seeds(a, orbit, seeds) -> list:
+    """A reduced basis of the product seeds, commutator_seeds() of the AKS
+    engine a, cut to the colors in orbit: the definitional generators of
+    the block J L_O, O = orbit, of the commutator ideal J."""
+    inside = set(orbit)
+    cut = [{k: v for k, v in s.items() if k[0] in inside} for s in seeds]
+    return list(closure_under(a.field, [], [s for s in cut if s]).rows.values())
+
+
 def aks_orbit_block(a, orbit) -> tuple:
     """(cut seeds, right maps, ideal) of the block J L_O of the AKS
-    commutator ideal J, O = orbit, built as AKSAlgebra._orbit_power_dims
-    builds it: a reduced basis of the seeds cut to O, the right generator
-    maps of the block, and the closure of the cut seeds under its maps."""
-    inside = set(orbit)
-    cut = [{k: v for k, v in s.items() if k[0] in inside} for s in a.commutator_seeds()]
-    cut = closure_under(a.field, [], [s for s in cut if s]).basis_rows()
+    commutator ideal J, O = orbit, from the definitional product seeds:
+    aks_cut_seeds, the right generator maps of the block, and the closure
+    of the cut seeds under its maps."""
+    cut = aks_cut_seeds(a, orbit, a.commutator_seeds())
     left, right = a._block_maps(orbit)
     return cut, right, closure_under(a.field, left + right, cut)
 
@@ -239,10 +282,10 @@ def pairwise_power_dims(field, product, sub) -> list:
     products of a basis row of the last one with a basis row of J: an
     oracle for the seeded recurrence of exactla.ideal_power_dims."""
     dims = [sub.dim()]
-    cur, base = sub, sub.basis_rows()
+    cur, base = sub, list(sub.rows.values())
     while dims[-1]:
         nxt = Subspace(field)
-        for a in cur.basis_rows():
+        for a in cur.rows.values():
             for b in base:
                 nxt.insert(product(a, b))
         if nxt.dim() == dims[-1]:
@@ -284,16 +327,19 @@ def pairwise_gram(alg, basis=None, product=None):
 
 
 def dense_frobenius(alg) -> dict:
-    """structure.frobenius_check by the route it replaced: dense
-    elimination of the whole T-basis Gram matrix, and each witness entry
-    tau(j b_k) read off its rows.  An oracle for the n! x n! E-basis
-    blocks."""
+    """structure.frobenius_check by the route it replaced: elimination of
+    the whole T-basis Gram matrix, every row inserted into one Subspace,
+    and each witness entry tau(j b_k) read off its rows.  An oracle for the
+    n! x n! E-basis blocks."""
     keys, rows = structure.gram_matrix(alg)
     pos = {k: i for i, k in enumerate(keys)}
     witness_ok = all(
         rows[pos[next(iter(structure.frobenius_witness(alg, k).terms))]][i] == alg.field.one
         for i, k in enumerate(keys))
-    return {"dimension": len(keys), "gram_invertible": invertible(alg.field, rows),
+    sub = Subspace(alg.field)
+    invertible = all(sub.insert({j: c for j, c in enumerate(row) if not c.is_zero()})
+                     is not None for row in rows)
+    return {"dimension": len(keys), "gram_invertible": invertible,
             "witness_ok": witness_ok}
 
 

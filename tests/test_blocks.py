@@ -79,8 +79,9 @@ def _word_cases(r, n, kind):
     each orbit block, split by color pair."""
     y, nil = H.yalg(r, n, kind), H.nilalg(r, n, kind)
     return [(y, modrep.commutator_ideal(y), lambda row, c: modrep.commutator_words(y, row, c),
-             _y_word_seeds, lambda o: modrep.commutator_seeds(y, o)),
-            (nil, nil.radical(), nil.radical_words, _nil_word_seeds, nil.radical_seeds)]
+             _y_word_seeds, lambda o: H.y_block_seeds(y, o)),
+            (nil, nil.radical(), nil.radical_words, _nil_word_seeds,
+             lambda o: H.nil_block_seeds(nil, o))]
 
 
 def _oracle_powers(alg, ideal, seeds_of, depth=None):
@@ -146,31 +147,81 @@ def test_skipped_color_pairs_vanish(r, n, kind):
         assert skipped and met
 
 
-def _radical_power_dims(argv, capsys):
-    assert cli.main(["radical", *argv, "--field", "fp:13", "--json"]) == 0
-    return json.loads(capsys.readouterr().out)["power_dims"]
+def _radical_verdict(argv, capsys):
+    code = cli.main(["radical", *argv, "--field", "fp:13", "--json"])
+    return code, json.loads(capsys.readouterr().out)["power_dims"]
 
 
 def _generator_word_count(alg, c):
     return sum(c[i - 1] != c[i] for i in range(1, alg.n))
 
 
+def _unit_seed_mismatches(r, n, kind):
+    """(engine, first color) of every orbit block whose seeds, the step
+    words applied to the block's unit, do not span exactly its definitional
+    generators: y_block_seeds for Y, E_chi T_i for nil, and the AKS
+    commutator_seeds() cut to the orbit."""
+    y, nil, a = H.yalg(r, n, kind), H.nilalg(r, n, kind), H.aksalg(r, n, kind)
+    aks_seeds = a.commutator_seeds()
+    cases = [("y", y, lambda o: modrep._unit_seeds(
+                  y, lambda row, c: modrep.commutator_words(y, row, c), o),
+              lambda o: H.y_block_seeds(y, o)),
+             ("nil", nil, lambda o: modrep._unit_seeds(nil, nil.radical_words, o),
+              lambda o: H.nil_block_seeds(nil, o)),
+             ("aks", a, lambda o: a._commutator_words({(c, a.ident): a.field.one for c in o}, o),
+              lambda o: H.aks_cut_seeds(a, o, aks_seeds))]
+    bad = []
+    for name, alg, seeds_of, generators_of in cases:
+        for orbit in alg.central_color_blocks():
+            span = closure_under(alg.field, [], seeds_of(orbit)).rows
+            if span != closure_under(alg.field, [], generators_of(orbit)).rows:
+                bad.append((name, orbit[0]))
+    return bad
+
+
+@pytest.mark.parametrize("r,n", [(r, n) for r in (1, 2, 3) for n in (1, 2, 3)] + [(2, 4)])
+@pytest.mark.parametrize("kind", [H.FP13, H.CYC])
+def test_unit_words_span_the_block_generators(r, n, kind):
+    assert _unit_seed_mismatches(r, n, kind) == []
+
+
+def test_unit_seeds_need_the_braid_words(monkeypatch):
+    # a mutant that drops the braid words from the seeds alone: on a unit
+    # E_c it keeps only the E_c g_i, and on every row of J, which holds no
+    # unit, it is the real step
+    real = modrep.commutator_words
+
+    def mutant(alg, row, c):
+        words = real(alg, row, c)
+        if row == {(c, alg.ident): alg.field.one}:
+            return words[:_generator_word_count(alg, c)]
+        return words
+
+    monkeypatch.setattr(modrep, "commutator_words", mutant)
+    assert ("y", (1, 1, 1)) in _unit_seed_mismatches(1, 3, H.FP13)
+    assert ("y", (1, 1, 2)) in _unit_seed_mismatches(2, 3, H.FP13)
+
+
 def test_braid_words_are_needed(monkeypatch, capsys):
     # at r = 1 every color vector is constant, so there is no E_x g_i word
-    # and the braid commutators alone generate J
-    assert _radical_power_dims(["--r", "1", "--n", "4"], capsys) == [16, 6, 0]
+    # and the braid commutators alone generate J; without them the seeds
+    # and the steps both shrink, and the mutant is caught: exit 1 (the
+    # codimension no longer matches the label count) or other power dims
+    assert _radical_verdict(["--r", "1", "--n", "4"], capsys) == (0, [16, 6, 0])
     real = modrep.commutator_words
     monkeypatch.setattr(modrep, "commutator_words", lambda alg, row, c:
                         real(alg, row, c)[:_generator_word_count(alg, c)])
-    assert _radical_power_dims(["--r", "1", "--n", "4"], capsys) != [16, 6, 0]
+    code, dims = _radical_verdict(["--r", "1", "--n", "4"], capsys)
+    assert code == 1 or dims != [16, 6, 0]
 
 
 def test_generator_words_are_needed(monkeypatch, capsys):
-    assert _radical_power_dims(["--r", "3", "--n", "3"], capsys) == [114, 48, 6, 0]
+    assert _radical_verdict(["--r", "3", "--n", "3"], capsys) == (0, [114, 48, 6, 0])
     real = modrep.commutator_words
     monkeypatch.setattr(modrep, "commutator_words", lambda alg, row, c:
                         real(alg, row, c)[_generator_word_count(alg, c):])
-    assert _radical_power_dims(["--r", "3", "--n", "3"], capsys) != [114, 48, 6, 0]
+    code, dims = _radical_verdict(["--r", "3", "--n", "3"], capsys)
+    assert code == 1 or dims != [114, 48, 6, 0]
 
 
 def test_right_closure_changes_y_powers(monkeypatch):
@@ -207,7 +258,6 @@ def test_aks_orbits_match_their_class(r, n, kind):
     # orbits whose colors have the same multiplicities in color order have
     # isomorphic blocks: each orbit's own powers are its class's
     a = H.aksalg(r, n, kind)
-    seeds = a.commutator_seeds()
     classes: dict = {}
     for orbit in a.central_color_blocks():
         counts = Counter(orbit[0])
@@ -215,10 +265,10 @@ def test_aks_orbits_match_their_class(r, n, kind):
     if (r, n) == (3, 3):
         assert (len(a.central_color_blocks()), len(classes)) == (10, 4)
     for orbits in classes.values():
-        first = a._orbit_power_dims(seeds, orbits[0])
+        first = a._orbit_power_dims(orbits[0])
         for orbit in orbits[1:]:
             a._check_relabeling(orbits[0], orbit)
-            assert a._orbit_power_dims(seeds, orbit) == first
+            assert a._orbit_power_dims(orbit) == first
 
 
 def test_relabeling_guard_raises(monkeypatch, capsys):

@@ -67,12 +67,6 @@ def test_closure_under():
     assert sub.dim() == 2
 
 
-def test_invertible():
-    assert exactla.invertible(F, [[F.one, F.zero], [F.zero, F.one]])
-    assert not exactla.invertible(F, [[F.one, F.one], [F.one, F.one]])
-    assert exactla.invertible(F, [[F.zero, F.one], [F.one, -F.one]])
-
-
 def test_power_dims_nonnilpotent_raises():
     # the span of the identity of a 1-dim algebra never dies
     sub = Subspace(F)

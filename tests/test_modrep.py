@@ -182,6 +182,20 @@ def test_certificate_details():
     }
 
 
+def test_equal_character_rows_fail_the_certificate(monkeypatch):
+    # every label of a color given the scalar rep of the first label of
+    # that color: their character rows are equal, the character matrix is
+    # singular, and the certificate must say so
+    alg = H.yalg(2, 3, H.FP13)
+    first = {lab.c: lab for lab in reversed(enumerate_labels(2, 3))}
+    real = modrep.rep_of_label
+    monkeypatch.setattr(modrep, "rep_of_label", lambda alg, lab: real(alg, first[lab.c]))
+    cert = modrep.semisimplicity_certificate(alg)
+    assert cert["dimension_match"] and cert["quotient_commutative"]
+    assert cert["characters_invertible"] is False
+    assert cert["certified"] is False
+
+
 def test_q0_guard():
     alg = H.yalg(2, 2, H.FP13, q=5)
     with pytest.raises(ValueError):

@@ -18,11 +18,15 @@ per (w, d).  Both h_i maps read w s_i or s_i w from the permutation tables
 of SparseAlgebra, and skip a term whose coefficient q or q - 1 is zero.
 Reassigning q or qm1 empties the straightening cache.
 
-The commutator ideal is closed and powered one orbit block at a time from
-one function, _commutator_words, the products of a row with the commutator
-seeds as words in the right maps: applied to the block's unit L_O it gives
-the block's generators, and a power step applies it to every row, so no
-seed product is formed.
+The commutator ideal J is closed and powered one orbit block J L_O at a
+time, over its Peirce pieces L_c J L_d with c, d in O.  Each row lies in
+one piece and is tagged with its right color d.  L_e acts on a row x by 1
+or 0 from either side, h_i x keeps the tag d, and x h_i splits, by the
+relation at s_i d, into its pieces at s_i d and d with no straightening.
+One function, _piece_step, gives the pieces of the products of a row with
+the commutator seeds as words in the right maps: applied to the units L_c
+it gives the block's generators, and a power step applies it to every row,
+so no seed product is formed.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from collections import Counter
 from . import symgroup as sg
 from .algebra import (SparseAlgebra, SparseElement, braid_relations, far_relations,
                       idempotent_relations, index_maps, relation_report, sum_block_dims)
-from .exactla import _acc, closure_under, step_power_dims, vec_addmul
+from .exactla import _acc, tagged_closure, tagged_power_dims, vec_addmul
 
 __all__ = ["AKSAlgebra"]
 
@@ -61,7 +65,6 @@ class AKSAlgebra(SparseAlgebra):
     def __init__(self, r: int, n: int, field=None, q=None):
         super().__init__(r, n, field)
         self._hL_cache: dict = {}
-        self._meets_cache: dict = {}
         self._set_q(q)
 
     def gen_L(self, c) -> SparseElement:
@@ -79,7 +82,6 @@ class AKSAlgebra(SparseAlgebra):
 
     def _clear_caches(self) -> None:
         self._hL_cache.clear()
-        self._meets_cache.clear()
 
     def _lmul_h(self, terms: dict, i: int) -> dict:
         q, qm1 = self._q, self._qm1
@@ -133,26 +135,6 @@ class AKSAlgebra(SparseAlgebra):
             for k, v in self._straightened(w, d).get(c, ()):
                 _acc(out, k, a * v)
         return out
-
-    def _rmul_Ls(self, terms: dict, orbit) -> dict:
-        """{d: terms L_d} for the d in orbit that terms meets, in one pass;
-        orbit is the S_n-orbit that holds every color of terms.  A term
-        (c, w) meets only the L_d whose straightening h_w L_d has a part of
-        color c, listed once per (w, c); every other terms L_d is 0."""
-        outs: dict = {}
-        for (c, w), a in terms.items():
-            meets = self._meets_cache.get((w, c))
-            if meets is None:
-                meets = [(d, part) for d in orbit
-                         if (part := self._straightened(w, d).get(c))]
-                self._meets_cache[(w, c)] = meets
-            for d, part in meets:
-                out = outs.get(d)
-                if out is None:
-                    out = outs[d] = {}
-                for k, v in part:
-                    _acc(out, k, a * v)
-        return outs
 
     def _straightened(self, w, d) -> dict:
         """h_w L_d in the basis, grouped by color: {c: [((c, u), coeff)]}."""
@@ -267,50 +249,108 @@ class AKSAlgebra(SparseAlgebra):
         return (index_maps(self._lmul_h, gens) + index_maps(self._lmul_L, orbit),
                 index_maps(self._rmul_h, gens) + index_maps(self._rmul_L, orbit))
 
-    def _commutator_words(self, a: dict, orbit) -> list[dict]:
-        """a . s for each commutator seed s = [h_i, h_(i+1)] and [h_i, L_c]
-        with c in orbit, for a row a of the block of orbit, as words in the
-        right maps R_i: x -> x h_i and R_c: x -> x L_c.
+    def _left_images(self, new: dict):
+        """(d, [L_e h_i x]) for each row x of new, {d: rows of right color
+        d}, and each h_i, over the left colors e that h_i x meets: h_i x
+        lies in A L_d, and its keys of left color e make its piece L_e h_i x.
+        Lazy, so each image is dropped once it is inserted."""
+        for d, xs in new.items():
+            for x in xs:
+                for i in range(1, self.n):
+                    split: dict = {}
+                    for k, v in self._lmul_h(x, i).items():
+                        split.setdefault(k[0], {})[k] = v
+                    yield d, split.values()
 
-        a (h_i h_(i+1) - h_(i+1) h_i) = R_(i+1)(R_i a) - R_i(R_(i+1) a) and
-        a (h_i L_c - L_c h_i) = R_c(R_i a) - R_i(R_c a).  Every other seed
-        gives 0: far h_i commute, and a = a L_O is killed by L_c for c
-        outside the orbit, which is central.  R_i a and R_c a are formed
-        once per row and shared by the words that start with them, and a
-        word is formed only where R_c(R_i a) or R_c a is nonzero.
-        """
+    def _h_pieces(self, d, x: dict, i: int) -> list:
+        """The pieces (e, x h_i L_e) of x h_i with e = s_i d or d, for x
+        with x = x L_d, with no straightening.
+
+        L_d h_i = h_i L_(s_i d) + (q - 1) D_i(s_i d) by the relation at
+        s_i d, and D_i(s_i d) is L_d, 0 or -L_(s_i d) as d_i <, = or >
+        d_(i+1).  As x L_(s_i d) = 0 unless s_i d = d, x h_i is its piece
+        at s_i d alone, except when d_i < d_(i+1): then its piece at d is
+        (q - 1) x and the rest is its piece at s_i d."""
+        xh = self._rmul_h(x, i)
+        pieces = [(sg.right_mult_s(d, i), xh)]
+        qm1 = self._qm1
+        if d[i - 1] < d[i] and qm1 is not None:
+            low = {}
+            for k, v in x.items():
+                low[k] = u = v * qm1
+                _acc(xh, k, -u)
+            pieces.append((d, low))
+        return [piece for piece in pieces if piece[1]]
+
+    def _right_images(self, new: dict):
+        """(e, [x h_i L_e]) for each row x of new, {d: rows of right color
+        d}, and each h_i: the pieces of x h_i by _h_pieces, lazily."""
+        for d, xs in new.items():
+            for x in xs:
+                for i in range(1, self.n):
+                    for e, y in self._h_pieces(d, x, i):
+                        yield e, (y,)
+
+    def _piece_step(self, d, a: dict) -> list:
+        """The pieces (e, [a s L_e]) of a . s over the commutator seeds s, for
+        a row a of a piece of right color d, as words in the right maps.
+
+        a = a L_d.  So a [h_i, h_(i+1)] = (a h_i) h_(i+1) - (a h_(i+1)) h_i,
+        a [h_i, L_e] = (a h_i) L_e for e != d, and a [h_i, L_d] =
+        (a h_i) L_d - a h_i is minus the sum of those, so it adds nothing to
+        the span.  Far h_i commute, and L_e kills a and a h_i for e outside
+        the orbit of d.  The pieces of each a h_i are formed once, and
+        _h_pieces splits each product by h_i of a piece."""
         minus_one = -self.field.one
-        by_h = [None] + [self._rmul_h(a, i) for i in range(1, self.n)]
-        by_L = self._rmul_Ls(a, orbit)
-        words = []
+        by_h = [None] + [self._h_pieces(d, a, i) for i in range(1, self.n)]
+        out = []
         for i in range(1, self.n - 1):
-            word = self._rmul_h(by_h[i], i + 1)
-            vec_addmul(word, minus_one, self._rmul_h(by_h[i + 1], i))
-            words.append(word)
+            word: dict = {}
+            for e, y in by_h[i]:
+                for f, z in self._h_pieces(e, y, i + 1):
+                    # a fresh piece starts its tag's sum; a second one adds
+                    cur = word.setdefault(f, z)
+                    if cur is not z:
+                        vec_addmul(cur, self.field.one, z)
+            for e, y in by_h[i + 1]:
+                for f, z in self._h_pieces(e, y, i):
+                    vec_addmul(word.setdefault(f, {}), minus_one, z)
+            out += [(f, [z]) for f, z in word.items() if z]
         for i in range(1, self.n):
-            by_hL = self._rmul_Ls(by_h[i], orbit)
-            for c, ac in by_L.items():
-                word = by_hL.pop(c, {})
-                vec_addmul(word, minus_one, self._rmul_h(ac, i))
-                words.append(word)
-            words += by_hL.values()
-        return words
+            out += [(e, [y]) for e, y in by_h[i] if e != d]
+        return out
 
     def _orbit_power_dims(self, orbit) -> list[int]:
         """Power dimensions of the block J L_O, O = orbit, of the commutator
-        ideal J.  L_O is central, so J L_O is generated by the L_O s over
-        the commutator seeds s, and those are the _commutator_words of L_O
-        itself: the block is their closure under its generators.  A row a
-        of J^k L_O has a = a L_O, so a . (L_O s) = a . s, and the power step
-        takes a to its _commutator_words: J^(k+1) L_O is their closure under
-        the right maps, as the step is linear and the words are the
-        products of a with the generators of J."""
+        ideal J, from its _orbit_pieces.  A power step takes each row to its
+        _piece_step, and the closure of those under the _right_images is
+        the next power, as the step is linear and its vectors span the
+        pieces of the products of the row with the generators of J."""
+        return tagged_power_dims(
+            self.field, self._orbit_pieces(orbit),
+            lambda subs: [g for d, sub in subs.items() for a in sub.rows.values()
+                          for g in self._piece_step(d, a)],
+            self._right_images)
+
+    def _orbit_pieces(self, orbit) -> dict:
+        """The block J L_O, O = orbit, as {d: span of its pieces of right
+        color d}.
+
+        L_O is central and the L_c are orthogonal idempotents, so J L_O is
+        the direct sum of its Peirce pieces L_c J L_d over c, d in O.  Every
+        row lies in one piece, tagged with its right color d, and its keys
+        all have left color c.  Rows of one tag and different left colors
+        share no key, so the span of a tag holds its pieces side by side,
+        and elimination never crosses pieces.  L_e x and x L_e are x or 0
+        on a piece, so only the h_i act: _left_images and _right_images
+        split their images back into pieces.  J L_O is generated by the
+        L_c s over c in O and the commutator seeds s, so the block is the
+        closure of the _piece_step of each unit L_c, tagged c."""
         one = self.field.one
-        seeds = self._commutator_words({(c, self.ident): one for c in orbit}, orbit)
-        left, right = self._block_maps(orbit)
-        ideal = closure_under(self.field, left + right, seeds)
-        return step_power_dims(self.field, ideal,
-                               lambda a: self._commutator_words(a, orbit), right)
+        seeds = [piece for c in orbit
+                 for piece in self._piece_step(c, {(c, self.ident): one})]
+        return tagged_closure(self.field, lambda new: itertools.chain(
+            self._left_images(new), self._right_images(new)), seeds)
 
     def _check_relabeling(self, source, target) -> None:
         """Exact check that (c, w) -> (sigma c, w), with sigma the monotone

@@ -7,12 +7,15 @@ non-pivot key to the rows that hold it, so an insert back-eliminates its
 new pivot from those rows only.  A one-term vector {k: c} skips the
 reduction: no row holds another row's pivot, so it lies in the span exactly
 when k is the pivot of a one-term row, and when k is no pivot it is stored
-as the row {k: 1}.  ``closure_under`` grows a span until it is stable
-under linear maps, and ``step_power_dims`` runs the one recurrence for the
-powers of an ideal, shared by the Y, AKS and nil engines, each of which
-feeds it words in its right generator maps.  ``ideal_power_dims`` is the
-same recurrence fed the products of each row with the ideal's generators,
-the reference form that the words are checked against.
+as the row {k: 1}.  ``tagged_closure`` grows a family of tagged spans
+until it is stable under a function that returns every tagged image of
+its new rows; ``closure_under`` is its one-tag case, a span stable under
+linear maps.  ``tagged_power_dims`` runs the one recurrence for the powers of an
+ideal, shared by the Y, AKS and nil engines, each of which feeds it words
+in its right generator maps; ``step_power_dims`` is its one-tag case.
+``ideal_power_dims`` is the same recurrence fed the products of each row
+with the ideal's generators, the reference form that the words are checked
+against.
 Everything is exact; no floats anywhere.
 """
 
@@ -21,7 +24,9 @@ from __future__ import annotations
 __all__ = [
     "vec_addmul",
     "Subspace",
+    "tagged_closure",
     "closure_under",
+    "tagged_power_dims",
     "step_power_dims",
     "ideal_power_dims",
 ]
@@ -141,55 +146,84 @@ class Subspace:
         return not self.reduce(v)
 
 
-def closure_under(field, maps, seed) -> Subspace:
-    """Smallest subspace containing seed and stable under each map.
+def tagged_closure(field, images, seed) -> dict:
+    """Smallest family of subspaces, one per tag, that holds each tagged
+    seed vector and is stable under images.
 
-    maps take a row dict to a row dict.  Worklist style; mutating already
-    stored rows during back-elimination is harmless because the maps are
-    linear and the span only ever grows.
+    seed and images(rows) are iterables of (tag, vectors) groups, and the
+    vectors of a group go into the subspace of its tag.  images receives
+    the new rows of one generation as {tag: rows}, leaves them alone, and
+    returns every image of them, in groups.  It gets a copy of each new
+    row, as back-elimination may change the stored row later, except of a
+    one-term row, which holds no other row's pivot and so never changes.
+    A copy taken before such a change is harmless because the images are
+    linear and the spans only ever grow.  Returns {tag: span} over the
+    tags of every group.
     """
-    sub = Subspace(field)
-    work = []
-    for v in seed:
-        row = sub.insert(v)
-        if row is not None:
-            work.append(dict(row))
-    while work:
-        v = work.pop()
-        for f in maps:
-            img = f(v)
-            if not img:
-                continue
-            row = sub.insert(img)
-            if row is not None:
-                work.append(dict(row))
-    return sub
+    subs: dict = {}
+    pending = seed
+    while True:
+        new: dict = {}
+        for tag, vecs in pending:
+            sub = subs.get(tag)
+            if sub is None:
+                sub = subs[tag] = Subspace(field)
+            rows = None
+            for v in vecs:
+                if not v:
+                    continue
+                row = sub.insert(v)
+                if row is not None:
+                    if rows is None:
+                        rows = new.setdefault(tag, [])
+                    rows.append(row if len(row) == 1 else dict(row))
+        if not new:
+            return subs
+        pending = images(new)
 
 
-def step_power_dims(field, sub: Subspace, step, right_maps) -> list[int]:
-    """Dimensions of J, J^2, J^3, ... down to 0 for a nilpotent ideal J.
+def closure_under(field, maps, seed) -> Subspace:
+    """Smallest subspace containing seed and stable under each map, which
+    takes a row dict to a row dict: tagged_closure with one tag."""
+    return tagged_closure(field, lambda new: [(None, (f(v) for v in new[None] for f in maps))],
+                          [(None, seed)])[None]
 
-    Precondition: sub is J, a two-sided ideal, or its part eJ for an
-    idempotent e, and ``right_maps`` are the right multiplications by the
-    algebra generators.  step(a) returns vectors of eJ^(k+1) for a row a of
-    eJ^k, chosen so that over all rows their closure under the right maps
-    is eJ^(k+1).  The recurrence eJ^(k+1) = closure(step(rows of eJ^k))
-    then gives the dimensions of eJ, eJ^2, ...
+
+def tagged_power_dims(field, subs: dict, step, images) -> list[int]:
+    """Dimensions of eJ, eJ^2, eJ^3, ... down to 0 for a nilpotent ideal J.
+
+    Precondition: the spans of subs, {tag: Subspace} as tagged_closure
+    returns it, together make eJ, for J a two-sided ideal and e an
+    idempotent or 1, and images, as in tagged_closure, gives the tagged
+    images of rows under right multiplication by the algebra generators.
+    step(subs) returns (tag, vectors) groups in eJ^(k+1) for the rows of
+    eJ^k, held in subs as above, chosen so that their closure under images
+    is eJ^(k+1).  The recurrence eJ^(k+1) = closure(step(rows of eJ^k)) then
+    gives the dimensions of eJ, eJ^2, ...
 
     Raises if no power vanishes within dim(eJ) + 1 steps, which would mean
     J is not nilpotent.
     """
-    dims = [sub.dim()]
-    cur = sub
+    dims = [sum(map(Subspace.dim, subs.values()))]
     while dims[-1]:
         if len(dims) > dims[0] + 1:
             raise ArithmeticError("ideal is not nilpotent within expected bound")
         # the rows are read in place: step leaves them alone, and the
-        # closure below builds a new Subspace
-        vecs = [v for a in cur.rows.values() for v in step(a) if v]
-        cur = closure_under(field, right_maps, vecs)
-        dims.append(cur.dim())
+        # closure below builds new subspaces
+        subs = tagged_closure(field, images, step(subs))
+        dims.append(sum(map(Subspace.dim, subs.values())))
     return dims
+
+
+def step_power_dims(field, sub: Subspace, step, right_maps) -> list[int]:
+    """tagged_power_dims with one tag: sub is eJ, right_maps are the right
+    multiplications by the algebra generators, and step(a) returns vectors
+    of eJ^(k+1) for a row a of eJ^k whose closure under the right maps,
+    over all rows, is eJ^(k+1)."""
+    return tagged_power_dims(field, {None: sub},
+                             lambda subs: [(None, [v for a in subs[None].rows.values()
+                                                   for v in step(a)])],
+                             lambda new: [(None, (f(v) for v in new[None] for f in right_maps))])
 
 
 def ideal_power_dims(field, product, sub: Subspace, seeds, right_maps) -> list[int]:

@@ -267,13 +267,29 @@ def dense_rref(field, rows) -> list:
 def aks_right_product(alg, x: dict, y: dict) -> dict:
     """x y in the AKS engine as the right action of each term L_d h_v of y
     on x, through _rmul_L and a reduced word of _rmul_h: the seed products
-    the word step of AKSAlgebra._commutator_words replaces."""
+    the piece step of AKSAlgebra._piece_step replaces."""
     out: dict = {}
     for (d, v), b in y.items():
         z = alg._rmul_L(x, d)
         for i in alg._rword[v]:
             z = alg._rmul_h(z, i)
         vec_addmul(out, b, z)
+    return out
+
+
+def aks_pieces(alg, x: dict, orbit) -> list:
+    """The nonzero Peirce pieces (d, L_c x L_d) of x over c, d in orbit, in
+    that order, with x L_d by aks_right_product: an oracle for the tagged
+    pieces of the AKS engine."""
+    one = alg.field.one
+    out = []
+    for c in orbit:
+        left = {k: v for k, v in x.items() if k[0] == c}
+        if left:
+            for d in orbit:
+                y = aks_right_product(alg, left, {(d, alg.ident): one})
+                if y:
+                    out.append((d, y))
     return out
 
 

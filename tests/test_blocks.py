@@ -158,18 +158,22 @@ def _generator_word_count(alg, c):
 
 def _unit_seed_mismatches(r, n, kind):
     """(engine, first color) of every orbit block whose seeds, the step
-    words applied to the block's unit, do not span exactly its definitional
-    generators: y_block_seeds for Y, E_chi T_i for nil, and the AKS
-    commutator_seeds() cut to the orbit."""
+    words applied to the block's units, do not span exactly its
+    definitional generators: y_block_seeds for Y, E_chi T_i for nil, and
+    for AKS the Peirce pieces of commutator_seeds() cut to the orbit,
+    against the piece steps of the units L_c."""
     y, nil, a = H.yalg(r, n, kind), H.nilalg(r, n, kind), H.aksalg(r, n, kind)
     aks_seeds = a.commutator_seeds()
+    one = a.field.one
     cases = [("y", y, lambda o: modrep._unit_seeds(
                   y, lambda row, c: modrep.commutator_words(y, row, c), o),
               lambda o: H.y_block_seeds(y, o)),
              ("nil", nil, lambda o: modrep._unit_seeds(nil, nil.radical_words, o),
               lambda o: H.nil_block_seeds(nil, o)),
-             ("aks", a, lambda o: a._commutator_words({(c, a.ident): a.field.one for c in o}, o),
-              lambda o: H.aks_cut_seeds(a, o, aks_seeds))]
+             ("aks", a, lambda o: [x for c in o for _, xs in a._piece_step(c, {(c, a.ident): one})
+                                 for x in xs],
+              lambda o: [x for s in H.aks_cut_seeds(a, o, aks_seeds)
+                         for _, x in H.aks_pieces(a, s, o)])]
     bad = []
     for name, alg, seeds_of, generators_of in cases:
         for orbit in alg.central_color_blocks():
@@ -256,7 +260,9 @@ def test_aks_word_powers_match_mul_terms_products(r, n, kind):
 @pytest.mark.parametrize("kind", [H.FP13, H.CYC])
 def test_aks_orbits_match_their_class(r, n, kind):
     # orbits whose colors have the same multiplicities in color order have
-    # isomorphic blocks: each orbit's own powers are its class's
+    # isomorphic blocks: each orbit's own powers are its class's; and each
+    # orbit's tagged rows are Peirce pieces of its block from the cut seeds,
+    # as many as its dimension
     a = H.aksalg(r, n, kind)
     classes: dict = {}
     for orbit in a.central_color_blocks():
@@ -269,6 +275,30 @@ def test_aks_orbits_match_their_class(r, n, kind):
         for orbit in orbits[1:]:
             a._check_relabeling(orbits[0], orbit)
             assert a._orbit_power_dims(orbit) == first
+        for orbit in orbits:
+            block = H.aks_orbit_block(a, orbit)[2]
+            pieces = a._orbit_pieces(orbit)
+            assert sum(sub.dim() for sub in pieces.values()) == block.dim() == first[0]
+            for d, sub in pieces.items():
+                for x in sub.rows.values():
+                    assert block.contains(x)
+                    assert H.aks_pieces(a, x, orbit) == [(d, x)]
+
+
+@pytest.mark.parametrize("r,n", [(2, 3), (3, 3), (2, 4)])
+@pytest.mark.parametrize("kind", [H.FP13, H.CYC])
+def test_aks_piece_dims_count_permutations(r, n, kind):
+    # L_c A L_d is spanned by the L_c h_w L_d, and it has one dimension for
+    # each w with w^-1.c = d, as E_c Y E_d has in the Y engine
+    a = H.aksalg(r, n, kind)
+    one = a.field.one
+    pieces = 0
+    for orbit in a.central_color_blocks():
+        for c, d in itertools.product(orbit, repeat=2):
+            span = closure_under(a.field, [], [a._rmul_L({(c, w): one}, d) for w in a.perms])
+            assert span.dim() == sum(sg.act_on_colors(a._inv[w], c) == d for w in a.perms)
+            pieces += 1
+    assert pieces == {(2, 3): 20, (3, 3): 93, (2, 4): 70}[(r, n)]
 
 
 def test_relabeling_guard_raises(monkeypatch, capsys):
@@ -305,25 +335,65 @@ def test_aks_right_rules_match_mul_terms(kind):
         assert H.aks_right_product(a, x, y) == a.mul_terms(x, y)
 
 
+@pytest.mark.parametrize("r,n", [(2, 3), (3, 3)])
+@pytest.mark.parametrize("kind", [H.FP13, H.CYC])
+@pytest.mark.parametrize("q", [0, 1, 5])
+def test_h_pieces_match_rmul_L(r, n, kind, q):
+    # x L_d for random x, then h_i: the pieces that the relation at s_i d
+    # gives are every nonzero (x h_i) L_e by the straightening of _rmul_L,
+    # at q = 0, at q = 1 (no straightening term) and at a generic q
+    a = aks.AKSAlgebra(r, n, H.field(kind, r), q=q)
+    rng = random.Random(31)
+    one = a.field.one
+    w0 = sg.longest_element(n)
+    vecs = [{(c, w0): one} for c in a.colors] + [a.random_element(rng).terms for _ in range(40)]
+    met = set()
+    for y in vecs:
+        for d in a.colors:
+            x = a._rmul_L(y, d)
+            for i in range(1, n):
+                pieces = a._h_pieces(d, x, i)
+                assert len({e for e, _ in pieces}) == len(pieces)
+                assert dict(pieces) == {e: z for e in a.colors
+                                        if (z := a._rmul_L(a._rmul_h(x, i), e))}
+                met.add(len(pieces))
+    assert met == ({0, 1, 2} if q != 1 else {0, 1})
+
+
+def _tag_spans(a, groups) -> dict:
+    """{tag: reduced rows of the span of its vectors} of (tag, vectors)
+    groups."""
+    vecs: dict = {}
+    for tag, xs in groups:
+        vecs.setdefault(tag, []).extend(xs)
+    return {tag: closure_under(a.field, [], xs).rows for tag, xs in vecs.items()}
+
+
 @pytest.mark.parametrize("r,n", [(2, 3), (3, 3), (2, 4)])
 @pytest.mark.parametrize("kind", [H.FP13, H.CYC])
 def test_aks_step_words_match_seed_products(r, n, kind):
-    # on each orbit and at each power, the commutator words of a row span
-    # what its products with the cut seeds span, and the next powers agree
+    # on each orbit and at each power of the block from the cut seeds, the
+    # piece step of each Peirce piece of a row spans, tag by tag, the
+    # pieces of its products with the cut seeds, and the right pieces
+    # close the steps to the next power
     a = H.aksalg(r, n, kind)
     for orbit in a.central_color_blocks():
         cut, right, cur = H.aks_orbit_block(a, orbit)
         while cur.dim():
-            by_words, by_seeds = [], []
+            steps, by_seeds = [], []
             for row in cur.rows.values():
-                words = a._commutator_words(row, orbit)
-                products = [H.aks_right_product(a, row, s) for s in cut]
-                assert closure_under(a.field, [], words).rows == \
-                    closure_under(a.field, [], products).rows
-                by_words += words
-                by_seeds += products
-            cur = closure_under(a.field, right, by_words)
-            assert cur.rows == closure_under(a.field, right, by_seeds).rows
+                for d, x in H.aks_pieces(a, row, orbit):
+                    step = a._piece_step(d, x)
+                    products = [(e, [y]) for s in cut
+                                for e, y in H.aks_pieces(a, H.aks_right_product(a, x, s), orbit)]
+                    assert _tag_spans(a, step) == _tag_spans(a, products)
+                    steps += step
+                by_seeds += [H.aks_right_product(a, row, s) for s in cut]
+            nxt = closure_under(a.field, right, by_seeds)
+            pieces = exactla.tagged_closure(a.field, a._right_images, steps)
+            assert sum(sub.dim() for sub in pieces.values()) == nxt.dim()
+            assert all(nxt.contains(x) for sub in pieces.values() for x in sub.rows.values())
+            cur = nxt
 
 
 def test_centrality_guard_raises(monkeypatch, capsys):

@@ -67,6 +67,26 @@ def test_closure_under():
     assert sub.dim() == 2
 
 
+def test_tagged_closure_keeps_tags_apart():
+    # an image goes to the tag its function gives: the shift alternates
+    # tags a and b; the same vector under two tags lands in two spans
+    def images(new):
+        return [("b" if tag == "a" else "a", [{k + 1: c for k, c in t.items() if k < 4}
+                                              for t in rows])
+                for tag, rows in new.items()]
+
+    def spans(seed):
+        subs = exactla.tagged_closure(F, images, seed)
+        return {tag: sorted(sub.rows) for tag, sub in subs.items()}
+
+    assert spans([("a", [{0: F.one}]), ("b", [{}, {3: F.one}])]) == \
+        {"a": [0, 2, 4], "b": [1, 3]}
+    assert spans([("a", [{4: F.one}]), ("b", [{4: F.one}])]) == {"a": [4], "b": [4]}
+    # an empty seed gives the zero span, under its tag and for closure_under
+    assert spans([("a", [{}])]) == {"a": []}
+    assert closure_under(F, [], []).dim() == 0
+
+
 def test_power_dims_nonnilpotent_raises():
     # the span of the identity of a 1-dim algebra never dies
     sub = Subspace(F)

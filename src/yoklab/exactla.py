@@ -12,10 +12,9 @@ until it is stable under a function that returns every tagged image of
 its new rows; ``closure_under`` is its one-tag case, a span stable under
 linear maps.  ``tagged_power_dims`` runs the one recurrence for the powers of an
 ideal, shared by the Y, AKS and nil engines, each of which feeds it words
-in its right generator maps; ``step_power_dims`` is its one-tag case.
-``ideal_power_dims`` is the same recurrence fed the products of each row
-with the ideal's generators, the reference form that the words are checked
-against.
+in its right generator maps.  ``ideal_power_dims`` is the same recurrence,
+with one tag, fed the products of each row with the ideal's generators,
+the reference form that the words are checked against.
 Everything is exact; no floats anywhere.
 """
 
@@ -27,7 +26,6 @@ __all__ = [
     "tagged_closure",
     "closure_under",
     "tagged_power_dims",
-    "step_power_dims",
     "ideal_power_dims",
 ]
 
@@ -215,26 +213,18 @@ def tagged_power_dims(field, subs: dict, step, images) -> list[int]:
     return dims
 
 
-def step_power_dims(field, sub: Subspace, step, right_maps) -> list[int]:
-    """tagged_power_dims with one tag: sub is eJ, right_maps are the right
-    multiplications by the algebra generators, and step(a) returns vectors
-    of eJ^(k+1) for a row a of eJ^k whose closure under the right maps,
-    over all rows, is eJ^(k+1)."""
-    return tagged_power_dims(field, {None: sub},
-                             lambda subs: [(None, [v for a in subs[None].rows.values()
-                                                   for v in step(a)])],
-                             lambda new: [(None, (f(v) for v in new[None] for f in right_maps))])
-
-
 def ideal_power_dims(field, product, sub: Subspace, seeds, right_maps) -> list[int]:
-    """step_power_dims with the step a -> a . s over the generators s of J,
-    each product formed in full: the reference for the word steps.
+    """tagged_power_dims with one tag and the step a -> a . s over the
+    generators s of J, each product formed in full: the reference for the
+    word steps.
 
     With sub = eJ and J the two-sided ideal generated by ``seeds``,
-    eJ^(k+1) = closure(eJ^k . seeds) under the right maps: left factors of
-    the ideal generators are absorbed into J^k, itself a two-sided ideal,
-    and the closure supplies the right factors.  product multiplies two row
-    dicts.
+    eJ^(k+1) = closure(eJ^k . seeds) under the right maps, the right
+    multiplications by the algebra generators: left factors of the ideal
+    generators are absorbed into J^k, itself a two-sided ideal, and the
+    closure supplies the right factors.  product multiplies two row dicts.
     """
-    return step_power_dims(field, sub, lambda a: [product(a, s) for s in seeds],
-                           right_maps)
+    return tagged_power_dims(
+        field, {None: sub},
+        lambda subs: [(None, [product(a, s) for a in subs[None].rows.values() for s in seeds])],
+        lambda new: [(None, (f(v) for v in new[None] for f in right_maps))])

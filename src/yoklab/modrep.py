@@ -229,6 +229,40 @@ def _unit_seeds(alg: YAlgebra, words, orbit) -> list[dict]:
     return [v for chi in orbit for v in words({(chi, alg.ident): one}, chi)]
 
 
+def _closure_images(alg: YAlgebra, left: bool):
+    """The images function of exactla.tagged_closure, one untagged span,
+    under the right g_i maps and, with left, the left ones too.
+
+    At q = 0 the image of a one-term row {(chi, w): a} under g_i on either
+    side is its up-step key with coefficient a, read from _rstep or _lstep,
+    or a multiple of the row or 0, which adds nothing to a span that holds
+    the row.  So a one-term row yields only its up-step keys and calls no
+    map; longer rows, and every row when q != 0, go through the maps."""
+    gens = range(1, alg.n)
+    maps = (index_maps(alg._lmul_g, gens) if left else []) + index_maps(alg._rmul_g, gens)
+    keyed = alg._q is None
+    rsteps = alg._rstep[1:]
+    lsteps = list(enumerate(alg._lstep[1:], 1)) if left else []
+
+    def images(rows):
+        for v in rows:
+            if not (keyed and len(v) == 1):
+                for f in maps:
+                    yield f(v)
+                continue
+            ((chi, w), a), = v.items()
+            for i, step in lsteps:
+                siw, up = step[w]
+                if up:
+                    yield {(chi[:i - 1] + (chi[i], chi[i - 1]) + chi[i + 1:], siw): a}
+            for step in rsteps:
+                wsi, up = step[w]
+                if up:
+                    yield {(chi, wsi): a}
+
+    return lambda new: [(None, images(new[None]))]
+
+
 def block_ideal(alg: YAlgebra, words) -> exactla.Subspace:
     """Two-sided ideal J, in the E basis, whose generators are the step
     words of block_power_dims applied to the units: the block J e_O is
@@ -242,19 +276,20 @@ def block_ideal(alg: YAlgebra, words) -> exactla.Subspace:
     projections too.  The blocks have disjoint supports, so the union of
     their reduced bases is the reduced basis of J."""
     rows: dict = {}
-    gens = range(1, alg.n)
-    maps = index_maps(alg._lmul_g, gens) + index_maps(alg._rmul_g, gens)
+    images = _closure_images(alg, left=True)
     for orbits in _shape_groups(alg):
-        block = exactla.closure_under(alg.field, maps, _unit_seeds(alg, words, orbits[0]))
+        seeds = _unit_seeds(alg, words, orbits[0])
+        block = exactla.tagged_closure(alg.field, images, [(None, seeds)])[None]
         for orbit in orbits:
             rows.update(_relabel(block.rows, orbits[0], orbit))
     return exactla.Subspace(alg.field, rows)
 
 
 def commutator_words(alg: YAlgebra, row: dict, c: tuple) -> list[dict]:
-    """row . s for every generator s of the commutator ideal J whose left
+    """row . s for enough generators s of the commutator ideal J whose left
     color is c, the right color of row, as words in the right maps
-    R_i: a -> a g_i.
+    R_i: a -> a g_i, that their closure under the R_i, over the rows of a
+    block, holds every such product.
 
     The commutators [g_i, g_{i+1}] and [g_i, E_chi] = E_{s_i chi} g_i -
     E_chi g_i generate J: the t_j are combinations of the E_chi and each
@@ -264,26 +299,41 @@ def commutator_words(alg: YAlgebra, row: dict, c: tuple) -> list[dict]:
     these generate it too.  Those that start at c are E_c g_i, up to sign,
     for each i with c_i != c_{i+1}, and the right-color components of
     E_c [g_i, g_{i+1}].  As row = row E_c, the first give R_i(row) and the
-    others the components of R_{i+1}(R_i row) - R_i(R_{i+1} row).  The two
-    words end at c with its entries i, i+1, i+2 rotated one way and the
-    other, which agree only when c_i = c_{i+1} = c_{i+2}; then the
-    difference is one word, otherwise each is a component on its own.  On
-    row = E_c the words are these generators, the seeds of block_ideal.
+    others the components of R_{i+1}(R_i row) - R_i(R_{i+1} row).
+
+    The two braid words end at c with its entries i, i+1, i+2 rotated one
+    way and the other.  When c_i = c_{i+1} = c_{i+2} they end at c itself,
+    and only their difference is a product; it is emitted.  Otherwise each
+    is a component on its own, but the closure that follows the words
+    supplies both.  Say c_i != c_{i+1} (if not, c_{i+1} != c_{i+2}, and the
+    same holds with i and i + 1 swapped).  Then R_{i+1}(R_i row) is R_{i+1}
+    of the word R_i(row).  The vector a = R_{i+1}(row) lies in the block,
+    as J^k is a right ideal, with entries c_i, c_{i+2} at i, i+1 of its
+    right color: if they differ, R_i(a) is a combination of the words
+    R_i of the block's rows; if not, c_{i+1} != c_{i+2}, and R_{i+1}(row)
+    is itself a word.  So both braid words lie in the closure under the
+    R_j of the words of the block's rows, which block_power_dims always
+    runs.  On a unit E_c, a = E_c g_{i+1} = g_{i+1} E_{s_{i+1} c}, and the
+    left maps of block_ideal's two-sided closure take its place.
 
     The words come in order: R_i(row) for each i with c_i != c_{i+1}, then
-    for each i <= n - 2 the difference or the pair R_{i+1}(R_i row),
-    R_i(R_{i+1} row).  Each R_i(row) is formed once.
+    the braid difference for each i <= n - 2 with c_i = c_{i+1} = c_{i+2}.
+    Each R_i(row) is formed once, and only when it is used.
     """
-    images = [None] + [alg._rmul_g(row, i) for i in range(1, alg.n)]
-    words = [images[i] for i in range(1, alg.n) if c[i - 1] != c[i]]
+    images: dict = {}
+
+    def image(i):
+        got = images.get(i)
+        if got is None:
+            got = images[i] = alg._rmul_g(row, i)
+        return got
+
+    words = [image(i) for i in range(1, alg.n) if c[i - 1] != c[i]]
     for i in range(1, alg.n - 1):
-        up = alg._rmul_g(images[i], i + 1)
-        down = alg._rmul_g(images[i + 1], i)
         if c[i - 1] == c[i] == c[i + 1]:
-            exactla.vec_addmul(up, -alg.field.one, down)
-            words.append(up)
-        else:
-            words += [up, down]
+            braid = alg._rmul_g(image(i), i + 1)
+            exactla.vec_addmul(braid, -alg.field.one, alg._rmul_g(image(i + 1), i))
+            words.append(braid)
     return words
 
 
@@ -306,19 +356,22 @@ def block_power_dims(alg: YAlgebra, sub: exactla.Subspace, words) -> list[int]:
     with one color pair: commutator_words for Y, NilAlgebra.radical_words
     for the nil radical.  The color of a row is read off its first key, as
     every key of it carries the same pair."""
-    def step(row):
-        chi, w = next(iter(row))
-        return words(row, alg.act(alg._inv[w], chi))
+    def vecs(rows):
+        for row in rows:
+            chi, w = next(iter(row))
+            yield from words(row, alg.act(alg._inv[w], chi))
 
     by_left: dict = {}
     for p, row in sub.rows.items():
         by_left.setdefault(p[0], {})[p] = row
-    right_maps = index_maps(alg._rmul_g, range(1, alg.n))
+    images = _closure_images(alg, left=False)
     blocks = []
     for orbits in _shape_groups(alg):
         for chi in orbits[0]:
             part = exactla.Subspace(alg.field, by_left.get(chi, {}))
-            dims = exactla.step_power_dims(alg.field, part, step, right_maps)
+            dims = exactla.tagged_power_dims(alg.field, {None: part},
+                                             lambda subs: [(None, vecs(subs[None].rows.values()))],
+                                             images)
             blocks.append((len(orbits), dims))
     return sum_block_dims(blocks)
 

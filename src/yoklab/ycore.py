@@ -26,7 +26,11 @@ algebra, one per side and i; t_j reads zeta^(c mod r) from a list indexed
 by the color c.
 Two basis monomials interact only when the color parts are compatible:
 E_{chi'} g_{w'} E_chi g_w vanishes unless chi' = w'(chi).  At q = 0 every
-structure constant lies in {0, 1, -1}.
+structure constant lies in {0, 1, -1}, and the g_i maps form no sums: an
+up step moves its key with its coefficient, a down step keeps its key
+times q - 1 when the color test passes and drops it otherwise.  Two images
+meet only when a moved key lands on an input key that is itself kept, so
+the kept keys are merged last, the only sums formed.
 
 Elements are sparse dicts keyed by (vector, permutation); zero coefficients
 are never stored.
@@ -215,13 +219,26 @@ class YAlgebra(SparseAlgebra):
         q, qm1 = self._q, self._qm1
         step = self._rstep[i]
         out: dict = {}
+        if q is None:
+            # signed keys: an up step moves its key, a down step keeps it
+            # times q - 1 or drops it, so no two moved keys meet
+            kept = []
+            for key, a in terms.items():
+                chi, w = key
+                wsi, up = step[w]
+                if up:
+                    out[(chi, wsi)] = a
+                elif qm1 is not None and chi[w[i - 1] - 1] == chi[w[i] - 1]:
+                    kept.append((key, a))
+            for key, a in kept:
+                _acc(out, key, a * qm1)
+            return out
         for (chi, w), a in terms.items():
             wsi, up = step[w]
             if up:
                 _acc(out, (chi, wsi), a)
             else:
-                if q is not None:
-                    _acc(out, (chi, wsi), a * q)
+                _acc(out, (chi, wsi), a * q)
                 if qm1 is not None and chi[w[i - 1] - 1] == chi[w[i] - 1]:
                     _acc(out, (chi, w), a * qm1)
         return out
@@ -230,16 +247,26 @@ class YAlgebra(SparseAlgebra):
         q, qm1 = self._q, self._qm1
         step = self._lstep[i]
         out: dict = {}
+        if q is None:
+            # as in _rmul_g, with the colors swapped on an up step
+            kept = []
+            for key, a in terms.items():
+                chi, w = key
+                siw, up = step[w]
+                if up:
+                    out[(chi[:i - 1] + (chi[i], chi[i - 1]) + chi[i + 1:], siw)] = a
+                elif qm1 is not None and chi[i - 1] == chi[i]:
+                    kept.append((key, a))
+            for key, a in kept:
+                _acc(out, key, a * qm1)
+            return out
         for (chi, w), a in terms.items():
             siw, up = step[w]
-            schi = list(chi)
-            schi[i - 1], schi[i] = schi[i], schi[i - 1]
-            schi = tuple(schi)
+            schi = chi[:i - 1] + (chi[i], chi[i - 1]) + chi[i + 1:]
             if up:
                 _acc(out, (schi, siw), a)
             else:
-                if q is not None:
-                    _acc(out, (schi, siw), a * q)
+                _acc(out, (schi, siw), a * q)
                 if qm1 is not None and chi[i - 1] == chi[i]:
                     _acc(out, (chi, w), a * qm1)
         return out

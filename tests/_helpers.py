@@ -837,3 +837,47 @@ def generator_map_oracles(alg) -> list:
     if isinstance(alg, AKSAlgebra):
         return [("_lmul_h", aks_lmul_h_oracle), ("_rmul_h", aks_rmul_h_oracle)]
     return [("_lmul_g", y_lmul_g_oracle), ("_rmul_g", y_rmul_g_oracle)]
+
+
+def y_q0_gmap_reference(alg, terms: dict, i: int, side: str) -> dict:
+    """The q = 0 kernel of Y's g_i maps from the relation alone: g_i on the
+    right ("r") or the left ("l") takes (chi, w) to its up-step key, (chi,
+    w s_i) or (s_i chi, s_i w), with coefficient a when that raises the
+    length, and otherwise to (q - 1) [color test] (chi, w).  Lengths are
+    counted by symgroup, not read from the engine's step tables; q - 1 is
+    read from alg, which may have been reassigned."""
+    out: dict = {}
+    for (chi, w), a in terms.items():
+        if side == "r":
+            key = (chi, sg.right_mult_s(w, i))
+            test = chi[w[i - 1] - 1] == chi[w[i] - 1]
+        else:
+            key = (sg.right_mult_s(chi, i), sg.left_mult_s(i, w))
+            test = chi[i - 1] == chi[i]
+        if sg.length(key[1]) > sg.length(w):
+            _acc(out, key, a)
+        elif test:
+            _acc(out, (chi, w), alg.qm1 * a)
+    return out
+
+
+def y_commutator_words_reference(alg, row: dict, c: tuple) -> list:
+    """The full word list of row against the generators of Y's commutator
+    ideal with left color c: R_i(row) for each i with c_i != c_{i+1}, then
+    for each i <= n - 2 the braid difference R_{i+1}(R_i row) -
+    R_i(R_{i+1} row) when c_i = c_{i+1} = c_{i+2}, or else both braid words
+    on their own.  Each is row times one generator's component, so this is
+    the reference that modrep.commutator_words, which drops the braid words
+    of non-constant triples, is checked against."""
+    one = alg.field.one
+    images = [None] + [alg._rmul_g(row, i) for i in range(1, alg.n)]
+    words = [images[i] for i in range(1, alg.n) if c[i - 1] != c[i]]
+    for i in range(1, alg.n - 1):
+        up = alg._rmul_g(images[i], i + 1)
+        down = alg._rmul_g(images[i + 1], i)
+        if c[i - 1] == c[i] == c[i + 1]:
+            vec_addmul(up, -one, down)
+            words.append(up)
+        else:
+            words += [up, down]
+    return words

@@ -47,9 +47,9 @@ def _color_pairs(alg, vec):
 
 
 def _y_word_seeds(alg, c):
-    """The E-basis seeds that modrep.commutator_words stands for at right
-    color c, in its order: E_c g_i for c_i != c_{i+1}, then for each i the
-    right-color components of E_c [g_i, g_{i+1}]."""
+    """The E-basis seeds that the words of y_commutator_words_reference
+    stand for at right color c, in its order: E_c g_i for c_i != c_{i+1},
+    then for each i the right-color components of E_c [g_i, g_{i+1}]."""
     one = alg.field.one
 
     def e_g(*word):
@@ -74,14 +74,24 @@ def _nil_word_seeds(alg, c):
 
 
 def _word_cases(r, n, kind):
-    """For Y's commutator ideal and nil's radical: the engine, the ideal,
-    the step words, the seeds each word stands for, and the generators of
-    each orbit block, split by color pair."""
+    """For Y's commutator ideal and nil's radical: the engine, the ideal
+    (from the whole-algebra route, so that it does not rest on the words),
+    the step words, the full reference word list (one word per seed), the
+    seeds each reference word stands for, and the generators of each orbit
+    block, split by color pair."""
     y, nil = H.yalg(r, n, kind), H.nilalg(r, n, kind)
-    return [(y, modrep.commutator_ideal(y), lambda row, c: modrep.commutator_words(y, row, c),
+    return [(y, H.y_full_ideal(r, n, kind), lambda row, c: modrep.commutator_words(y, row, c),
+             lambda row, c: H.y_commutator_words_reference(y, row, c),
              _y_word_seeds, lambda o: H.y_block_seeds(y, o)),
-            (nil, nil.radical(), nil.radical_words, _nil_word_seeds,
-             lambda o: H.nil_block_seeds(nil, o))]
+            (nil, H.nil_full_radical(r, n, kind), nil.radical_words, nil.radical_words,
+             _nil_word_seeds, lambda o: H.nil_block_seeds(nil, o))]
+
+
+def _g_maps(alg, left=True):
+    """The right g_i maps, after the left ones when left is set."""
+    gens = range(1, alg.n)
+    return ((algebra.index_maps(alg._lmul_g, gens) if left else [])
+            + algebra.index_maps(alg._rmul_g, gens))
 
 
 def _oracle_powers(alg, ideal, seeds_of, depth=None):
@@ -104,19 +114,30 @@ def _oracle_powers(alg, ideal, seeds_of, depth=None):
 @pytest.mark.parametrize("r,n", [(2, 3), (3, 3), (2, 4)])
 @pytest.mark.parametrize("kind", [H.FP13, H.CYC])
 def test_step_words_are_seed_products(r, n, kind):
-    # every step vector is the product of the row with the seed it stands
-    # for, and carries one color pair; the seeds a row of right color c
-    # stands against span the block's generators whose left color is c
-    for alg, ideal, words, word_seeds, seeds_of in _word_cases(r, n, kind):
+    # every reference word is the product of the row with the seed it
+    # stands for, and the step words are some of them, each with one color
+    # pair; over the rows of a power, the closure of the step words under
+    # the right g_i is that of all the products, which is what the power
+    # recurrence uses; the seeds a row of right color c stands against span
+    # the block's generators whose left color is c
+    for alg, ideal, words, reference, word_seeds, seeds_of in _word_cases(r, n, kind):
         checked = 0
+        right = _g_maps(alg, left=False)
         for seeds, powers in _oracle_powers(alg, ideal, seeds_of, depth=2):
             for power in powers:
+                steps, products = [], []
                 for row in power.rows.values():
                     c = _right_color(alg, row)
+                    full = reference(row, c)
+                    assert full == [alg.mul_terms(row, s) for s in word_seeds(alg, c)]
                     got = words(row, c)
-                    assert got == [alg.mul_terms(row, s) for s in word_seeds(alg, c)]
+                    assert all(v in full for v in got)
                     assert all(len(_color_pairs(alg, v)) == 1 for v in got if v)
+                    steps += got
+                    products += full
                     checked += 1
+                assert closure_under(alg.field, right, steps).rows == \
+                    closure_under(alg.field, right, products).rows
         assert checked
         for orbit in alg.central_color_blocks():
             seeds = seeds_of(orbit)
@@ -126,6 +147,61 @@ def test_step_words_are_seed_products(r, n, kind):
                 assert closure_under(alg.field, [], word_seeds(alg, c)).rows == span.rows
 
 
+@pytest.mark.parametrize("r,n", [(r, n) for r in (1, 2, 3, 4) for n in (1, 2, 3, 4)])
+def test_dropped_braid_words_lie_in_the_closure(r, n):
+    # the braid words of non-constant triples that commutator_words leaves
+    # out: on the units they lie in the two-sided ideal, and on the rows of
+    # J and J^2 in the closure of the step words under the right g_i
+    alg = H.yalg(r, n, H.FP13)
+    ideal = modrep.commutator_ideal(alg)
+    one = alg.field.one
+    dropped = 0
+    for chi in alg.colors:
+        unit = {(chi, alg.ident): one}
+        full = H.y_commutator_words_reference(alg, unit, chi)
+        dropped += len(full) - len(modrep.commutator_words(alg, unit, chi))
+        assert all(ideal.contains(v) for v in full)
+    right = _g_maps(alg, left=False)
+    by_left: dict = {}
+    for p, row in ideal.rows.items():
+        by_left.setdefault(p[0], {})[p] = row
+    for rows in by_left.values():
+        cur = Subspace(alg.field, rows)
+        for _ in range(2):
+            steps, full = [], []
+            for row in cur.rows.values():
+                c = _right_color(alg, row)
+                steps += modrep.commutator_words(alg, row, c)
+                full += H.y_commutator_words_reference(alg, row, c)
+            cur = closure_under(alg.field, right, steps)
+            dropped += len(full) - len(steps)
+            assert all(cur.contains(v) for v in full)
+    # non-constant triples occur from r = 2, n = 3 on
+    assert (dropped > 0) == (r > 1 and n > 2)
+
+
+@pytest.mark.parametrize("r,n", [(r, n) for r in (1, 2, 3) for n in (1, 2, 3)])
+@pytest.mark.parametrize("kind", [H.FP13, H.CYC])
+def test_keyed_images_span_the_map_images(r, n, kind):
+    # at q = 0 a one-term row yields only its up-step keys; with the row,
+    # they span what its images under the g_i maps span
+    y, nil = H.yalg(r, n, kind), H.nilalg(r, n, kind)
+    checked = 0
+    for alg, ideal in ((y, modrep.commutator_ideal(y)), (nil, nil.radical())):
+        for left in (True, False):
+            images = modrep._closure_images(alg, left)
+            maps = _g_maps(alg, left)
+            for row in ideal.rows.values():
+                if len(row) != 1:
+                    continue
+                keyed = [v for _, vs in images({None: [row]}) for v in vs]
+                assert all(len(v) == 1 for v in keyed)
+                assert closure_under(alg.field, [], [row, *keyed]).rows == \
+                    closure_under(alg.field, [], [row, *(f(row) for f in maps)]).rows
+                checked += 1
+    assert checked or n == 1
+
+
 @pytest.mark.parametrize("r,n", [(2, 3), (3, 3)])
 @pytest.mark.parametrize("kind", [H.FP13, H.CYC])
 def test_skipped_color_pairs_vanish(r, n, kind):
@@ -133,7 +209,7 @@ def test_skipped_color_pairs_vanish(r, n, kind):
     # whose inner colors differ has product zero, and such pairs occur, so
     # the words of the seeds that start at the row's right color are all
     # its step vectors
-    for alg, ideal, _, _, seeds_of in _word_cases(r, n, kind):
+    for alg, ideal, _, _, _, seeds_of in _word_cases(r, n, kind):
         skipped = met = 0
         for seeds, powers in _oracle_powers(alg, ideal, seeds_of):
             for power in powers:
@@ -158,27 +234,30 @@ def _generator_word_count(alg, c):
 
 def _unit_seed_mismatches(r, n, kind):
     """(engine, first color) of every orbit block whose seeds, the step
-    words applied to the block's units, do not span exactly its
+    words applied to the block's units, do not generate exactly its
     definitional generators: y_block_seeds for Y, E_chi T_i for nil, and
     for AKS the Peirce pieces of commutator_seeds() cut to the orbit,
-    against the piece steps of the units L_c."""
+    against the piece steps of the units L_c.  For Y, whose unit words
+    leave out the braid words of non-constant triples, both sides are
+    closed under the left and right g_i, as in block_ideal; for nil and
+    AKS their spans are compared."""
     y, nil, a = H.yalg(r, n, kind), H.nilalg(r, n, kind), H.aksalg(r, n, kind)
     aks_seeds = a.commutator_seeds()
     one = a.field.one
     cases = [("y", y, lambda o: modrep._unit_seeds(
                   y, lambda row, c: modrep.commutator_words(y, row, c), o),
-              lambda o: H.y_block_seeds(y, o)),
+              lambda o: H.y_block_seeds(y, o), _g_maps(y)),
              ("nil", nil, lambda o: modrep._unit_seeds(nil, nil.radical_words, o),
-              lambda o: H.nil_block_seeds(nil, o)),
+              lambda o: H.nil_block_seeds(nil, o), []),
              ("aks", a, lambda o: [x for c in o for _, xs in a._piece_step(c, {(c, a.ident): one})
                                  for x in xs],
               lambda o: [x for s in H.aks_cut_seeds(a, o, aks_seeds)
-                         for _, x in H.aks_pieces(a, s, o)])]
+                         for _, x in H.aks_pieces(a, s, o)], [])]
     bad = []
-    for name, alg, seeds_of, generators_of in cases:
+    for name, alg, seeds_of, generators_of, maps in cases:
         for orbit in alg.central_color_blocks():
-            span = closure_under(alg.field, [], seeds_of(orbit)).rows
-            if span != closure_under(alg.field, [], generators_of(orbit)).rows:
+            span = closure_under(alg.field, maps, seeds_of(orbit)).rows
+            if span != closure_under(alg.field, maps, generators_of(orbit)).rows:
                 bad.append((name, orbit[0]))
     return bad
 
@@ -192,7 +271,8 @@ def test_unit_words_span_the_block_generators(r, n, kind):
 def test_unit_seeds_need_the_braid_words(monkeypatch):
     # a mutant that drops the braid words from the seeds alone: on a unit
     # E_c it keeps only the E_c g_i, and on every row of J, which holds no
-    # unit, it is the real step
+    # unit, it is the real step; a unit keeps a braid word only where its
+    # color is constant on three places in a row
     real = modrep.commutator_words
 
     def mutant(alg, row, c):
@@ -203,7 +283,7 @@ def test_unit_seeds_need_the_braid_words(monkeypatch):
 
     monkeypatch.setattr(modrep, "commutator_words", mutant)
     assert ("y", (1, 1, 1)) in _unit_seed_mismatches(1, 3, H.FP13)
-    assert ("y", (1, 1, 2)) in _unit_seed_mismatches(2, 3, H.FP13)
+    assert ("y", (2, 2, 2)) in _unit_seed_mismatches(2, 3, H.FP13)
 
 
 def test_braid_words_are_needed(monkeypatch, capsys):
@@ -230,13 +310,17 @@ def test_generator_words_are_needed(monkeypatch, capsys):
 
 def test_right_closure_changes_y_powers(monkeypatch):
     # J^k . seeds is not always a right ideal: without the closure under
-    # the right g_i, Y's J^2 at (2, 5) misses four dimensions
+    # the right g_i, Y's J^2 at (2, 5) misses four dimensions with every
+    # braid word, and 210 with the step words, which leave the braid words
+    # of non-constant triples to the closure
     alg = YAlgebra(2, 5, H.field(H.FP13, 2))
     ideal = modrep.commutator_ideal(alg)
     assert modrep.power_dims(alg, ideal)[:2] == [3678, 3210]
-    real = exactla.step_power_dims
-    monkeypatch.setattr(exactla, "step_power_dims",
-                        lambda field, sub, step, right_maps: real(field, sub, step, []))
+    real = exactla.tagged_power_dims
+    monkeypatch.setattr(exactla, "tagged_power_dims",
+                        lambda field, subs, step, images: real(field, subs, step, lambda new: []))
+    assert modrep.power_dims(alg, ideal)[:2] == [3678, 3000]
+    monkeypatch.setattr(modrep, "commutator_words", H.y_commutator_words_reference)
     assert modrep.power_dims(alg, ideal)[:2] == [3678, 3206]
 
 

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from yoklab import cli, modrep, symgroup as sg
+from yoklab.exactla import closure_under
 from yoklab.modrep import (
     SimpleLabel,
     check_one_dim,
@@ -206,6 +207,17 @@ def test_q0_guard():
         modrep.semisimplicity_certificate(alg)
     # the commutator ideal itself makes sense for any q
     assert modrep.commutator_ideal(alg).dim() > 0
+
+
+@pytest.mark.parametrize("r,n", [(2, 3), (3, 3)])
+def test_commutator_ideal_at_q5_keeps_its_rows(r, n):
+    # away from q = 0 every closure row goes through the g_i maps; the
+    # blocked ideal is the closure of the commutators under every
+    # generator map, row for row
+    alg = H.yalg(r, n, H.FP13, q=5)
+    assert alg._q is not None
+    full = closure_under(alg.field, alg.all_generator_maps(), H.y_full_seeds(alg))
+    assert modrep.commutator_ideal(alg).rows == full.rows
 
 
 def test_label_json_roundtrip():

@@ -363,3 +363,79 @@ def test_assigned_q_clears_the_product_cache():
     fresh_g1 = fresh.gen_g(1).as_E()
     assert (g1 * g1).terms == (fresh_g1 * fresh_g1).terms
     assert (g1 * g1).terms != at_zero.terms
+
+
+KERNEL_SIZES = [(r, n) for r in (1, 2, 3) for n in (1, 2, 3)] + [(2, 4)]
+
+
+def _kernel_cases(alg):
+    """Every one-term key, and for each key and i the two-term dicts that
+    hold it and the key one g_i step away on either side, which is where a
+    moved key meets a kept one; the second coefficient is 1 (so the two
+    cancel where they meet) or 2."""
+    one, two = alg.field.one, alg.field.from_int(2)
+    keys = [(chi, w) for chi in alg.colors for w in alg.perms]
+    cases = [{k: one} for k in keys]
+    for chi, w in keys:
+        for i in range(1, alg.n):
+            for other in ((chi, sg.right_mult_s(w, i)),
+                          (sg.right_mult_s(chi, i), sg.left_mult_s(i, w))):
+                if other != (chi, w):
+                    cases += [{(chi, w): one, other: b} for b in (one, two)]
+    return cases
+
+
+def _kernel_mismatches(alg) -> list:
+    """(side, i, terms) wherever _rmul_g or _lmul_g leaves the q = 0
+    reference of _helpers on the kernel cases."""
+    bad = []
+    for terms in _kernel_cases(alg):
+        for i in range(1, alg.n):
+            for side, fn in (("r", alg._rmul_g), ("l", alg._lmul_g)):
+                if fn(terms, i) != H.y_q0_gmap_reference(alg, terms, i, side):
+                    bad.append((side, i, terms))
+    return bad
+
+
+@pytest.mark.parametrize("r,n", KERNEL_SIZES)
+@pytest.mark.parametrize("kind", [H.FP13, H.CYC])
+@pytest.mark.parametrize("engine", [YAlgebra, NilAlgebra])
+def test_q0_kernel_matches_the_relation(engine, r, n, kind):
+    alg = engine(r, n, field=H.field(kind, r))
+    assert alg._q is None
+    if n > 1 and engine is YAlgebra:
+        # a moved key meets a kept one, on both sides, with and without
+        # cancelling
+        met = set()
+        for terms in _kernel_cases(alg):
+            for side in "rl":
+                apart = sum(len(H.y_q0_gmap_reference(alg, {k: a}, 1, side))
+                            for k, a in terms.items())
+                got = len(H.y_q0_gmap_reference(alg, terms, 1, side))
+                if got < apart:
+                    met.add((side, apart - got))
+        assert met == {(side, d) for side in "rl" for d in (1, 2)}
+    assert _kernel_mismatches(alg) == []
+
+
+@pytest.mark.parametrize("r,n", [(2, 3), (3, 3), (2, 4)])
+@pytest.mark.parametrize("kind", [H.FP13, H.CYC])
+@pytest.mark.parametrize("engine", [YAlgebra, NilAlgebra])
+def test_q0_kernel_follows_reassigned_q(engine, r, n, kind):
+    # q - 1 reassigned at q = 0 stays on the kernel and scales its kept
+    # keys; q reassigned away from 0 leaves the kernel for the general
+    # maps, and back to 0 returns to it
+    f = H.field(kind, r)
+    alg = engine(r, n, field=f)
+    for qm1 in (4, -1, 0):
+        alg.qm1 = f.from_int(qm1)
+        assert alg._q is None
+        assert _kernel_mismatches(alg) == []
+    alg.q = f.from_int(5)
+    alg.qm1 = f.from_int(4)
+    for terms in _kernel_cases(alg)[::7]:
+        for i in range(1, n):
+            assert alg._rmul_g(terms, i) == H.y_rmul_g_oracle(alg, terms, i)
+            assert alg._lmul_g(terms, i) == H.y_lmul_g_oracle(alg, terms, i)
+    alg.q = f.zero
+    assert _kernel_mismatches(alg) == []

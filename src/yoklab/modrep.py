@@ -46,7 +46,7 @@ import math
 from collections import Counter, namedtuple
 
 from . import exactla, symgroup as sg
-from .algebra import index_maps, sum_block_dims
+from .algebra import sum_block_dims
 from .ycore import YAlgebra
 
 __all__ = [
@@ -229,40 +229,6 @@ def _unit_seeds(alg: YAlgebra, words, orbit) -> list[dict]:
     return [v for chi in orbit for v in words({(chi, alg.ident): one}, chi)]
 
 
-def _closure_images(alg: YAlgebra, left: bool):
-    """The images function of exactla.tagged_closure, one untagged span,
-    under the right g_i maps and, with left, the left ones too.
-
-    At q = 0 the image of a one-term row {(chi, w): a} under g_i on either
-    side is its up-step key with coefficient a, read from _rstep or _lstep,
-    or a multiple of the row or 0, which adds nothing to a span that holds
-    the row.  So a one-term row yields only its up-step keys and calls no
-    map; longer rows, and every row when q != 0, go through the maps."""
-    gens = range(1, alg.n)
-    maps = (index_maps(alg._lmul_g, gens) if left else []) + index_maps(alg._rmul_g, gens)
-    keyed = alg._q is None
-    rsteps = alg._rstep[1:]
-    lsteps = list(enumerate(alg._lstep[1:], 1)) if left else []
-
-    def images(rows):
-        for v in rows:
-            if not (keyed and len(v) == 1):
-                for f in maps:
-                    yield f(v)
-                continue
-            ((chi, w), a), = v.items()
-            for i, step in lsteps:
-                siw, up = step[w]
-                if up:
-                    yield {(chi[:i - 1] + (chi[i], chi[i - 1]) + chi[i + 1:], siw): a}
-            for step in rsteps:
-                wsi, up = step[w]
-                if up:
-                    yield {(chi, wsi): a}
-
-    return lambda new: [(None, images(new[None]))]
-
-
 def block_ideal(alg: YAlgebra, words) -> exactla.Subspace:
     """Two-sided ideal J, in the E basis, whose generators are the step
     words of block_power_dims applied to the units: the block J e_O is
@@ -276,7 +242,7 @@ def block_ideal(alg: YAlgebra, words) -> exactla.Subspace:
     projections too.  The blocks have disjoint supports, so the union of
     their reduced bases is the reduced basis of J."""
     rows: dict = {}
-    images = _closure_images(alg, left=True)
+    images = alg.span_images(left=True)
     for orbits in _shape_groups(alg):
         seeds = _unit_seeds(alg, words, orbits[0])
         block = exactla.tagged_closure(alg.field, images, [(None, seeds)])[None]
@@ -364,7 +330,7 @@ def block_power_dims(alg: YAlgebra, sub: exactla.Subspace, words) -> list[int]:
     by_left: dict = {}
     for p, row in sub.rows.items():
         by_left.setdefault(p[0], {})[p] = row
-    images = _closure_images(alg, left=False)
+    images = alg.span_images(left=False)
     blocks = []
     for orbits in _shape_groups(alg):
         for chi in orbits[0]:

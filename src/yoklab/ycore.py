@@ -26,11 +26,17 @@ algebra, one per side and i; t_j reads zeta^(c mod r) from a list indexed
 by the color c.
 Two basis monomials interact only when the color parts are compatible:
 E_{chi'} g_{w'} E_chi g_w vanishes unless chi' = w'(chi).  At q = 0 every
-structure constant lies in {0, 1, -1}, and the g_i maps form no sums: an
-up step moves its key with its coefficient, a down step keeps its key
-times q - 1 when the color test passes and drops it otherwise.  Two images
-meet only when a moved key lands on an input key that is itself kept, so
-the kept keys are merged last, the only sums formed.
+structure constant lies in {0, 1, -1}.
+
+The g_i maps form few sums.  A step moves each key, with its coefficient
+on an up step and times q on a down step (dropped at q = 0), and a down
+step also keeps the key times q - 1 when the color test passes.  Moving is
+one-to-one, so moved keys never meet, and a down step moves its key to a
+shorter one, never to a kept key.  Two images meet only when an up step
+lands on a kept key, so the kept keys are merged last, the only sums
+formed.  At q = 0 a one-term row therefore has, on either side, only its
+up-step image besides multiples of itself, and span_images yields only
+those to a closure.
 
 Elements are sparse dicts keyed by (vector, permutation); zero coefficients
 are never stored.
@@ -62,6 +68,11 @@ from .algebra import (SparseAlgebra, SparseElement, braid_relations, far_relatio
 from .exactla import _acc
 
 __all__ = ["YAlgebra", "torus_to_E", "torus_to_T"]
+
+
+def _swap(chi: tuple, i: int) -> tuple:
+    """s_i chi: the color vector chi with its entries i and i + 1 swapped."""
+    return chi[:i - 1] + (chi[i], chi[i - 1]) + chi[i + 1:]
 
 
 def _slot_transform(field, r: int, n: int, terms: dict, targets, sign: int) -> dict:
@@ -216,60 +227,78 @@ class YAlgebra(SparseAlgebra):
         self._mono_cache.clear()
 
     def _rmul_g(self, terms: dict, i: int) -> dict:
+        # only an up step can land on a kept key (see the module
+        # docstring), so moved keys are set and kept keys merged last
         q, qm1 = self._q, self._qm1
         step = self._rstep[i]
         out: dict = {}
-        if q is None:
-            # signed keys: an up step moves its key, a down step keeps it
-            # times q - 1 or drops it, so no two moved keys meet
-            kept = []
-            for key, a in terms.items():
-                chi, w = key
-                wsi, up = step[w]
-                if up:
-                    out[(chi, wsi)] = a
-                elif qm1 is not None and chi[w[i - 1] - 1] == chi[w[i] - 1]:
-                    kept.append((key, a))
-            for key, a in kept:
-                _acc(out, key, a * qm1)
-            return out
-        for (chi, w), a in terms.items():
+        kept = []
+        for key, a in terms.items():
+            chi, w = key
             wsi, up = step[w]
             if up:
-                _acc(out, (chi, wsi), a)
+                out[(chi, wsi)] = a
             else:
-                _acc(out, (chi, wsi), a * q)
+                if q is not None:
+                    out[(chi, wsi)] = a * q
                 if qm1 is not None and chi[w[i - 1] - 1] == chi[w[i] - 1]:
-                    _acc(out, (chi, w), a * qm1)
+                    kept.append((key, a))
+        for key, a in kept:
+            _acc(out, key, a * qm1)
         return out
 
     def _lmul_g(self, terms: dict, i: int) -> dict:
+        # as in _rmul_g, with the colors swapped by the move
         q, qm1 = self._q, self._qm1
         step = self._lstep[i]
         out: dict = {}
-        if q is None:
-            # as in _rmul_g, with the colors swapped on an up step
-            kept = []
-            for key, a in terms.items():
-                chi, w = key
-                siw, up = step[w]
-                if up:
-                    out[(chi[:i - 1] + (chi[i], chi[i - 1]) + chi[i + 1:], siw)] = a
-                elif qm1 is not None and chi[i - 1] == chi[i]:
-                    kept.append((key, a))
-            for key, a in kept:
-                _acc(out, key, a * qm1)
-            return out
-        for (chi, w), a in terms.items():
+        kept = []
+        for key, a in terms.items():
+            chi, w = key
             siw, up = step[w]
-            schi = chi[:i - 1] + (chi[i], chi[i - 1]) + chi[i + 1:]
             if up:
-                _acc(out, (schi, siw), a)
+                out[(_swap(chi, i), siw)] = a
             else:
-                _acc(out, (schi, siw), a * q)
+                if q is not None:
+                    out[(_swap(chi, i), siw)] = a * q
                 if qm1 is not None and chi[i - 1] == chi[i]:
-                    _acc(out, (chi, w), a * qm1)
+                    kept.append((key, a))
+        for key, a in kept:
+            _acc(out, key, a * qm1)
         return out
+
+    def span_images(self, left: bool):
+        """The images function of exactla.tagged_closure for one untagged
+        span, under the right g_i maps and, with left, the left ones too.
+
+        At q = 0 the image of a one-term row {(chi, w): a} under g_i on
+        either side is its key moved up, with coefficient a, or a multiple
+        of the row or 0, which adds nothing to a span that holds the row.
+        So a one-term row yields only its up-step images and calls no map;
+        longer rows, and every row when q != 0, go through the maps."""
+        gens = range(1, self.n)
+        maps = (index_maps(self._lmul_g, gens) if left else []) + index_maps(self._rmul_g, gens)
+        keyed = self._q is None
+        rsteps = self._rstep[1:]
+        lsteps = list(enumerate(self._lstep[1:], 1)) if left else []
+
+        def images(rows):
+            for v in rows:
+                if not (keyed and len(v) == 1):
+                    for f in maps:
+                        yield f(v)
+                    continue
+                ((chi, w), a), = v.items()
+                for i, step in lsteps:
+                    siw, up = step[w]
+                    if up:
+                        yield {(_swap(chi, i), siw): a}
+                for step in rsteps:
+                    wsi, up = step[w]
+                    if up:
+                        yield {(chi, wsi): a}
+
+        return lambda new: [(None, images(new[None]))]
 
     def _rmul_t(self, terms: dict, j: int) -> dict:
         zc = self._color_zetas

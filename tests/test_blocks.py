@@ -189,7 +189,7 @@ def test_keyed_images_span_the_map_images(r, n, kind):
     checked = 0
     for alg, ideal in ((y, modrep.commutator_ideal(y)), (nil, nil.radical())):
         for left in (True, False):
-            images = modrep._closure_images(alg, left)
+            images = alg.span_images(left)
             maps = _g_maps(alg, left)
             for row in ideal.rows.values():
                 if len(row) != 1:

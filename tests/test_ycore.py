@@ -422,9 +422,9 @@ def test_q0_kernel_matches_the_relation(engine, r, n, kind):
 @pytest.mark.parametrize("kind", [H.FP13, H.CYC])
 @pytest.mark.parametrize("engine", [YAlgebra, NilAlgebra])
 def test_q0_kernel_follows_reassigned_q(engine, r, n, kind):
-    # q - 1 reassigned at q = 0 stays on the kernel and scales its kept
-    # keys; q reassigned away from 0 leaves the kernel for the general
-    # maps, and back to 0 returns to it
+    # q - 1 reassigned at q = 0 scales the kept keys; q reassigned away
+    # from 0 moves down-step keys too, where they must not meet the kept
+    # ones, and back to 0 drops them again
     f = H.field(kind, r)
     alg = engine(r, n, field=f)
     for qm1 in (4, -1, 0):
@@ -433,7 +433,7 @@ def test_q0_kernel_follows_reassigned_q(engine, r, n, kind):
         assert _kernel_mismatches(alg) == []
     alg.q = f.from_int(5)
     alg.qm1 = f.from_int(4)
-    for terms in _kernel_cases(alg)[::7]:
+    for terms in _kernel_cases(alg):
         for i in range(1, n):
             assert alg._rmul_g(terms, i) == H.y_rmul_g_oracle(alg, terms, i)
             assert alg._lmul_g(terms, i) == H.y_lmul_g_oracle(alg, terms, i)

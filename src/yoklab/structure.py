@@ -12,7 +12,9 @@ algebra and the nil algebra, the Y engine with T_i in place of g_i.  They
 read tau off products in the E basis.  Everything about the Gram form comes
 from the (chi, w0) coefficients f_{u,v}(chi) of E_chi g_u g_v, held as the
 r^n blocks of the E-basis Gram, one n! x n! block per color c with rows
-blocks[c][u] = {v: f_{u,v}(u.c)} (gram_blocks).  frobenius_check decides
+blocks[c][u] = {v: f_{u,v}(u.c)} (gram_blocks), built by the grouped
+right step of ycore, which carries all r^n colors of a product as one
+group per permutation and reads no step rule here.  frobenius_check decides
 invertibility block by block and reads each witness entry off the blocks.
 The exhaustive Nakayama check compares tau(x y) with tau(phi(y) x) on
 E-basis pairs, where tau(E_a g_u E_b g_v) = [a = u.b] f_{u,v}(a) / r^n.  The
@@ -89,25 +91,33 @@ def gram_blocks(alg: YAlgebra) -> dict:
     is, after a permutation, block-diagonal with one n! x n! block per
     color c, whose row u is blocks[c][u] (up to the unit 1/r^n).  Right
     multiplication by g_i keeps the left color, so one pass per u takes
-    the r^n-term sum of E_chi g_u over every chi through the g_v, each
-    product a shorter one times a g_i: n!(n! - 1) calls of _rmul_g in all,
-    none through the product cache.  Every row is present; zero values are
-    not stored."""
-    w0, one, act, inv = alg.w0, alg.field.one, alg.act, alg._inv
-    by_length = sorted(alg.perms, key=alg._len.__getitem__)
+    the sum of E_chi g_u over every chi, held as the one group {u: {chi:
+    1}} of YAlgebra._rmul_g_groups, through the g_v, each product a
+    shorter one times one grouped g_i step: n!(n! - 1) steps in all, none
+    through the product cache.  At q = 0 every product is one group, on
+    the Demazure product of u and v; row values are read from the w0
+    group.  The row of chi goes to the block of u^-1.chi, whose entry k is
+    chi[u(k)], formed here rather than by alg.act, whose cache would keep
+    n! r^n more entries.  Every row is present; zero values are not
+    stored."""
+    w0, one, step = alg.w0, alg.field.one, alg._rmul_g_groups
+    # (v, v', i) with v = v' s_i for each v past the identity, shortest first
+    order = []
+    for v in sorted(alg.perms, key=alg._len.__getitem__)[1:]:
+        i = alg._rword[v][-1]
+        order.append((v, alg._rstep[i][v][0], i))
     blocks = {c: {} for c in alg.colors}
     for u in alg.perms:
-        prods = {alg.ident: {(chi, u): one for chi in alg.colors}}
-        for v in by_length[1:]:
-            i = alg._rword[v][-1]
-            prods[v] = alg._rmul_g(prods[alg._rstep[i][v][0]], i)
+        prods = {alg.ident: {u: dict.fromkeys(alg.colors, one)}}
+        for v, shorter, i in order:
+            prods[v] = step(prods[shorter], i)
         rows = {chi: {} for chi in alg.colors}
         for v, p in prods.items():
-            for (chi, w), c in p.items():
-                if w == w0:
+            if w0 in p:
+                for chi, c in p[w0].items():
                     rows[chi][v] = c
         for chi, row in rows.items():
-            blocks[act(inv[u], chi)][u] = row
+            blocks[tuple(chi[k - 1] for k in u)][u] = row
     return blocks
 
 

@@ -387,10 +387,18 @@ FROBENIUS_SIZES = ([(r, n, H.FP13) for r in (1, 2, 3) for n in (1, 2, 3)] + [(2,
                    + [(r, n, H.CYC) for r in (1, 2, 3) for n in (1, 2, 3)])
 
 
-@pytest.mark.parametrize("engine", ["y", "nil"])
+def _gram_alg(engine, r, n, kind):
+    """Y at q = 0, Y at q = 5 (where the grouped steps of gram_blocks meet
+    and merge) or nil."""
+    if engine == "nil":
+        return H.nilalg(r, n, kind)
+    return H.yalg(r, n, kind, q=5 if engine == "y-q5" else 0)
+
+
+@pytest.mark.parametrize("engine", ["y", "y-q5", "nil"])
 @pytest.mark.parametrize("r,n,kind", FROBENIUS_SIZES)
 def test_gram_blocks_match_dense_oracle(monkeypatch, engine, r, n, kind):
-    alg = (H.yalg if engine == "y" else H.nilalg)(r, n, kind)
+    alg = _gram_alg(engine, r, n, kind)
     expect = {"dimension": alg.dimension, "gram_invertible": True, "witness_ok": True}
     assert frobenius_check(alg) == H.dense_frobenius(alg) == expect
     assert structure.singular_block(alg, structure.gram_blocks(alg)) is None
@@ -432,12 +440,13 @@ def test_gram_blocks_match_dense_oracle_on_random_tables(monkeypatch, r, n):
     assert seen == {True, False}
 
 
-@pytest.mark.parametrize("engine", ["y", "nil"])
+@pytest.mark.parametrize("engine", ["y", "y-q5", "nil"])
 @pytest.mark.parametrize("r,n,kind", FROBENIUS_SIZES + [(2, 4, H.CYC)])
 def test_gram_blocks_match_one_term_tables(engine, r, n, kind):
-    # every value of the one pass per u against the products of the
-    # one-term dicts {(chi, u): 1}, block by block and row by row
-    alg = (H.yalg if engine == "y" else H.nilalg)(r, n, kind)
+    # every value of the one grouped pass per u against the _rmul_g
+    # products of the one-term dicts {(chi, u): 1}, block by block and row
+    # by row
+    alg = _gram_alg(engine, r, n, kind)
     f = H.one_term_gram_tables(alg)
     blocks = structure.gram_blocks(alg)
     assert list(blocks) == alg.colors
@@ -454,16 +463,21 @@ def test_gram_blocks_match_one_term_tables(engine, r, n, kind):
 def test_gram_blocks_make_one_right_multiplication_per_step(monkeypatch, engine, r, n):
     alg = engine(r, n, field=H.field(H.FP13, r))
     calls = []
-    real = alg._rmul_g
+    real = alg._rmul_g_groups
 
-    def counted(terms, i):
-        calls.append(len(terms))
-        return real(terms, i)
+    def counted(groups, i):
+        calls.append([len(colors) for colors in groups.values()])
+        return real(groups, i)
 
-    monkeypatch.setattr(alg, "_rmul_g", counted)
+    def refused(terms, i):
+        raise AssertionError("gram_blocks called _rmul_g")
+
+    monkeypatch.setattr(alg, "_rmul_g_groups", counted)
+    monkeypatch.setattr(alg, "_rmul_g", refused)
     structure.gram_blocks(alg)
     nf = len(alg.perms)
+    # one grouped step per (u, v != 1)
     assert len(calls) == nf * (nf - 1)
     if nf > 1:
-        # each pass starts from the sum over all r^n colors
-        assert calls[::nf - 1] == [r ** n] * nf
+        # each pass starts from one group of all r^n colors
+        assert calls[::nf - 1] == [[r ** n]] * nf

@@ -439,3 +439,61 @@ def test_q0_kernel_follows_reassigned_q(engine, r, n, kind):
             assert alg._lmul_g(terms, i) == H.y_lmul_g_oracle(alg, terms, i)
     alg.q = f.zero
     assert _kernel_mismatches(alg) == []
+
+
+def _grouped_cases(alg, rng):
+    """Inputs of the grouped right step, as (groups, i): for each w, one
+    group holding every color and two on random color subsets with random
+    coefficients; for each w and i, the two groups on w and w s_i, whose
+    images meet at w, with the second coefficient 1, 2 or -(q - 1) (so the
+    kept colors cancel where they meet)."""
+    f = alg.field
+    one = f.one
+    cases = []
+    for w in alg.perms:
+        for i in range(1, alg.n):
+            cases.append(({w: dict.fromkeys(alg.colors, one)}, i))
+            for _ in range(2):
+                sub = {chi: f.from_int(rng.randrange(1, 13)) for chi in alg.colors
+                       if rng.random() < 0.5}
+                if sub:
+                    cases.append(({w: sub}, i))
+            for b in [b for b in (one, f.from_int(2), -alg.qm1) if not b.is_zero()]:
+                cases.append(({w: dict.fromkeys(alg.colors, one),
+                               sg.right_mult_s(w, i): dict.fromkeys(alg.colors, b)}, i))
+    return cases
+
+
+def _grouped_mismatches(alg) -> list:
+    """(groups, i) wherever the grouped step, flattened, leaves _rmul_g on
+    the flattened input, stores an empty group, or changes its input."""
+    def flat(groups):
+        return {(chi, w): a for w, colors in groups.items() for chi, a in colors.items()}
+
+    bad = []
+    for groups, i in _grouped_cases(alg, random.Random(11)):
+        before = {w: dict(colors) for w, colors in groups.items()}
+        got = alg._rmul_g_groups(groups, i)
+        if (flat(got) != alg._rmul_g(flat(groups), i) or not all(got.values())
+                or groups != before):
+            bad.append((groups, i))
+    return bad
+
+
+@pytest.mark.parametrize("r,n", KERNEL_SIZES)
+@pytest.mark.parametrize("kind", [H.FP13, H.CYC])
+@pytest.mark.parametrize("engine", [YAlgebra, NilAlgebra])
+def test_grouped_right_step_matches_rmul_g(engine, r, n, kind):
+    # at q = 0, at q = 5 (where a down step moves its group as well) and with
+    # q and q - 1 reassigned as in test_q0_kernel_follows_reassigned_q
+    f = H.field(kind, r)
+    alg = engine(r, n, field=f)
+    assert _grouped_mismatches(alg) == []
+    for qm1 in (4, -1, 0):
+        alg.qm1 = f.from_int(qm1)
+        assert _grouped_mismatches(alg) == []
+    alg.q = f.from_int(5)
+    alg.qm1 = f.from_int(4)
+    assert _grouped_mismatches(alg) == []
+    alg.q = f.zero
+    assert _grouped_mismatches(alg) == []

@@ -3,9 +3,11 @@
 The symmetrizing functional tau picks out the coefficient of the single
 basis monomial t^0 g_{w0} (w0 the longest permutation); on an E-basis
 expansion that is (1/r^n) times the sum of the coefficients sitting on
-(chi, w0) keys.  Nondegeneracy comes with a constructive witness: against
-h = t^a g_w the element j = g_{w0 w^{-1}} t^{-a} pairs to exactly 1,
-because the permutation parts multiply length-additively straight to w0.
+(chi, w0) keys, the sum multiplied once by the 1/r^n that the algebra
+stores (inv_rn), so no call forms or inverts r^n.  Nondegeneracy comes
+with a constructive witness: against h = t^a g_w the element j = g_{w0
+w^{-1}} t^{-a} pairs to exactly 1, because the permutation parts multiply
+length-additively straight to w0.
 
 The trace, Gram, Frobenius, Nakayama, flip and cell checks serve the Y
 algebra and the nil algebra, the Y engine with T_i in place of g_i.  They
@@ -65,14 +67,17 @@ __all__ = [
 
 
 def tau_terms(alg: SparseAlgebra, terms: dict, basis: str):
+    """tau of a term dict written in basis: the (0, w0) coefficient in an
+    exponent basis (T or NIL), and in E the sum of the (chi, w0)
+    coefficients times the algebra's stored 1/r^n, alg.inv_rn."""
     field = alg.field
     if basis != "E":
         return terms.get(((0,) * alg.n, alg.w0), field.zero)
-    acc = field.zero
+    acc, w0 = field.zero, alg.w0
     for (chi, w), v in terms.items():
-        if w == alg.w0:
+        if w == w0:
             acc = acc + v
-    return acc / field.from_int(alg.r ** alg.n)
+    return acc * alg.inv_rn
 
 
 def tau(alg: SparseAlgebra, x: SparseElement):
@@ -213,7 +218,9 @@ def _flip_holds(alg: YAlgebra, blocks: dict) -> bool:
     sparse maps x -> value, r^n cancelled.  The left holds f_{u,v}(u.b) at
     the keys (u.b, u), column v of block b.  The right sums lam f_{v',u}(b')
     at (a, u), a = v'^-1.b', over the terms lam (b', v') of phi(y): row v'
-    of block a.  Neither stores a zero."""
+    of block a.  Neither stores a zero.  A term with the coefficient one
+    met while rhs is empty, as the one term of phi of a basis key is, has
+    its row copied into rhs unscaled."""
     one, act, inv = alg.field.one, alg.act, alg._inv
     for b, block in blocks.items():
         columns = {v: {} for v in alg.perms}
@@ -225,7 +232,11 @@ def _flip_holds(alg: YAlgebra, blocks: dict) -> bool:
             rhs = {}
             for (b2, v2), lam in alg.phi(SparseElement(alg, "E", {(b, v): one})).terms.items():
                 a = act(inv[v2], b2)
-                for u, c in blocks[a][v2].items():
+                row = blocks[a][v2]
+                if lam is one and not rhs:
+                    rhs = {(a, u): c for u, c in row.items()}
+                    continue
+                for u, c in row.items():
                     _acc(rhs, (a, u), lam * c)
             if lhs != rhs:
                 return False

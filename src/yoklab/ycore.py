@@ -69,6 +69,8 @@ ties the transformed closed forms to the E-basis labels.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from . import symgroup as sg
 from .algebra import (SparseAlgebra, SparseElement, braid_relations, far_relations,
                       generator_torus_relations, idempotent_relations, index_maps,
@@ -159,6 +161,8 @@ class YAlgebra(SparseAlgebra):
         self._mono_cache: dict = {}
         self._set_q(q)
         self._act_cache: dict = {}
+        # the unit of the trace on E-basis keys (structure.tau_terms)
+        self.inv_rn = self.field.one / self.field.from_int(r ** n)
         self._zeta = self.field.zeta_pow
         self._zetas = [self._zeta(k) for k in range(r)]
         # zeta^(c mod r) at index c, for a color c in 1..r
@@ -373,20 +377,36 @@ class YAlgebra(SparseAlgebra):
         return got
 
     def mul_terms(self, x: dict, y: dict) -> dict:
-        """Product of two E-basis dicts."""
+        """Product of two E-basis dicts.
+
+        Each term of x meets the terms of y of the one color it requires.
+        The monomial products are summed with _acc's rule, a key that
+        cancels dropped, and a structure constant that is the field's one
+        object is not multiplied.  A key met for the first time takes a
+        product of nonzero scalars, never zero, so it needs no zero test."""
         buckets: dict = {}
         for (chi, w), b in y.items():
             buckets.setdefault(chi, []).append((w, b))
+        act, inv, mono, one = self.act, self._inv, self._mono_mul, self.field.one
         out: dict = {}
-        for (chip, wp), a in x.items():
-            req = self.act(self._inv[wp], chip)
+        get = out.get
+        for kx, a in x.items():
+            chip, wp = kx
+            req = act(inv[wp], chip)
             bucket = buckets.get(req)
             if bucket is None:
                 continue
-            for (w, b) in bucket:
+            for w, b in bucket:
                 ab = a * b
-                for k, c in self._mono_mul((chip, wp), (req, w)).items():
-                    _acc(out, k, ab * c)
+                for k, c in mono(kx, (req, w)).items():
+                    v = ab if c is one else ab * c
+                    cur = get(k)
+                    if cur is not None:
+                        v = cur + v
+                        if v.is_zero():
+                            del out[k]
+                            continue
+                    out[k] = v
         return out
 
     def lmul_gen_maps(self):
@@ -399,6 +419,12 @@ class YAlgebra(SparseAlgebra):
 
     # -- the flip automorphism -------------------------------------------
 
+    @cached_property
+    def _flip(self) -> dict:
+        """The flip table w -> w0 w w0, built on the first call of phi, so
+        an algebra that never flips pays nothing for it."""
+        return {w: sg.compose(self.w0, sg.compose(w, self.w0)) for w in self.perms}
+
     def phi(self, x: SparseElement) -> SparseElement:
         """Algebra automorphism with phi(g_i) = g_{n-i}, phi(t_j) = t_{n+1-j}.
 
@@ -407,12 +433,13 @@ class YAlgebra(SparseAlgebra):
         diagram flip i -> n-i on reduced words without creating lower terms.
         Since t_j E_chi = zeta^{chi_j} E_chi, phi sends E_chi to
         E_{reversed chi}, so the same key map serves the E basis and no
-        basis change is needed.  It is also the nil algebra's flip, with
+        basis change is needed.  w0 w w0 is read from the flip table
+        _flip, n! entries built once per algebra, so a term costs one
+        lookup and no composition.  It is also the nil algebra's flip, with
         T_i in place of g_i.
         """
-        w0 = self.w0
-        out = {(tuple(reversed(vec)), sg.compose(w0, sg.compose(w, w0))): coeff
-               for (vec, w), coeff in x.terms.items()}
+        flip = self._flip
+        out = {(vec[::-1], flip[w]): coeff for (vec, w), coeff in x.terms.items()}
         return SparseElement(self, x.basis, out)
 
     # -- presentation checks ----------------------------------------------
@@ -447,8 +474,7 @@ class YAlgebra(SparseAlgebra):
         # labels, so a transform that permutes the colors (t -> t^-1, an
         # automorphism of every other relation here) leaves a residual.
         n, r, one = self.n, self.r, self.one("E")
-        inv_rn = self.field.one / self.field.from_int(r ** n)
-        scaled = [inv_rn * z for z in self._zetas]
+        scaled = [self.inv_rn * z for z in self._zetas]
         idems = {chi: SparseElement(self, "T", {
             (a, self.ident): scaled[-sum(x * c for x, c in zip(a, chi)) % r]
             for a in self.exponents}).as_E() for chi in self.colors}

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from yoklab import NilAlgebra, YAlgebra, structure, symgroup as sg
+from yoklab import NilAlgebra, SparseElement, YAlgebra, structure, symgroup as sg
 from yoklab.exactla import _acc
 from yoklab.modrep import count_labels
 from yoklab.structure import (
@@ -114,6 +114,79 @@ def test_nakayama():
 def test_phi_checks():
     res = phi_checks(H.yalg(2, 3))
     assert res["ok"] and res["generators_ok"]
+
+
+@pytest.mark.parametrize("engine", ["y", "nil"])
+@pytest.mark.parametrize("kind", [H.FP13, H.CYC])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_tau_is_the_w0_sum_over_r_to_the_n(engine, r, kind):
+    # E basis: (1/r^n) times the sum of the (chi, w0) coefficients, with
+    # 1/r^n formed here; exponent basis: the (0, w0) coefficient
+    n = 3
+    alg = (H.yalg if engine == "y" else H.nilalg)(r, n, kind)
+    f, w0 = alg.field, alg.w0
+    inv = f.one / f.from_int(r ** n)
+    rng = random.Random(7 * r + len(kind))
+    for _ in range(15):
+        terms = dict(alg.random_element(rng).terms)
+        for chi in rng.sample(alg.colors, min(3, len(alg.colors))):
+            _acc(terms, (chi, w0), f.from_int(rng.choice([-3, -1, 1, 2, 5])))
+        x = SparseElement(alg, "E", terms)
+        want = sum((c for (chi, w), c in terms.items() if w == w0), f.zero) * inv
+        assert tau(alg, x) == want
+        xt = x.in_basis(next(iter(alg.bases)))
+        assert tau(alg, xt) == xt.terms.get(((0,) * n, w0), f.zero) == want
+
+
+PHI_SIZES = [(r, n) for r in (1, 2, 3) for n in (1, 2, 3)] + [(2, 4)]
+
+
+@pytest.mark.parametrize("engine", ["y", "nil"])
+@pytest.mark.parametrize("kind", [H.FP13, H.CYC])
+@pytest.mark.parametrize("r,n", PHI_SIZES)
+def test_phi_matches_the_reference_on_every_key(engine, r, n, kind):
+    alg = (H.yalg if engine == "y" else H.nilalg)(r, n, kind)
+    one = alg.field.one
+    for basis, name in alg.bases.items():
+        for v in alg.exponents if name == "a" else alg.colors:
+            for w in alg.perms:
+                x = SparseElement(alg, basis, {(v, w): one})
+                got, want = alg.phi(x), H.phi_reference(alg, x)
+                assert got.basis == want.basis == basis
+                assert got.terms == want.terms
+
+
+def _planted_flip(alg, plant):
+    """A wrong flip table: the identity, or w -> w0 w (the second w0 left out)."""
+    if plant == "identity":
+        return {w: w for w in alg.perms}
+    return {w: sg.compose(alg.w0, w) for w in alg.perms}
+
+
+@pytest.mark.parametrize("plant", ["identity", "w0 w"])
+@pytest.mark.parametrize("engine", [YAlgebra, NilAlgebra])
+@pytest.mark.parametrize("r,n,kind", [(1, 3, H.FP13), (2, 3, H.CYC), (3, 3, H.FP13),
+                                      (2, 4, H.FP13)])
+def test_planted_flip_tables_fail_nakayama_and_phi_checks(monkeypatch, plant, engine,
+                                                          r, n, kind):
+    alg = engine(r, n, field=H.field(kind, r))
+    monkeypatch.setattr(alg, "_flip", _planted_flip(alg, plant))
+    got = nakayama_check(alg, exhaustive=True)
+    assert not got["ok"]
+    assert got == H.dense_nakayama(alg)
+    assert not nakayama_check(alg, samples=50, seed=3)["ok"]
+    assert not phi_checks(alg)["ok"]
+
+
+@pytest.mark.parametrize("engine", [YAlgebra, NilAlgebra])
+@pytest.mark.parametrize("r,n,kind", [(1, 2, H.CYC), (2, 3, H.FP13), (3, 2, H.CYC)])
+def test_exhaustive_nakayama_scales_a_flip_coefficient(monkeypatch, engine, r, n, kind):
+    # phi times 2 breaks the identity wherever tau(x y) != 0; its terms
+    # carry the coefficient 2, so each is scaled into the right side
+    alg = engine(r, n, field=H.field(kind, r))
+    phi = alg.phi
+    monkeypatch.setattr(alg, "phi", lambda x: phi(x) * 2)
+    assert not nakayama_check(alg, exhaustive=True)["ok"]
 
 
 def test_cell_rank_refines_length():

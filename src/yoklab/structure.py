@@ -150,7 +150,7 @@ def gram_entries(alg: YAlgebra):
                 f[u, v][chi, w0] = val
     F = {}
     for uv, terms in f.items():
-        tt = torus_to_T(alg.field, r, exponents, terms)
+        tt = torus_to_T(alg.field, r, exponents, terms, alg.inv_rn)
         F[uv] = [tt.get((a, w0), zero) for a in exponents]
 
     def entry(x, y):
@@ -218,9 +218,7 @@ def _flip_holds(alg: YAlgebra, blocks: dict) -> bool:
     sparse maps x -> value, r^n cancelled.  The left holds f_{u,v}(u.b) at
     the keys (u.b, u), column v of block b.  The right sums lam f_{v',u}(b')
     at (a, u), a = v'^-1.b', over the terms lam (b', v') of phi(y): row v'
-    of block a.  Neither stores a zero.  A term with the coefficient one
-    met while rhs is empty, as the one term of phi of a basis key is, has
-    its row copied into rhs unscaled."""
+    of block a.  Neither stores a zero."""
     one, act, inv = alg.field.one, alg.act, alg._inv
     for b, block in blocks.items():
         columns = {v: {} for v in alg.perms}
@@ -232,11 +230,7 @@ def _flip_holds(alg: YAlgebra, blocks: dict) -> bool:
             rhs = {}
             for (b2, v2), lam in alg.phi(SparseElement(alg, "E", {(b, v): one})).terms.items():
                 a = act(inv[v2], b2)
-                row = blocks[a][v2]
-                if lam is one and not rhs:
-                    rhs = {(a, u): c for u, c in row.items()}
-                    continue
-                for u, c in row.items():
+                for u, c in blocks[a][v2].items():
                     _acc(rhs, (a, u), lam * c)
             if lhs != rhs:
                 return False

@@ -133,16 +133,15 @@ def torus_to_E(field, r: int, colors, terms: dict) -> dict:
     return _slot_transform(field, r, n, terms, range(1, r + 1), 1)
 
 
-def torus_to_T(field, r: int, exponents, terms: dict) -> dict:
+def torus_to_T(field, r: int, exponents, terms: dict, inv_rn) -> dict:
     """Color-keyed dict -> exponent-keyed dict (inverse torus transform).
 
     E_chi = (1/r^n) sum_a zeta^(-a.chi) t^a, run slot by slot through the
-    same kernel with the conjugate weights; the factor 1/r^n is applied once
-    per output term at the end.
+    same kernel with the conjugate weights; the factor inv_rn = 1/r^n, which
+    the algebra stores, is applied once per output term at the end.
     """
     n = len(exponents[0]) if exponents else 0
     out = _slot_transform(field, r, n, terms, range(r), -1)
-    inv_rn = field.one / field.from_int(r ** n)
     return {k: c * inv_rn for k, c in out.items()}
 
 
@@ -161,7 +160,8 @@ class YAlgebra(SparseAlgebra):
         self._mono_cache: dict = {}
         self._set_q(q)
         self._act_cache: dict = {}
-        # the unit of the trace on E-basis keys (structure.tau_terms)
+        # the unit of the trace on E-basis keys (structure.tau_terms) and
+        # the scale of the inverse torus transform (torus_to_T)
         self.inv_rn = self.field.one / self.field.from_int(r ** n)
         self._zeta = self.field.zeta_pow
         self._zetas = [self._zeta(k) for k in range(r)]
@@ -231,7 +231,7 @@ class YAlgebra(SparseAlgebra):
         return torus_to_E(self.field, self.r, self.colors, tt)
 
     def to_T(self, et: dict) -> dict:
-        return torus_to_T(self.field, self.r, self.exponents, et)
+        return torus_to_T(self.field, self.r, self.exponents, et, self.inv_rn)
 
     # -- multiplication engine (E basis) ---------------------------------
 
@@ -377,36 +377,20 @@ class YAlgebra(SparseAlgebra):
         return got
 
     def mul_terms(self, x: dict, y: dict) -> dict:
-        """Product of two E-basis dicts.
-
-        Each term of x meets the terms of y of the one color it requires.
-        The monomial products are summed with _acc's rule, a key that
-        cancels dropped, and a structure constant that is the field's one
-        object is not multiplied.  A key met for the first time takes a
-        product of nonzero scalars, never zero, so it needs no zero test."""
+        """Product of two E-basis dicts."""
         buckets: dict = {}
         for (chi, w), b in y.items():
             buckets.setdefault(chi, []).append((w, b))
-        act, inv, mono, one = self.act, self._inv, self._mono_mul, self.field.one
         out: dict = {}
-        get = out.get
-        for kx, a in x.items():
-            chip, wp = kx
-            req = act(inv[wp], chip)
+        for (chip, wp), a in x.items():
+            req = self.act(self._inv[wp], chip)
             bucket = buckets.get(req)
             if bucket is None:
                 continue
-            for w, b in bucket:
+            for (w, b) in bucket:
                 ab = a * b
-                for k, c in mono(kx, (req, w)).items():
-                    v = ab if c is one else ab * c
-                    cur = get(k)
-                    if cur is not None:
-                        v = cur + v
-                        if v.is_zero():
-                            del out[k]
-                            continue
-                    out[k] = v
+                for k, c in self._mono_mul((chip, wp), (req, w)).items():
+                    _acc(out, k, ab * c)
         return out
 
     def lmul_gen_maps(self):

@@ -388,27 +388,6 @@ def phi_reference(alg, x):
     return SparseElement(alg, x.basis, out)
 
 
-def mul_terms_reference(alg, x: dict, y: dict) -> dict:
-    """Y's E-basis product term by term: y bucketed by color, each term of
-    x met with the bucket of the color it requires, every coefficient of
-    every monomial product multiplied out and summed through _acc.  The
-    reference for YAlgebra.mul_terms."""
-    buckets: dict = {}
-    for (chi, w), b in y.items():
-        buckets.setdefault(chi, []).append((w, b))
-    out: dict = {}
-    for (chip, wp), a in x.items():
-        req = alg.act(alg._inv[wp], chip)
-        bucket = buckets.get(req)
-        if bucket is None:
-            continue
-        for (w, b) in bucket:
-            ab = a * b
-            for k, c in alg._mono_mul((chip, wp), (req, w)).items():
-                _acc(out, k, ab * c)
-    return out
-
-
 def phi_reversal_only(alg):
     """A broken flip for alg: the key map (v, w) -> (reversed v, w), which
     leaves out the w0-conjugation of the permutation (at n = 2 that

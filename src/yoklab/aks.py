@@ -16,7 +16,6 @@ of the left factor through the right factor.  Right multiplication by h_i is
 the Hecke rule on w alone, and by L_d the straightening of h_w L_d, cached
 per (w, d).  Both h_i maps read w s_i or s_i w from the permutation tables
 of SparseAlgebra, and skip a term whose coefficient q or q - 1 is zero.
-Reassigning q or qm1 empties the straightening cache.
 
 The commutator ideal J is closed and powered one orbit block J L_O at a
 time, over its Peirce pieces L_c J L_d with c, d in O.  Each row lies in
@@ -62,7 +61,7 @@ class AKSAlgebra(SparseAlgebra):
     bases = {"AKS": "c"}
     mul_basis = "AKS"
 
-    def __init__(self, r: int, n: int, field=None, q=None):
+    def __init__(self, r: int, n: int, field=None, q=0):
         super().__init__(r, n, field)
         self._hL_cache: dict = {}
         self._set_q(q)
@@ -79,9 +78,6 @@ class AKSAlgebra(SparseAlgebra):
         return SparseElement(self, "AKS", self._lmul_h(self.one().terms, i))
 
     # -- engine ----------------------------------------------------------
-
-    def _clear_caches(self) -> None:
-        self._hL_cache.clear()
 
     def _lmul_h(self, terms: dict, i: int) -> dict:
         q, qm1 = self._q, self._qm1

@@ -198,39 +198,20 @@ class SparseAlgebra:
         self.exponents = [tuple(a) for a in itertools.product(range(r), repeat=n)]
 
     def _set_q(self, q) -> None:
-        """The deformation scalar q (default 0) and q - 1."""
-        if q is None:
-            q = self.field.zero
-        elif isinstance(q, (int, Fraction)):
+        """Fix q (default 0) and q - 1 for the life of the algebra, stored as
+        _q and _qm1 with zero as None, so the generator maps skip a zero term.
+        q and qm1 have no setter: no cached product outlives its pair."""
+        if isinstance(q, (int, Fraction)):
             q = self.field.from_fraction(Fraction(q))
-        self.q = q
-        self.qm1 = q - self.field.one
-
-    # q and q - 1 are stored as _q and _qm1 with a zero value replaced by
-    # None, resolved once on assignment: the generator maps skip a zero
-    # term instead of forming and dropping it.  Assigning either one runs
-    # _clear_caches, so a reassigned q or qm1 takes effect at once
+        self._q, self._qm1 = (None if v.is_zero() else v for v in (q, q - self.field.one))
 
     @property
     def q(self):
         return self.field.zero if self._q is None else self._q
 
-    @q.setter
-    def q(self, value):
-        self._q = None if value.is_zero() else value
-        self._clear_caches()
-
     @property
     def qm1(self):
         return self.field.zero if self._qm1 is None else self._qm1
-
-    @qm1.setter
-    def qm1(self, value):
-        self._qm1 = None if value.is_zero() else value
-        self._clear_caches()
-
-    def _clear_caches(self) -> None:
-        """Empty the engine's caches of products that depend on q."""
 
     @property
     def dimension(self) -> int:
@@ -263,15 +244,16 @@ class SparseAlgebra:
         """Up to four random monomials of mul_basis, written in basis
         (mul_basis by default)."""
         vecs = self.exponents if self.bases[self.mul_basis] == "a" else self.colors
-        keys = [(v, w) for v in vecs for w in self.perms]
+        perms = self.perms
         terms: dict = {}
         while not terms:
             for _ in range(4):
-                key = keys[rng.randrange(len(keys))]
+                # key k of [(v, w) for v in vecs for w in perms], unlisted
+                v, w = divmod(rng.randrange(len(vecs) * len(perms)), len(perms))
                 c = rng.randint(-4, 4)
                 if c == 0:
                     continue
-                _acc(terms, key,
+                _acc(terms, (vecs[v], perms[w]),
                      self.field.from_int(c) * self.field.zeta_pow(rng.randrange(self.r)))
         return SparseElement(self, self.mul_basis, terms).in_basis(basis or self.mul_basis)
 

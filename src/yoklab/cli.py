@@ -107,6 +107,42 @@ def _mark(ok: bool) -> str:
     return "ok" if ok else "FAILED"
 
 
+# -- verdicts, each shared by its subcommand and report ---------------------
+
+def _nil_simples_verdict(alg):
+    """The nil algebra's one-dimensional simples: (count == r^n, count)."""
+    count = len(modrep.enumerate_one_dim_bruteforce(alg))
+    return count == alg.r ** alg.n, count
+
+
+def _radical_verdict(alg):
+    """(ok, ideal, power dims, codim) of the nil radical or Y's commutator
+    ideal: ok when the codimension counts the simples and the powers reach 0."""
+    if isinstance(alg, NilAlgebra):
+        ideal = alg.radical()
+        dims = modrep.block_power_dims(alg, ideal, alg.radical_words)
+        simples = alg.r ** alg.n
+    else:
+        ideal = modrep.commutator_ideal(alg)
+        dims = modrep.power_dims(alg, ideal)
+        simples = modrep.count_labels(alg.r, alg.n)
+    codim = alg.dimension - ideal.dim()
+    return codim == simples and dims[-1] == 0, ideal, dims, codim
+
+
+def _gram_verdict(alg):
+    """(ok, frobenius_check): ok when the Gram is invertible and the witnesses hold."""
+    res = structure.frobenius_check(alg)
+    return res["gram_invertible"] and res["witness_ok"], res
+
+
+def _cells_verdict(alg):
+    """(ok, triangularity_check, classification_match) of Y."""
+    tri = structure.triangularity_check(alg)
+    match = structure.classification_match(alg)
+    return tri["ok"] and match["match"] and match["beta_signs_ok"], tri, match
+
+
 def cmd_dim(args, field):
     dim = _algebra(args, field).dimension
     return True, [f"dimension = {dim}"], {"dimension": dim}
@@ -154,9 +190,9 @@ def cmd_simples(args, field):
         for flag in ("list", "bruteforce"):
             if getattr(args, flag):
                 _config_exit(f"simples --nil takes no --{flag}")
-        count, expected = len(modrep.enumerate_one_dim_bruteforce(alg)), args.r ** args.n
-        return count == expected, [f"one-dimensional simples: {count} (expected {expected})"], {
-            "nil": True, "count": count, "expected": expected, "ok": count == expected}
+        ok, count = _nil_simples_verdict(alg)
+        return ok, [f"one-dimensional simples: {count} (expected {alg.r ** alg.n})"], {
+            "nil": True, "count": count, "expected": alg.r ** alg.n, "ok": ok}
 
     labels = modrep.enumerate_labels(args.r, args.n)
     formula = modrep.count_labels(args.r, args.n)
@@ -176,17 +212,8 @@ def cmd_simples(args, field):
 
 
 def cmd_radical(args, field):
-    alg = _algebra(args, field)
-    if args.nil:
-        ideal = alg.radical()
-        dims = modrep.block_power_dims(alg, ideal, alg.radical_words)
-        name, simples = "radical", args.r ** args.n
-    else:
-        ideal = modrep.commutator_ideal(alg)
-        dims = modrep.power_dims(alg, ideal)
-        name, simples = "commutator ideal", modrep.count_labels(args.r, args.n)
-    codim = alg.dimension - ideal.dim()
-    ok = codim == simples and dims[-1] == 0
+    ok, ideal, dims, codim = _radical_verdict(_algebra(args, field))
+    name = "radical" if args.nil else "commutator ideal"
     lines = [f"{name} dimension = {ideal.dim()} (codim {codim})",
              f"power dimensions: {dims}",
              f"nilpotency index = {1 if dims[0] == 0 else len(dims)}"]
@@ -207,14 +234,14 @@ def cmd_gram(args, field):
                 json.dump(export, fh, indent=2, sort_keys=True)
         except OSError as exc:
             _config_exit(f"cannot write --export {args.export!r}: {exc.strerror}")
-    res = structure.frobenius_check(alg)
+    ok, res = _gram_verdict(alg)
     verdict = "invertible"
     if not res["gram_invertible"]:
         bad = structure.singular_block(alg, structure.gram_blocks(alg))
         verdict = f"SINGULAR (block c = {bad})"
     lines = [f"gram matrix {res['dimension']}x{res['dimension']}: {verdict}",
              f"constructive witnesses: {_mark(res['witness_ok'])}"]
-    return res["gram_invertible"] and res["witness_ok"], lines, res
+    return ok, lines, res
 
 
 def cmd_nakayama(args, field):
@@ -235,9 +262,7 @@ def cmd_cells(args, field):
                     f"all at the identity: {at_identity})"], {
             "nil": True, "count": len(cells), "ok": ok}
 
-    tri = structure.triangularity_check(alg)
-    match = structure.classification_match(alg)
-    ok = tri["ok"] and match["match"] and match["beta_signs_ok"]
+    ok, tri, match = _cells_verdict(alg)
     lines = [f"triangularity: {'ok' if tri['ok'] else 'FAILED at ' + repr(tri['witness'])}",
              f"nonzero cells: {match['count']}",
              f"matches simple-module labels: {match['match']}",
@@ -276,15 +301,14 @@ def cmd_report(args, field) -> int:
     p4 = aks.verify_presentation()["all_zero"]
     pn = nil.verify_presentation()["all_zero"]
 
-    ideal = modrep.commutator_ideal(y)
+    rad_ok, ideal, dims, _ = _radical_verdict(y)
     cert = modrep.semisimplicity_certificate(y, ideal=ideal)
-    dims = modrep.power_dims(y, ideal)
-    frob = structure.frobenius_check(y)
+    frob_ok, frob = _gram_verdict(y)
     naka = structure.nakayama_check(y, samples=50, seed=args.seed)
-    match = structure.classification_match(y)
-    tri = structure.triangularity_check(y)
-    nil_frob = structure.frobenius_check(nil)
-    nil_dims = nil.radical_power_dims()
+    cells_ok, tri, match = _cells_verdict(y)
+    nil_frob_ok, nil_frob = _gram_verdict(nil)
+    nil_rad_ok, _, nil_dims, _ = _radical_verdict(nil)
+    nil_simples_ok, nil_simples = _nil_simples_verdict(nil)
 
     report = {
         "schema": SCHEMA,
@@ -304,13 +328,11 @@ def cmd_report(args, field) -> int:
         "cells": {"triangular": tri["ok"], "count": match["count"],
                   "match": match["match"], "beta_signs_ok": match["beta_signs_ok"]},
         "nil": {"radical_power_dims": nil_dims,
-                "simple_count": len(modrep.enumerate_one_dim_bruteforce(nil)),
+                "simple_count": nil_simples,
                 **nil_frob},
     }
-    all_ok = all([p1, p2, p4, pn, cert["certified"], frob["gram_invertible"],
-                  frob["witness_ok"], naka["ok"], tri["ok"], match["match"],
-                  match["beta_signs_ok"], nil_frob["gram_invertible"],
-                  nil_frob["witness_ok"], nil_dims[-1] == 0])
+    all_ok = all([p1, p2, p4, pn, rad_ok, cert["certified"], frob_ok, naka["ok"], cells_ok,
+                  nil_frob_ok, nil_rad_ok, nil_simples_ok])
     report["all_ok"] = all_ok
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0 if all_ok else 1

@@ -49,7 +49,7 @@ class NilAlgebra(YAlgebra):
 
     def __init__(self, r: int, n: int, field=None):
         super().__init__(r, n, field)
-        self.qm1 = self.field.zero
+        self._qm1 = None
 
     def verify_presentation(self) -> dict:
         # each generator crosses from NIL to E once; residuals stay in E

@@ -155,7 +155,7 @@ class YAlgebra(SparseAlgebra):
     element_to_json = SparseAlgebra.element_to_json
     element_from_json = SparseAlgebra.element_from_json
 
-    def __init__(self, r: int, n: int, field=None, q=None):
+    def __init__(self, r: int, n: int, field=None, q=0):
         super().__init__(r, n, field)
         self._mono_cache: dict = {}
         self._set_q(q)
@@ -234,9 +234,6 @@ class YAlgebra(SparseAlgebra):
         return torus_to_T(self.field, self.r, self.exponents, et, self.inv_rn)
 
     # -- multiplication engine (E basis) ---------------------------------
-
-    def _clear_caches(self) -> None:
-        self._mono_cache.clear()
 
     def _rmul_g(self, terms: dict, i: int) -> dict:
         # only an up step can land on a kept key (see the module

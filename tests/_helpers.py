@@ -363,16 +363,18 @@ def dense_nakayama(alg) -> dict:
     """structure.nakayama_check(exhaustive=True) by the route it replaced:
     the whole T-basis Gram matrix G, and G[x][y] = G[phi(y)][x], that is
     tau(b_x b_y) = tau(phi(b_y) b_x), on every pair of basis keys, x then
-    y, with phi sending each basis key to a basis key.  pairs counts the
-    pairs that passed.  An oracle for the E-basis route."""
+    y, with G[phi(y)][x] the sum of lam G[y'][x] over the terms lam b_y'
+    of phi(b_y).  pairs counts the pairs that passed.  An oracle for the
+    E-basis route."""
     keys, rows = structure.gram_matrix(alg)
     pos = {k: i for i, k in enumerate(keys)}
-    one = alg.field.one
-    flip = [pos[next(iter(alg.phi(alg.element({k: one})).terms))] for k in keys]
+    zero, one = alg.field.zero, alg.field.one
+    flips = [[(pos[k2], lam) for k2, lam in alg.phi(alg.element({k: one})).terms.items()]
+             for k in keys]
     pairs = 0
     for ix, row in enumerate(rows):
         for iy, entry in enumerate(row):
-            if not (entry == rows[flip[iy]][ix]):
+            if not (entry == sum((lam * rows[iy2][ix] for iy2, lam in flips[iy]), zero)):
                 return {"mode": "exhaustive", "pairs": pairs, "ok": False}
             pairs += 1
     return {"mode": "exhaustive", "pairs": pairs, "ok": True}

@@ -151,17 +151,3 @@ def test_scalar_rep_check_matches_all_colors_oracle(kind, q):
                 kept += want
         if q == 0:
             assert kept == len(alg.one_dim_reps()) == modrep.count_labels(r, n)
-
-
-def test_assigned_q_clears_the_straightening_cache():
-    # a straightening of h_w L_d cached at q = 0 must not outlive a new q
-    f = H.field(H.CYC, 2)
-    a = AKSAlgebra(2, 3, field=f)
-    w, d = (3, 2, 1), (2, 1, 1)
-    at_zero = a._straightened(w, d)
-    a.q = f.from_int(5)
-    a.qm1 = f.from_int(4)
-    fresh = AKSAlgebra(2, 3, field=f, q=5)._straightened(w, d)
-    assert a._straightened(w, d) == fresh != at_zero
-    assert sorted(f.render(v) for _, v in fresh[(1, 1, 2)]) == ["-20", "-4", "1"]
-    assert (a._q, a._qm1) == (f.from_int(5), f.from_int(4))

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from yoklab import cli, modrep
+from yoklab import NilAlgebra, cli, modrep
+from yoklab.exactla import Subspace
 
 import _helpers as H
 
@@ -248,6 +249,42 @@ def test_report_deterministic(capsys):
     assert payload["schema"] == "yoklab/1"
     code, out2, _ = run(capsys, "report", "--r", "1", "--n", "2")
     assert out1 == out2
+
+
+def _drop_a_nil_simple(monkeypatch):
+    sweep = modrep.enumerate_one_dim_bruteforce
+    monkeypatch.setattr(modrep, "enumerate_one_dim_bruteforce",
+                        lambda alg: sweep(alg)[1:] if isinstance(alg, NilAlgebra) else sweep(alg))
+    return ["simples", "--nil"]
+
+
+def _drop_a_nil_radical_row(monkeypatch):
+    radical = NilAlgebra.radical
+
+    def dropped(self):
+        rows = dict(radical(self).rows)
+        del rows[next(iter(rows))]
+        return Subspace(self.field, rows)
+
+    monkeypatch.setattr(NilAlgebra, "radical", dropped)
+    return ["radical", "--nil"]
+
+
+@pytest.mark.parametrize("plant", [_drop_a_nil_simple, _drop_a_nil_radical_row])
+def test_report_judges_the_nil_values_it_prints(monkeypatch, capsys, plant):
+    # one nil simple too few, or a radical one row short (codimension
+    # r^n + 1): report prints the wrong value and fails on it, as the
+    # subcommand that shares its verdict does
+    size = ["--r", "2", "--n", "2", "--field", "fp:13"]
+    code, out, _ = run(capsys, "report", *size)
+    assert code == 0
+    good = json.loads(out)["nil"]
+    subcommand = plant(monkeypatch)
+    code, out, _ = run(capsys, "report", *size)
+    payload = json.loads(out)
+    assert code == 1 and payload["all_ok"] is False
+    assert payload["nil"] != good
+    assert run(capsys, *subcommand, *size)[0] == 1
 
 
 def test_field_argument(capsys):

@@ -154,13 +154,15 @@ def test_engine_mutant_reports_match_residues_in_T_oracle(monkeypatch, q):
 @pytest.mark.parametrize("r, n, kind", [(2, 3, H.FP13), (3, 3, H.CYC)])
 def test_nonzero_quadratic_pair_is_caught(monkeypatch, name, value, r, n, kind):
     # the nil algebra is the Y engine at (q, q - 1) = (0, 0); either entry
-    # made nonzero gives Y at q = 0 or the group algebra, where T_i^2 != 0
+    # made nonzero gives Y at q = 0 or the group algebra, where T_i^2 != 0.
+    # The pair is fixed at construction, so the mutant patches its stored
+    # entry, _q or _qm1
     def fresh():
         return NilAlgebra(r, n, field=H.field(kind, r))
 
     assert fresh().verify_presentation()["all_zero"]
     alg = fresh()
-    monkeypatch.setattr(alg, name, alg.field.from_int(value))
+    monkeypatch.setattr(alg, "_" + name, alg.field.from_int(value))
     assert _failed(alg.verify_presentation()) == [f"T{i}^2 = 0" for i in range(1, n)]
 
 

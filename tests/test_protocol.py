@@ -10,8 +10,9 @@ import random
 
 import pytest
 
-from yoklab import SparseAlgebra, SparseElement, structure, symgroup as sg
-from yoklab.exactla import Subspace
+from yoklab import (AKSAlgebra, NilAlgebra, SparseAlgebra, SparseElement, YAlgebra, structure,
+                    symgroup as sg)
+from yoklab.exactla import Subspace, _acc
 
 import _helpers as H
 
@@ -121,6 +122,56 @@ def test_step_maps_match_per_term_oracles(name, q, r, n, kind):
         for i in range(1, n):
             for x in inputs:
                 assert fast(x, i) == oracle(alg, x, i), (method, i, x)
+
+
+@pytest.mark.parametrize("name,q,pair", [
+    ("Y", 0, (None, -1)), ("Y", 1, (1, None)), ("Y", 5, (5, 4)), ("nil", 0, (None, None)),
+    ("AKS", 0, (None, -1)), ("AKS", 1, (1, None)), ("AKS", 5, (5, 4))])
+@pytest.mark.parametrize("kind", FIELDS)
+def test_quadratic_pair_is_fixed_at_construction(name, q, pair, kind):
+    # (q, q - 1) is stored once, a zero entry as None, and cannot be
+    # reassigned, so no cached product can outlive it; each algebra is
+    # fresh, so a broken guard cannot leak into the shared cached ones
+    f = H.field(kind, 2)
+    alg = (NilAlgebra(2, 3, field=f) if name == "nil"
+           else {"Y": YAlgebra, "AKS": AKSAlgebra}[name](2, 3, field=f, q=q))
+    want = tuple(None if v is None else f.from_int(v) for v in pair)
+    assert (alg._q, alg._qm1) == want
+    for attr in ("q", "qm1"):
+        with pytest.raises(AttributeError):
+            setattr(alg, attr, f.from_int(3))
+    assert (alg._q, alg._qm1) == want
+    assert (alg.q, alg.qm1) == tuple(f.zero if v is None else v for v in want)
+
+
+def _draw_from_key_list(alg, rng, basis=None):
+    """The reference draw for random_element: each key picked from the list
+    of all keys."""
+    vecs = alg.exponents if alg.bases[alg.mul_basis] == "a" else alg.colors
+    keys = [(v, w) for v in vecs for w in alg.perms]
+    terms = {}
+    while not terms:
+        for _ in range(4):
+            key = keys[rng.randrange(len(keys))]
+            c = rng.randint(-4, 4)
+            if c == 0:
+                continue
+            _acc(terms, key, alg.field.from_int(c) * alg.field.zeta_pow(rng.randrange(alg.r)))
+    return SparseElement(alg, alg.mul_basis, terms).in_basis(basis or alg.mul_basis)
+
+
+@pytest.mark.parametrize("name,basis", CASES)
+@pytest.mark.parametrize("r,n", [(1, 1), (3, 2), (2, 4)])
+@pytest.mark.parametrize("kind", FIELDS)
+def test_random_element_draws_as_from_the_key_list(name, basis, r, n, kind):
+    alg = engine(name, r, n, kind)
+    for seed in range(5):
+        fast, slow = random.Random(seed), random.Random(seed)
+        for _ in range(10):
+            x = alg.random_element(fast, basis=basis)
+            y = _draw_from_key_list(alg, slow, basis=basis)
+            assert (x.basis, list(x.terms.items())) == (y.basis, list(y.terms.items()))
+        assert fast.getstate() == slow.getstate()
 
 
 # -- the nil algebra against its former trace, flip and witness formulas --

@@ -379,6 +379,17 @@ def test_exhaustive_nakayama_catches_a_broken_phi_key_map(monkeypatch, engine, r
     assert nakayama_check(alg, exhaustive=True) == expect == H.dense_nakayama(alg)
 
 
+@pytest.mark.parametrize("r,n,first", [(1, 2, 1), (2, 3, 5), (3, 2, 1)])
+def test_scaled_flip_fails_both_nakayama_routes_alike(monkeypatch, r, n, first):
+    # 2 phi sends each key where phi does, with coefficient 2 in place of 1:
+    # an oracle that reads only the key of phi(b_y) would pass it
+    alg = YAlgebra(r, n, field=H.field(H.FP13, r))
+    phi = alg.phi
+    monkeypatch.setattr(alg, "phi", lambda x: phi(x) * 2)
+    expect = {"mode": "exhaustive", "pairs": first, "ok": False}
+    assert nakayama_check(alg, exhaustive=True) == expect == H.dense_nakayama(alg)
+
+
 def test_passing_exhaustive_nakayama_builds_no_gram_matrix(monkeypatch):
     def refuse(alg):
         raise AssertionError("T-basis Gram entries read")

@@ -341,32 +341,6 @@ def test_zero_quadratic_terms_are_skipped(monkeypatch):
     assert zeros == []
 
 
-def test_assigned_q_is_live():
-    # q and q - 1 are resolved to their None-for-zero pair on assignment
-    alg = YAlgebra(2, 3, field=H.field(H.FP13, 2))
-    assert (alg._q, alg._qm1) == (None, -alg.field.one)
-    alg.q = alg.field.from_int(5)
-    assert (alg._q, alg._qm1) == (alg.field.from_int(5), -alg.field.one)
-    assert alg.q == 5
-    alg.qm1 = alg.field.zero
-    assert (alg._q, alg._qm1) == (alg.field.from_int(5), None)
-    assert alg.qm1.is_zero()
-
-
-def test_assigned_q_clears_the_product_cache():
-    # a monomial product cached at q = 0 must not outlive a new q
-    f = H.field(H.FP13, 2)
-    alg = YAlgebra(2, 3, field=f)
-    g1 = alg.gen_g(1).as_E()
-    at_zero = g1 * g1
-    alg.q = f.from_int(5)
-    alg.qm1 = f.from_int(4)
-    fresh = YAlgebra(2, 3, field=f, q=5)
-    fresh_g1 = fresh.gen_g(1).as_E()
-    assert (g1 * g1).terms == (fresh_g1 * fresh_g1).terms
-    assert (g1 * g1).terms != at_zero.terms
-
-
 KERNEL_SIZES = [(r, n) for r in (1, 2, 3) for n in (1, 2, 3)] + [(2, 4)]
 
 
@@ -420,29 +394,6 @@ def test_q0_kernel_matches_the_relation(engine, r, n, kind):
     assert _kernel_mismatches(alg) == []
 
 
-@pytest.mark.parametrize("r,n", [(2, 3), (3, 3), (2, 4)])
-@pytest.mark.parametrize("kind", [H.FP13, H.CYC])
-@pytest.mark.parametrize("engine", [YAlgebra, NilAlgebra])
-def test_q0_kernel_follows_reassigned_q(engine, r, n, kind):
-    # q - 1 reassigned at q = 0 scales the kept keys; q reassigned away
-    # from 0 moves down-step keys too, where they must not meet the kept
-    # ones, and back to 0 drops them again
-    f = H.field(kind, r)
-    alg = engine(r, n, field=f)
-    for qm1 in (4, -1, 0):
-        alg.qm1 = f.from_int(qm1)
-        assert alg._q is None
-        assert _kernel_mismatches(alg) == []
-    alg.q = f.from_int(5)
-    alg.qm1 = f.from_int(4)
-    for terms in _kernel_cases(alg):
-        for i in range(1, n):
-            assert alg._rmul_g(terms, i) == H.y_rmul_g_oracle(alg, terms, i)
-            assert alg._lmul_g(terms, i) == H.y_lmul_g_oracle(alg, terms, i)
-    alg.q = f.zero
-    assert _kernel_mismatches(alg) == []
-
-
 def _grouped_cases(alg, rng):
     """Inputs of the grouped right step, as (groups, i): for each w, one
     group holding every color and two on random color subsets with random
@@ -486,16 +437,11 @@ def _grouped_mismatches(alg) -> list:
 @pytest.mark.parametrize("kind", [H.FP13, H.CYC])
 @pytest.mark.parametrize("engine", [YAlgebra, NilAlgebra])
 def test_grouped_right_step_matches_rmul_g(engine, r, n, kind):
-    # at q = 0, at q = 5 (where a down step moves its group as well) and with
-    # q and q - 1 reassigned as in test_q0_kernel_follows_reassigned_q
+    # one fresh algebra per quadratic pair (q, q - 1), each entry zero or
+    # not: Y at (0, -1), (1, 0) and (5, 4), where a down step moves its
+    # group as well, and nil at (0, 0)
     f = H.field(kind, r)
-    alg = engine(r, n, field=f)
-    assert _grouped_mismatches(alg) == []
-    for qm1 in (4, -1, 0):
-        alg.qm1 = f.from_int(qm1)
-        assert _grouped_mismatches(alg) == []
-    alg.q = f.from_int(5)
-    alg.qm1 = f.from_int(4)
-    assert _grouped_mismatches(alg) == []
-    alg.q = f.zero
-    assert _grouped_mismatches(alg) == []
+    algs = ([engine(r, n, field=f)] if engine is NilAlgebra
+            else [engine(r, n, field=f, q=q) for q in (0, 1, 5)])
+    for alg in algs:
+        assert _grouped_mismatches(alg) == [], alg

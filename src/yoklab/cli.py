@@ -130,9 +130,9 @@ def _radical_verdict(alg):
     return codim == simples and dims[-1] == 0, ideal, dims, codim
 
 
-def _gram_verdict(alg):
+def _gram_verdict(alg, blocks=None):
     """(ok, frobenius_check): ok when the Gram is invertible and the witnesses hold."""
-    res = structure.frobenius_check(alg)
+    res = structure.frobenius_check(alg, blocks)
     return res["gram_invertible"] and res["witness_ok"], res
 
 
@@ -234,11 +234,11 @@ def cmd_gram(args, field):
                 json.dump(export, fh, indent=2, sort_keys=True)
         except OSError as exc:
             _config_exit(f"cannot write --export {args.export!r}: {exc.strerror}")
-    ok, res = _gram_verdict(alg)
+    blocks = structure.gram_blocks(alg)
+    ok, res = _gram_verdict(alg, blocks)
     verdict = "invertible"
     if not res["gram_invertible"]:
-        bad = structure.singular_block(alg, structure.gram_blocks(alg))
-        verdict = f"SINGULAR (block c = {bad})"
+        verdict = f"SINGULAR (block c = {structure.singular_block(alg, blocks)})"
     lines = [f"gram matrix {res['dimension']}x{res['dimension']}: {verdict}",
              f"constructive witnesses: {_mark(res['witness_ok'])}"]
     return ok, lines, res

@@ -12,17 +12,23 @@ length-additively straight to w0.
 The trace, Gram, Frobenius, Nakayama, flip and cell checks serve the Y
 algebra and the nil algebra, the Y engine with T_i in place of g_i.  They
 read tau off products in the E basis.  Everything about the Gram form comes
-from the (chi, w0) coefficients f_{u,v}(chi) of E_chi g_u g_v, held as the
-r^n blocks of the E-basis Gram, one n! x n! block per color c with rows
-blocks[c][u] = {v: f_{u,v}(u.c)} (gram_blocks), built by the grouped
-right step of ycore, which carries all r^n colors of a product as one
-group per permutation and reads no step rule here.  frobenius_check decides
-invertibility block by block and reads each witness entry off the blocks.
-The exhaustive Nakayama check compares tau(x y) with tau(phi(y) x) on
-E-basis pairs, where tau(E_a g_u E_b g_v) = [a = u.b] f_{u,v}(a) / r^n.  The
-T-basis Gram matrix, G[(a, u)][(b, v)] = tau(t^(a + u.b) g_u g_v), is a
-torus transform of the same values (gram_entries); it is built whole only
-for gram --export, and read entry by entry only to count the pairs before a
+from the (chi, w0) coefficients f_{u,v}(chi) of E_chi g_u g_v, the n! x n!
+blocks of the E-basis Gram, one per color c with rows {v: f_{u,v}(u.c)}.
+The grouped right step of ycore reads a color only in its down-step test
+chi[w(i)] = chi[w(i+1)], times q - 1, so the block of c depends only on
+which entries of c are equal, and not on c at all when q - 1 = 0: its
+color class (color_class), the equality pattern of c written as its
+first-occurrence relabeling, or the single class () when q - 1 = 0.
+gram_blocks builds one block per class, in one pass per permutation that
+carries one color per class, and every reader finds a color's block
+through its class.  frobenius_check decides invertibility class by class
+and reads each witness entry off the class blocks, each weighted by its
+number of colors.  The exhaustive Nakayama check compares tau(x y) with
+tau(phi(y) x) on E-basis pairs, where tau(E_a g_u E_b g_v) = [a = u.b]
+f_{u,v}(a) / r^n, once per equality pattern of b.  The T-basis Gram
+matrix, G[(a, u)][(b, v)] = tau(t^(a + u.b) g_u g_v), is a torus transform
+of the same values (gram_entries); it is built whole only for gram
+--export, and read entry by entry only to count the pairs before a
 Nakayama failure.
 
 Cells: basis monomials (chi, w) are ranked by (length(w), w, chi).  At q = 0
@@ -47,6 +53,9 @@ from .ycore import YAlgebra, torus_to_T
 __all__ = [
     "tau",
     "tau_terms",
+    "equality_pattern",
+    "color_class",
+    "color_classes",
     "gram_blocks",
     "gram_entries",
     "gram_matrix",
@@ -88,41 +97,69 @@ def t_basis_keys(alg: SparseAlgebra) -> list:
     return sorted((a, w) for a in alg.exponents for w in alg.perms)
 
 
+def equality_pattern(c: tuple) -> tuple:
+    """The equality pattern of the color c, written as its first-occurrence
+    relabeling, itself a color: (2, 3, 2) -> (1, 2, 1)."""
+    seen: dict = {}
+    return tuple(seen.setdefault(x, len(seen) + 1) for x in c)
+
+
+def color_class(alg: YAlgebra, c: tuple) -> tuple:
+    """class(c), the key of the Gram block of the color c in gram_blocks:
+    its equality pattern, or the single class () when q - 1 = 0, where no
+    step reads a color."""
+    return () if alg._qm1 is None else equality_pattern(c)
+
+
+def color_classes(alg: YAlgebra) -> dict:
+    """{p: the colors of class p, in alg.colors order}, from one scan of
+    alg.colors; the classes come in the order of their first colors."""
+    out: dict = {}
+    for c in alg.colors:
+        out.setdefault(color_class(alg, c), []).append(c)
+    return out
+
+
 def gram_blocks(alg: YAlgebra) -> dict:
-    """blocks[c][u] = {v: f_{u,v}(u.c)}, with f_{u,v}(chi) the (chi, w0)
-    coefficient of E_chi g_u . g_v.
+    """blocks[p][u] = {v: f_{u,v}(u.p)} for each color class p, with
+    f_{u,v}(chi) the (chi, w0) coefficient of E_chi g_u . g_v.
 
     tau(E_chi' g_u E_c g_v) vanishes unless chi' = u.c, so the E-basis Gram
     is, after a permutation, block-diagonal with one n! x n! block per
-    color c, whose row u is blocks[c][u] (up to the unit 1/r^n).  Right
-    multiplication by g_i keeps the left color, so one pass per u takes
-    the sum of E_chi g_u over every chi, held as the one group {u: {chi:
-    1}} of YAlgebra._rmul_g_groups, through the g_v, each product a
-    shorter one times one grouped g_i step: n!(n! - 1) steps in all, none
-    through the product cache.  At q = 0 every product is one group, on
-    the Demazure product of u and v; row values are read from the w0
-    group.  The row of chi goes to the block of u^-1.chi, whose entry k is
-    chi[u(k)], formed here rather than by alg.act, whose cache would keep
-    n! r^n more entries.  Every row is present; zero values are not
-    stored."""
-    w0, one, step = alg.w0, alg.field.one, alg._rmul_g_groups
+    color c, whose row u is {v: f_{u,v}(u.c)} (up to the unit 1/r^n).  The
+    grouped right step reads a color only in its down-step test, chi[w(i)]
+    = chi[w(i + 1)] times q - 1, so the block of c is the block of its
+    class, blocks[color_class(alg, c)], and each class representative p
+    stands for all its colors.  Right multiplication by g_i keeps the left
+    color, so one pass per u takes the sum of E_{u.p} g_u over the
+    representatives, held as the one group {u: {u.p: 1}} of
+    YAlgebra._rmul_g_groups, through the g_v, each product a shorter one
+    times one grouped g_i step: n!(n! - 1) steps in all, none through the
+    product cache.  At q = 0 every product is one group, on the Demazure
+    product of u and v; row values are read from the w0 group.  u.p, whose
+    entry k is p[u^-1(k)], is formed here rather than by alg.act, whose
+    cache would keep n! more entries per class; the class () stands for
+    itself, as no step reads its color.  Every row is present; zero values
+    are not stored."""
+    w0, one, step, inv = alg.w0, alg.field.one, alg._rmul_g_groups, alg._inv
     # (v, v', i) with v = v' s_i for each v past the identity, shortest first
     order = []
     for v in sorted(alg.perms, key=alg._len.__getitem__)[1:]:
         i = alg._rword[v][-1]
         order.append((v, alg._rstep[i][v][0], i))
-    blocks = {c: {} for c in alg.colors}
+    blocks = {p: {} for p in color_classes(alg)}
     for u in alg.perms:
-        prods = {alg.ident: {u: dict.fromkeys(alg.colors, one)}}
+        start = {(tuple(p[k - 1] for k in inv[u]) if p else p): p for p in blocks}
+        prods = {alg.ident: {u: dict.fromkeys(start, one)}}
         for v, shorter, i in order:
             prods[v] = step(prods[shorter], i)
-        rows = {chi: {} for chi in alg.colors}
-        for v, p in prods.items():
-            if w0 in p:
-                for chi, c in p[w0].items():
+        rows = {chi: {} for chi in start}
+        for v, prod in prods.items():
+            if w0 in prod:
+                for chi, c in prod[w0].items():
                     rows[chi][v] = c
         for chi, row in rows.items():
-            blocks[tuple(chi[k - 1] for k in u)][u] = row
+            blocks[start[chi]][u] = row
     return blocks
 
 
@@ -133,9 +170,9 @@ def gram_entries(alg: YAlgebra):
     For b_x = t^a g_u and b_y = t^b g_v the product is t^(a + u.b) g_u g_v,
     so G[(a, u)][(b, v)] = F_{u,v}(a + u.b) with F_{u,v}(c) = tau(t^c g_u
     g_v).  As t^c = sum_chi zeta^(c.chi) E_chi, F_{u,v}(c) = (1/r^n)
-    sum_chi zeta^(c.chi) f_{u,v}(chi), with f_{u,v}(u.c) read off
-    gram_blocks: F_{u,v}(-c) is the inverse torus transform of f_{u,v},
-    one transform per pair (u, v)."""
+    sum_chi zeta^(c.chi) f_{u,v}(chi), with f_{u,v}(u.c) read off the
+    block of the class of c in gram_blocks: F_{u,v}(-c) is the inverse
+    torus transform of f_{u,v}, one transform per pair (u, v)."""
     r, w0, exponents = alg.r, alg.w0, alg.exponents
     zero = alg.field.zero
     index = {a: k for k, a in enumerate(exponents)}
@@ -143,11 +180,13 @@ def gram_entries(alg: YAlgebra):
                for a in exponents]
     moved = {u: [index[sg.act_on_colors(u, b)] for b in exponents] for u in alg.perms}
     f = {(u, v): {} for u in alg.perms for v in alg.perms}
-    for c, block in gram_blocks(alg).items():
-        for u, row in block.items():
-            chi = alg.act(u, c)
-            for v, val in row.items():
-                f[u, v][chi, w0] = val
+    blocks = gram_blocks(alg)
+    for p, members in color_classes(alg).items():
+        for u, row in blocks[p].items():
+            for c in members:
+                chi = alg.act(u, c)
+                for v, val in row.items():
+                    f[u, v][chi, w0] = val
     F = {}
     for uv, terms in f.items():
         tt = torus_to_T(alg.field, r, exponents, terms, alg.inv_rn)
@@ -168,13 +207,15 @@ def gram_matrix(alg: YAlgebra):
 
 
 def singular_block(alg: YAlgebra, blocks: dict):
-    """Color c of the first singular E-basis Gram block of gram_blocks, or
-    None: the n! sparse rows of a block, keyed by v, are inserted into one
-    Subspace, and the block is singular when one of them adds nothing."""
-    for c, block in blocks.items():
+    """The first color, in alg.colors order, whose E-basis Gram block is
+    singular, or None.  Each class block of gram_blocks is eliminated
+    once, the classes in the order of their first colors: its n! sparse
+    rows, keyed by v, are inserted into one Subspace, and the block is
+    singular when one of them adds nothing."""
+    for p, members in color_classes(alg).items():
         sub = exactla.Subspace(alg.field)
-        if any(sub.insert(row) is None for row in block.values()):
-            return c
+        if any(sub.insert(row) is None for row in blocks[p].values()):
+            return members[0]
     return None
 
 
@@ -188,25 +229,30 @@ def frobenius_witness(alg: SparseAlgebra, key) -> SparseElement:
                         alg.field.one})
 
 
-def frobenius_check(alg: YAlgebra) -> dict:
-    """Gram invertibility plus witnesses, read off the gram_blocks.
+def frobenius_check(alg: YAlgebra, blocks: dict | None = None) -> dict:
+    """Gram invertibility plus witnesses, read off blocks, the gram_blocks
+    of alg (built here unless given).
 
     The T-basis Gram is A G^E B with A and B the torus transforms, which are
     invertible because r is a unit in the field, so it is invertible iff
-    every n! x n! block of the E-basis Gram is (singular_block).  The
-    witness j of the key (a, v) is the basis monomial (u.(-a), u), u = w0
-    v^-1, so tau(j b_k) is the Gram entry F_{u,v}(0) = (1/r^n) sum_chi
-    f_{u,v}(chi), the same for every a: the sum of the (u, v) entries of
-    all r^n blocks.  The T-basis Gram itself is not built."""
-    field, blocks = alg.field, gram_blocks(alg)
+    every n! x n! block of the E-basis Gram is (singular_block), and the
+    colors of one class share a block.  The witness j of the key (a, v) is
+    the basis monomial (u.(-a), u), u = w0 v^-1, so tau(j b_k) is the Gram
+    entry F_{u,v}(0) = (1/r^n) sum_chi f_{u,v}(chi), the same for every a:
+    the sum of the (u, v) entries of the class blocks, each times its
+    number of colors.  The T-basis Gram itself is not built."""
+    field = alg.field
+    if blocks is None:
+        blocks = gram_blocks(alg)
     zero, rn = field.zero, field.from_int(alg.r ** alg.n)
+    weights = {p: field.from_int(len(members)) for p, members in color_classes(alg).items()}
     partner = {v: sg.compose(alg.w0, alg._inv[v]) for v in alg.perms}
     return {
         "dimension": alg.dimension,
         "gram_invertible": singular_block(alg, blocks) is None,
         "witness_ok": all(
-            sum((block[u].get(v, zero) for block in blocks.values()), zero) == rn
-            for v, u in partner.items()),
+            sum((blocks[p][u].get(v, zero) * weight for p, weight in weights.items()), zero)
+            == rn for v, u in partner.items()),
     }
 
 
@@ -216,13 +262,23 @@ def _flip_holds(alg: YAlgebra, blocks: dict) -> bool:
 
     For each key y = (b, v), with phi(y) read off alg.phi, both sides are
     sparse maps x -> value, r^n cancelled.  The left holds f_{u,v}(u.b) at
-    the keys (u.b, u), column v of block b.  The right sums lam f_{v',u}(b')
-    at (a, u), a = v'^-1.b', over the terms lam (b', v') of phi(y): row v'
-    of block a.  Neither stores a zero."""
+    the keys (u.b, u), column v of the block of b.  The right sums lam
+    f_{v',u}(b') at (a, u), a = v'^-1.b', over the terms lam (b', v') of
+    phi(y): row v' of the block of a.  Each block is found through its
+    color class.  Neither side stores a zero.
+
+    The check runs once per equality pattern b (equality_pattern), even
+    when every color shares one block, since the key test a = u.b depends
+    on the pattern of b.  Its premise is that phi commutes with relabeling
+    the color values, as (v, w) -> (reversed v, w0 w w0) does: a bijection
+    s of the values keeps every class and so every block, and sends both
+    sides for b to those for s(b) key by key, so they agree for every
+    color of b's pattern when they agree for b."""
     one, act, inv = alg.field.one, alg.act, alg._inv
-    for b, block in blocks.items():
+    classes = {c: color_class(alg, c) for c in alg.colors}
+    for b in dict.fromkeys(map(equality_pattern, alg.colors)):
         columns = {v: {} for v in alg.perms}
-        for u, row in block.items():
+        for u, row in blocks[classes[b]].items():
             x = (act(u, b), u)
             for v, c in row.items():
                 columns[v][x] = c
@@ -230,7 +286,7 @@ def _flip_holds(alg: YAlgebra, blocks: dict) -> bool:
             rhs = {}
             for (b2, v2), lam in alg.phi(SparseElement(alg, "E", {(b, v): one})).terms.items():
                 a = act(inv[v2], b2)
-                for u, c in blocks[a][v2].items():
+                for u, c in blocks[classes[a]][v2].items():
                     _acc(rhs, (a, u), lam * c)
             if lhs != rhs:
                 return False
@@ -260,10 +316,11 @@ def nakayama_check(alg: YAlgebra, exhaustive: bool = False, samples: int = 200,
     """tau(x y) = tau(phi(y) x), exhaustively on basis pairs or sampled.
 
     The exhaustive check decides it on E-basis pairs (_flip_holds), about
-    2 r^n n!^2 comparisons; both sides are bilinear and the torus transform
-    is invertible, so that is the statement on T-basis pairs.  A pass counts
-    all (r^n n!)^2 pairs, a failure the T-basis pairs, in sorted order, that
-    passed before the first failing one (_flip_pairs_passed)."""
+    2 k n!^2 comparisons for k equality patterns of the colors; both sides
+    are bilinear and the torus transform is invertible, so that is the
+    statement on T-basis pairs.  A pass counts all (r^n n!)^2 pairs, a
+    failure the T-basis pairs, in sorted order, that passed before the
+    first failing one (_flip_pairs_passed)."""
     if exhaustive:
         if _flip_holds(alg, gram_blocks(alg)):
             return {"mode": "exhaustive", "pairs": alg.dimension ** 2, "ok": True}

@@ -44,7 +44,11 @@ permutation.  The test for an up step and the color test read only w,
 so a group moves whole, and a down step keeps the colors of the group
 that pass the test; groups meet only where keys do.  At q = 0 every key
 of E_chi g_u g_v sits on one permutation, the Demazure product of u and
-v, so structure.gram_blocks carries each product as a single group.
+v, so structure.gram_blocks carries each product as a single group.  A
+color is read only in the color test chi[w(i)] = chi[w(i+1)], whose
+result is multiplied by q - 1, so the product depends on chi only through
+which of its entries are equal, and not at all when q - 1 = 0;
+gram_blocks carries one color per such class.
 
 Elements are sparse dicts keyed by (vector, permutation); zero coefficients
 are never stored.

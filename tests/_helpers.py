@@ -400,6 +400,17 @@ def phi_reversal_only(alg):
     return phi
 
 
+def phi_colors_kept(alg):
+    """A broken flip for alg: the key map (v, w) -> (v, w0 w w0), which
+    leaves out the reversal of v.  It agrees with phi on every constant
+    color, so only a check that reaches a color with two distinct entries
+    can see it (at r = 1 there is none, and the map is phi)."""
+    def phi(x):
+        return SparseElement(alg, x.basis, {(v, alg._flip[w]): c
+                                            for (v, w), c in x.terms.items()})
+    return phi
+
+
 def presentation_2_in_T(alg) -> dict:
     """YAlgebra.verify_presentation(2) by the route it replaced: every
     operand stays in the T basis, so each product goes to E and back, and
@@ -451,10 +462,59 @@ def one_term_gram_tables(alg) -> dict:
     return f
 
 
+def all_color_gram_blocks(alg) -> dict:
+    """blocks[c][u] = {v: f_{u,v}(u.c)} for every color c, the layout
+    structure.gram_blocks had before it kept one block per color class:
+    each pass per u carries all r^n colors, as the one group {u: {chi:
+    1}}, through the g_v by YAlgebra._rmul_g_groups.  An oracle for the
+    class blocks, which must equal the block of each of their colors."""
+    w0, one, step = alg.w0, alg.field.one, alg._rmul_g_groups
+    order = []
+    for v in sorted(alg.perms, key=alg._len.__getitem__)[1:]:
+        i = alg._rword[v][-1]
+        order.append((v, alg._rstep[i][v][0], i))
+    blocks = {c: {} for c in alg.colors}
+    for u in alg.perms:
+        prods = {alg.ident: {u: dict.fromkeys(alg.colors, one)}}
+        for v, shorter, i in order:
+            prods[v] = step(prods[shorter], i)
+        rows = {chi: {} for chi in alg.colors}
+        for v, p in prods.items():
+            if w0 in p:
+                for chi, c in p[w0].items():
+                    rows[chi][v] = c
+        for chi, row in rows.items():
+            blocks[tuple(chi[k - 1] for k in u)][u] = row
+    return blocks
+
+
+def all_color_flip_holds(alg, blocks) -> bool:
+    """structure._flip_holds on the all-color blocks of
+    all_color_gram_blocks, run once per color b rather than once per
+    equality pattern: an oracle for the per-pattern check."""
+    one, act, inv = alg.field.one, alg.act, alg._inv
+    for b, block in blocks.items():
+        columns = {v: {} for v in alg.perms}
+        for u, row in block.items():
+            x = (act(u, b), u)
+            for v, c in row.items():
+                columns[v][x] = c
+        for v, lhs in columns.items():
+            rhs = {}
+            for (b2, v2), lam in alg.phi(SparseElement(alg, "E", {(b, v): one})).terms.items():
+                a = act(inv[v2], b2)
+                for u, c in blocks[a][v2].items():
+                    _acc(rhs, (a, u), lam * c)
+            if lhs != rhs:
+                return False
+    return True
+
+
 def gram_row(alg, blocks, u, chi) -> dict:
     """{v: f_{u,v}(chi)}, the row u of the block of the color c with u.c =
-    chi: where gram_blocks keeps the values f_{u,v}(chi) for this u and chi."""
-    return blocks[alg.act(alg._inv[u], chi)][u]
+    chi, found through the class of c: where gram_blocks keeps the values
+    f_{u,v}(chi) for this u and chi."""
+    return blocks[structure.color_class(alg, alg.act(alg._inv[u], chi))][u]
 
 
 def patch_gram_blocks(monkeypatch, edit):
@@ -470,11 +530,12 @@ def patch_gram_blocks(monkeypatch, edit):
 
 
 def singular_block_mutant(monkeypatch, c):
-    """Make the E-basis Gram block M_c singular and leave every other block
-    as it is: the row of the identity repeats the row of w0 (for n = 1,
-    where they coincide, the one row is emptied)."""
+    """Make the E-basis Gram block of the color c, and so of every color of
+    its class, singular and leave every other class block as it is: the row
+    of the identity repeats the row of w0 (for n = 1, where they coincide,
+    the one row is emptied)."""
     def edit(alg, blocks):
-        block = blocks[c]
+        block = blocks[structure.color_class(alg, c)]
         block[alg.ident] = dict(block[alg.w0]) if alg.ident != alg.w0 else {}
     patch_gram_blocks(monkeypatch, edit)
 

@@ -181,16 +181,23 @@ def test_gram_export_unwritable(tmp_path, capsys):
 
 
 def test_gram_names_the_singular_block(monkeypatch, capsys):
-    H.singular_block_mutant(monkeypatch, (1, 2, 1))
-    code, out, _ = run(capsys, "gram", "--r", "2", "--n", "3", "--field", "fp:13")
-    assert code == 1
-    assert out.splitlines()[0] == "gram matrix 48x48: SINGULAR (block c = (1, 2, 1))"
-    code, out, _ = run(capsys, "gram", "--r", "2", "--n", "3", "--field", "fp:13", "--json")
-    assert code == 1
-    payload = json.loads(out)
-    assert sorted(payload) == ["dimension", "gram_invertible", "n", "r", "schema",
-                               "witness_ok"]
-    assert payload["gram_invertible"] is False
+    # the line names the first color of the singular class: (2, 1, 2) has
+    # the pattern of (1, 2, 1), and on the nil algebra every color shares
+    # one block
+    for mutated, named, nil in [((1, 2, 1), (1, 2, 1), []), ((2, 1, 2), (1, 2, 1), []),
+                                ((2, 2, 1), (1, 1, 1), ["--nil"])]:
+        monkeypatch.undo()
+        H.singular_block_mutant(monkeypatch, mutated)
+        args = ["gram", "--r", "2", "--n", "3", "--field", "fp:13", *nil]
+        code, out, _ = run(capsys, *args)
+        assert code == 1
+        assert out.splitlines()[0] == f"gram matrix 48x48: SINGULAR (block c = {named})"
+        code, out, _ = run(capsys, *args, "--json")
+        assert code == 1
+        payload = json.loads(out)
+        assert sorted(payload) == ["dimension", "gram_invertible", "n", "r", "schema",
+                                   "witness_ok"]
+        assert payload["gram_invertible"] is False
 
 
 @pytest.mark.parametrize("samples", ["-1", "0"])

@@ -461,11 +461,12 @@ FROBENIUS_SIZES = ([(r, n, H.FP13) for r in (1, 2, 3) for n in (1, 2, 3)] + [(2,
 
 
 def _gram_alg(engine, r, n, kind):
-    """Y at q = 0, Y at q = 5 (where the grouped steps of gram_blocks meet
-    and merge) or nil."""
+    """Y at q = 0, Y at q = 1 (where q - 1 = 0, so every color shares one
+    block), Y at q = 5 (where the grouped steps of gram_blocks meet and
+    merge) or nil."""
     if engine == "nil":
         return H.nilalg(r, n, kind)
-    return H.yalg(r, n, kind, q=5 if engine == "y-q5" else 0)
+    return H.yalg(r, n, kind, q={"y": 0, "y-q1": 1, "y-q5": 5}[engine])
 
 
 @pytest.mark.parametrize("engine", ["y", "y-q5", "nil"])
@@ -475,31 +476,34 @@ def test_gram_blocks_match_dense_oracle(monkeypatch, engine, r, n, kind):
     expect = {"dimension": alg.dimension, "gram_invertible": True, "witness_ok": True}
     assert frobenius_check(alg) == H.dense_frobenius(alg) == expect
     assert structure.singular_block(alg, structure.gram_blocks(alg)) is None
-    # one singular block: the blocks and the dense T-basis matrix, built
-    # from the same tables, must both see it, and the blocks name it
+    # one singular class block: the blocks and the dense T-basis matrix,
+    # built from the same tables, must both see it, and the blocks name the
+    # first color of the class
     c = alg.colors[len(alg.colors) // 2]
     H.singular_block_mutant(monkeypatch, c)
     got = frobenius_check(alg)
     assert not got["gram_invertible"]
     assert got == H.dense_frobenius(alg)
-    assert structure.singular_block(alg, structure.gram_blocks(alg)) == c
+    cls = structure.color_class(alg, c)
+    first = next(d for d in alg.colors if structure.color_class(alg, d) == cls)
+    assert structure.singular_block(alg, structure.gram_blocks(alg)) == first
 
 
 @pytest.mark.parametrize("r,n", [(2, 3), (3, 2)])
 def test_gram_blocks_match_dense_oracle_on_random_tables(monkeypatch, r, n):
     # the T-basis Gram is A G^E B for any tables, not only the algebra's:
-    # on random tables, about half with a singular block, the block verdict
+    # on random class tables, some with a singular block, the block verdict
     # and dense elimination agree table by table
     alg = H.yalg(r, n, H.FP13)
     rng = random.Random(7)
     seen = set()
     for _ in range(30):
-        values = {(u, v, chi): alg.field.from_int(rng.randrange(13))
-                  for u in alg.perms for v in alg.perms for chi in alg.colors}
+        values = {(u, v, p): alg.field.from_int(rng.randrange(13))
+                  for u in alg.perms for v in alg.perms for p in structure.color_classes(alg)}
 
         def edit(alg, blocks, values=values):
-            for (u, v, chi), c in values.items():
-                row = H.gram_row(alg, blocks, u, chi)
+            for (u, v, p), c in values.items():
+                row = blocks[p][u]
                 if c.is_zero():
                     row.pop(v, None)
                 else:
@@ -517,13 +521,15 @@ def test_gram_blocks_match_dense_oracle_on_random_tables(monkeypatch, r, n):
 @pytest.mark.parametrize("r,n,kind", FROBENIUS_SIZES + [(2, 4, H.CYC)])
 def test_gram_blocks_match_one_term_tables(engine, r, n, kind):
     # every value of the one grouped pass per u against the _rmul_g
-    # products of the one-term dicts {(chi, u): 1}, block by block and row
-    # by row
+    # products of the one-term dicts {(chi, u): 1}, color by color through
+    # the class and row by row: each class block holds the values of every
+    # one of its colors
     alg = _gram_alg(engine, r, n, kind)
     f = H.one_term_gram_tables(alg)
     blocks = structure.gram_blocks(alg)
-    assert list(blocks) == alg.colors
-    for c, block in blocks.items():
+    assert list(blocks) == list(structure.color_classes(alg))
+    for c in alg.colors:
+        block = blocks[structure.color_class(alg, c)]
         assert list(block) == alg.perms
         for u, row in block.items():
             chi = alg.act(u, c)
@@ -535,6 +541,9 @@ def test_gram_blocks_match_one_term_tables(engine, r, n, kind):
 @pytest.mark.parametrize("r,n", [(1, 1), (2, 3), (3, 4)])
 def test_gram_blocks_make_one_right_multiplication_per_step(monkeypatch, engine, r, n):
     alg = engine(r, n, field=H.field(H.FP13, r))
+    # Y has one class per set partition of the n positions into at most r
+    # parts; the nil algebra, with q - 1 = 0, has one
+    classes = {(1, 1): 1, (2, 3): 4, (3, 4): 14}[r, n] if engine is YAlgebra else 1
     calls = []
     real = alg._rmul_g_groups
 
@@ -552,5 +561,68 @@ def test_gram_blocks_make_one_right_multiplication_per_step(monkeypatch, engine,
     # one grouped step per (u, v != 1)
     assert len(calls) == nf * (nf - 1)
     if nf > 1:
-        # each pass starts from one group of all r^n colors
-        assert calls[::nf - 1] == [[r ** n]] * nf
+        # each pass starts from one group of one color per class
+        assert calls[::nf - 1] == [[classes]] * nf
+
+
+def test_color_classes_are_the_equality_patterns():
+    assert structure.equality_pattern((2, 3, 2)) == (1, 2, 1)
+    assert structure.equality_pattern((3, 3, 1, 2)) == (1, 1, 2, 3)
+    alg = H.yalg(3, 3, H.FP13)
+    pairs = [(i, j) for i in range(3) for j in range(3)]
+    for c in alg.colors:
+        p = structure.color_class(alg, c)
+        assert p in alg.colors and structure.color_class(alg, p) == p
+        for d in alg.colors:
+            same = all((c[i] == c[j]) == (d[i] == d[j]) for i, j in pairs)
+            assert (structure.color_class(alg, d) == p) == same
+    # where q - 1 = 0 no step reads a color: one class, ()
+    for alg in (H.nilalg(3, 3, H.FP13), H.yalg(3, 3, H.FP13, q=1)):
+        assert structure.color_classes(alg) == {(): alg.colors}
+
+
+@pytest.mark.parametrize("r,n,count", [(2, 6, 32), (3, 5, 41), (4, 5, 51), (3, 6, 122),
+                                       (5, 5, 52)])
+def test_class_counts_of_the_frontier(r, n, count):
+    alg = YAlgebra(r, n, field=H.field(H.CYC, r))
+    classes = structure.color_classes(alg)
+    assert len(classes) == count
+    assert sum(map(len, classes.values())) == r ** n
+
+
+CLASS_SIZES = ([(r, n, kind) for r in (1, 2, 3, 4) for n in (1, 2, 3, 4)
+                for kind in (H.FP13, H.CYC)] + [(2, 5, H.FP13), (2, 5, H.CYC)])
+
+
+@pytest.mark.parametrize("engine", ["y", "y-q1", "y-q5", "nil"])
+@pytest.mark.parametrize("r,n,kind", CLASS_SIZES)
+def test_class_blocks_equal_the_all_color_blocks(engine, r, n, kind):
+    # the block of every color, through its class, against the pass that
+    # carries all r^n colors
+    alg = _gram_alg(engine, r, n, kind)
+    blocks = structure.gram_blocks(alg)
+    oracle = H.all_color_gram_blocks(alg)
+    assert list(blocks) == list(structure.color_classes(alg))
+    for c in alg.colors:
+        assert blocks[structure.color_class(alg, c)] == oracle[c], c
+
+
+@pytest.mark.parametrize("engine", ["y", "y-q1", "y-q5", "nil"])
+@pytest.mark.parametrize("r,n,kind", [(1, 3, H.FP13), (2, 3, H.CYC), (3, 3, H.FP13),
+                                      (2, 4, H.FP13), (3, 4, H.CYC), (4, 4, H.FP13)])
+def test_per_pattern_flip_matches_the_all_color_flip(monkeypatch, engine, r, n, kind):
+    # the check once per equality pattern against the check once per color,
+    # with the true flip and with three that fail: the identity, 2 phi, and
+    # phi without the color reversal, which only a non-constant color shows
+    # (where every color shares one block too)
+    alg = _gram_alg(engine, r, n, kind)
+    blocks = structure.gram_blocks(alg)
+    oracle = H.all_color_gram_blocks(alg)
+    assert structure._flip_holds(alg, blocks) is H.all_color_flip_holds(alg, oracle) is True
+    phi = alg.phi
+    mutants = [lambda x: x, lambda x: phi(x) * 2] + ([H.phi_colors_kept(alg)] if r > 1 else [])
+    for mutant in mutants:
+        monkeypatch.setattr(alg, "phi", mutant)
+        assert structure._flip_holds(alg, blocks) is False
+        assert H.all_color_flip_holds(alg, oracle) is False
+        monkeypatch.undo()

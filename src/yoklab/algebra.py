@@ -47,7 +47,10 @@ def element_json_terms(obj, r: int, n: int, vec_names: dict) -> tuple[str, list]
     basis = obj.get("basis")
     if not isinstance(basis, str) or basis not in vec_names:
         raise ValueError(f"unknown basis tag {basis!r}")
-    if obj.get("r", r) != r or obj.get("n", n) != n:
+    # an absent r or n is this algebra's; as in _json_vector, 2.0 or true
+    # is no integer
+    if any(type(v) is not int or v != want
+           for v, want in ((obj.get("r", r), r), (obj.get("n", n), n))):
         raise ValueError("element parameters do not match this algebra")
     items = obj.get("terms")
     if not isinstance(items, list):
@@ -213,9 +216,14 @@ class SparseAlgebra:
     def qm1(self):
         return self.field.zero if self._qm1 is None else self._qm1
 
+    @staticmethod
+    def dimension_of(r: int, n: int) -> int:
+        """r^n n!, the dimension of every engine at (r, n)."""
+        return r ** n * math.factorial(n)
+
     @property
     def dimension(self) -> int:
-        return self.r ** self.n * math.factorial(self.n)
+        return self.dimension_of(self.r, self.n)
 
     def _basis(self, basis) -> str:
         """basis checked against this engine's tags; None is the default."""

@@ -20,6 +20,7 @@ import sys
 
 from . import modrep, structure
 from .aks import AKSAlgebra
+from .algebra import SparseAlgebra
 from .nilalg import NilAlgebra
 from .scalars import FieldSpec, make_field
 from .ycore import YAlgebra
@@ -144,7 +145,8 @@ def _cells_verdict(alg):
 
 
 def cmd_dim(args, field):
-    dim = _algebra(args, field).dimension
+    # Y and nil share the dimension r^n n!, so no algebra is built
+    dim = SparseAlgebra.dimension_of(args.r, args.n)
     return True, [f"dimension = {dim}"], {"dimension": dim}
 
 
@@ -224,7 +226,7 @@ def cmd_radical(args, field):
 
 def cmd_gram(args, field):
     alg = _algebra(args, field)
-    if args.export:
+    if args.export is not None:
         try:
             with open(args.export, "w") as fh:
                 export = {"schema": SCHEMA, **structure.gram_to_json(

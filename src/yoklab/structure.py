@@ -10,26 +10,30 @@ w^{-1}} t^{-a} pairs to exactly 1, because the permutation parts multiply
 length-additively straight to w0.
 
 The trace, Gram, Frobenius, Nakayama, flip and cell checks serve the Y
-algebra and the nil algebra, the Y engine with T_i in place of g_i.  They
-read tau off products in the E basis.  Everything about the Gram form comes
-from the (chi, w0) coefficients f_{u,v}(chi) of E_chi g_u g_v, the n! x n!
-blocks of the E-basis Gram, one per color c with rows {v: f_{u,v}(u.c)}.
-The grouped right step of ycore reads a color only in its down-step test
-chi[w(i)] = chi[w(i+1)], times q - 1, so the block of c depends only on
-which entries of c are equal, and not on c at all when q - 1 = 0: its
-color class (color_class), the equality pattern of c written as its
-first-occurrence relabeling, or the single class () when q - 1 = 0.
-gram_blocks builds one block per class, in one pass per permutation that
-carries one color per class, and every reader finds a color's block
-through its class.  frobenius_check decides invertibility class by class
-and reads each witness entry off the class blocks, each weighted by its
-number of colors.  The exhaustive Nakayama check compares tau(x y) with
-tau(phi(y) x) on E-basis pairs, where tau(E_a g_u E_b g_v) = [a = u.b]
-f_{u,v}(a) / r^n, once per equality pattern of b.  The T-basis Gram
-matrix, G[(a, u)][(b, v)] = tau(t^(a + u.b) g_u g_v), is a torus transform
-of the same values (gram_entries); it is built whole only for gram
---export, and read entry by entry only to count the pairs before a
-Nakayama failure.
+algebra at q = 0 and the nil algebra, the Y engine with T_i in place of
+g_i; for Y at any other q, gram_blocks and every check built on it, as
+well as the cell checks, raise ValueError.  They read tau off products in
+the E basis.  Everything about the Gram form comes from the (chi, w0)
+coefficients f_{u,v}(chi) of E_chi g_u g_v, the n! x n! blocks of the
+E-basis Gram, one per color c with rows {v: f_{u,v}(u.c)}.  At q = 0 the
+product E_chi g_u g_v lies on one permutation, the Demazure product of u
+and v, so gram_blocks walks it as one group (w, {chi: coeff}) through the
+q = 0 right step of ycore, _rmul_g_group.  That step reads a color only in
+its down-step test chi[w(i)] = chi[w(i+1)], so the block of c depends only
+on which entries of c are equal, and not on c at all on the nil algebra,
+where every down step vanishes: its color class (color_class), the
+equality pattern of c written as its first-occurrence relabeling, or the
+single class () on the nil algebra.  gram_blocks builds one block per
+class, in one pass per permutation that carries one color per class, and
+every reader finds a color's block through its class.  frobenius_check
+decides invertibility class by class and reads each witness entry off the
+class blocks, each weighted by its number of colors.  The exhaustive
+Nakayama check compares tau(x y) with tau(phi(y) x) on E-basis pairs,
+where tau(E_a g_u E_b g_v) = [a = u.b] f_{u,v}(a) / r^n, once per equality
+pattern of b.  The T-basis Gram matrix, G[(a, u)][(b, v)] = tau(t^(a +
+u.b) g_u g_v), is a torus transform of the same values (gram_entries); it
+is built whole only for gram --export, and read entry by entry only to
+count the pairs before a Nakayama failure.
 
 Cells: basis monomials (chi, w) are ranked by (length(w), w, chi).  At q = 0
 multiplication by any generator sends a basis monomial to monomials of the
@@ -106,8 +110,9 @@ def equality_pattern(c: tuple) -> tuple:
 
 def color_class(alg: YAlgebra, c: tuple) -> tuple:
     """class(c), the key of the Gram block of the color c in gram_blocks:
-    its equality pattern, or the single class () when q - 1 = 0, where no
-    step reads a color."""
+    its equality pattern, or the single class () when q - 1 = 0, as on the
+    nil algebra, where every down step of the q = 0 walk vanishes and so
+    no color is read."""
     return () if alg._qm1 is None else equality_pattern(c)
 
 
@@ -122,26 +127,25 @@ def color_classes(alg: YAlgebra) -> dict:
 
 def gram_blocks(alg: YAlgebra) -> dict:
     """blocks[p][u] = {v: f_{u,v}(u.p)} for each color class p, with
-    f_{u,v}(chi) the (chi, w0) coefficient of E_chi g_u . g_v.
+    f_{u,v}(chi) the (chi, w0) coefficient of E_chi g_u . g_v at q = 0;
+    ValueError for Y at any other q.
 
     tau(E_chi' g_u E_c g_v) vanishes unless chi' = u.c, so the E-basis Gram
     is, after a permutation, block-diagonal with one n! x n! block per
     color c, whose row u is {v: f_{u,v}(u.c)} (up to the unit 1/r^n).  The
-    grouped right step reads a color only in its down-step test, chi[w(i)]
-    = chi[w(i + 1)] times q - 1, so the block of c is the block of its
-    class, blocks[color_class(alg, c)], and each class representative p
-    stands for all its colors.  Right multiplication by g_i keeps the left
-    color, so one pass per u takes the sum of E_{u.p} g_u over the
-    representatives, held as the one group {u: {u.p: 1}} of
-    YAlgebra._rmul_g_groups, through the g_v, each product a shorter one
-    times one grouped g_i step: n!(n! - 1) steps in all, none through the
-    product cache.  At q = 0 every product is one group, on the Demazure
-    product of u and v; row values are read from the w0 group.  u.p, whose
-    entry k is p[u^-1(k)], is formed here rather than by alg.act, whose
-    cache would keep n! more entries per class; the class () stands for
-    itself, as no step reads its color.  Every row is present; zero values
-    are not stored."""
-    w0, one, step, inv = alg.w0, alg.field.one, alg._rmul_g_groups, alg._inv
+    block of c is the block of its class, blocks[color_class(alg, c)], and
+    each class representative p stands for all its colors.  Right
+    multiplication by g_i keeps the left color, so one pass per u takes the
+    sum of E_{u.p} g_u over the representatives, the one group (u, {u.p:
+    1}) of YAlgebra._rmul_g_group, through the g_v: each product is a
+    shorter one times one step, on the Demazure product of u and v, or None
+    once it vanishes, which is then carried without a step.  Row values
+    are read from the products on w0.  u.p, whose entry k is p[u^-1(k)], is
+    formed here rather than by alg.act, whose cache would keep n! more
+    entries per class; the class () stands for itself, as no step reads
+    its color.  Every row is present; zero values are not stored."""
+    require_q0(alg)
+    w0, one, step, inv = alg.w0, alg.field.one, alg._rmul_g_group, alg._inv
     # (v, v', i) with v = v' s_i for each v past the identity, shortest first
     order = []
     for v in sorted(alg.perms, key=alg._len.__getitem__)[1:]:
@@ -150,13 +154,14 @@ def gram_blocks(alg: YAlgebra) -> dict:
     blocks = {p: {} for p in color_classes(alg)}
     for u in alg.perms:
         start = {(tuple(p[k - 1] for k in inv[u]) if p else p): p for p in blocks}
-        prods = {alg.ident: {u: dict.fromkeys(start, one)}}
+        prods = {alg.ident: (u, dict.fromkeys(start, one))}
         for v, shorter, i in order:
-            prods[v] = step(prods[shorter], i)
+            prev = prods[shorter]
+            prods[v] = prev and step(prev, i)
         rows = {chi: {} for chi in start}
         for v, prod in prods.items():
-            if w0 in prod:
-                for chi, c in prod[w0].items():
+            if prod and prod[0] == w0:
+                for chi, c in prod[1].items():
                     rows[chi][v] = c
         for chi, row in rows.items():
             blocks[start[chi]][u] = row

@@ -38,16 +38,16 @@ formed.  At q = 0 a one-term row therefore has, on either side, only its
 up-step image besides multiples of itself, and span_images yields only
 those to a closure.
 
-The right step has two layouts under this one rule: _rmul_g on a dict
-{(chi, w): a}, and _rmul_g_groups on {w: {chi: a}}, one group per
-permutation.  The test for an up step and the color test read only w,
-so a group moves whole, and a down step keeps the colors of the group
-that pass the test; groups meet only where keys do.  At q = 0 every key
-of E_chi g_u g_v sits on one permutation, the Demazure product of u and
-v, so structure.gram_blocks carries each product as a single group.  A
-color is read only in the color test chi[w(i)] = chi[w(i+1)], whose
-result is multiplied by q - 1, so the product depends on chi only through
-which of its entries are equal, and not at all when q - 1 = 0;
+At q = 0 the right step has a second layout, _rmul_g_group, on the terms
+of one permutation held as (w, {chi: a}).  The up-step test, and the
+positions that the color test compares, read only w, so a group moves
+whole, and a down step, with no q term, keeps the colors of the group
+that pass the color test, negated.  Every key of E_chi g_u g_v therefore
+sits on one permutation, the Demazure product of u and v, and
+structure.gram_blocks carries each product as one group, or as None once
+it vanishes.  A color is read only in the color test chi[w(i)] =
+chi[w(i+1)], so the product depends on chi only through which of its
+entries are equal, and not at all on the nil algebra, where q - 1 = 0;
 gram_blocks carries one color per such class.
 
 Elements are sparse dicts keyed by (vector, permutation); zero coefficients
@@ -260,39 +260,21 @@ class YAlgebra(SparseAlgebra):
             _acc(out, key, a * qm1)
         return out
 
-    def _rmul_g_groups(self, groups: dict, i: int) -> dict:
-        """_rmul_g on an E-basis element held as {w: {chi: coeff}}, one
-        group per permutation, with (w s_i, up) and the color positions
-        w(i), w(i + 1) read once per group.  An up step moves the group's
-        color dict itself, uncopied, so no caller may mutate a group; no
-        group is empty."""
-        q, qm1 = self._q, self._qm1
-        step = self._rstep[i]
-        out: dict = {}
-        kept = []
-        for w, colors in groups.items():
-            wsi, up = step[w]
-            if up:
-                out[wsi] = colors
-            else:
-                if q is not None:
-                    out[wsi] = {chi: a * q for chi, a in colors.items()}
-                if qm1 is not None:
-                    x, y = w[i - 1] - 1, w[i] - 1
-                    stay = {chi: a * qm1 for chi, a in colors.items() if chi[x] == chi[y]}
-                    if stay:
-                        kept.append((w, stay))
-        for w, stay in kept:
-            if w in out:
-                merged = dict(out[w])
-                for chi, a in stay.items():
-                    _acc(merged, chi, a)
-                stay = merged
-            if stay:
-                out[w] = stay
-            else:
-                del out[w]
-        return out
+    def _rmul_g_group(self, group, i: int):
+        """_rmul_g at q = 0 on the terms of one permutation, held as the
+        group (w, {chi: coeff}), or None once they vanish.  An up step moves
+        the group whole, its color dict shared; a down step keeps the colors
+        that pass the color test, each times q - 1 = -1, and none on the
+        nil algebra, where q - 1 = 0."""
+        w, colors = group
+        wsi, up = self._rstep[i][w]
+        if up:
+            return wsi, colors
+        if self._qm1 is None:
+            return None
+        x, y = w[i - 1] - 1, w[i] - 1
+        kept = {chi: -a for chi, a in colors.items() if chi[x] == chi[y]}
+        return (w, kept) if kept else None
 
     def _lmul_g(self, terms: dict, i: int) -> dict:
         # as in _rmul_g, with the colors swapped by the move

@@ -465,23 +465,24 @@ def one_term_gram_tables(alg) -> dict:
 def all_color_gram_blocks(alg) -> dict:
     """blocks[c][u] = {v: f_{u,v}(u.c)} for every color c, the layout
     structure.gram_blocks had before it kept one block per color class:
-    each pass per u carries all r^n colors, as the one group {u: {chi:
-    1}}, through the g_v by YAlgebra._rmul_g_groups.  An oracle for the
-    class blocks, which must equal the block of each of their colors."""
-    w0, one, step = alg.w0, alg.field.one, alg._rmul_g_groups
+    each pass per u carries all r^n colors, as the flat dict {(chi, u):
+    1}, through the g_v by YAlgebra._rmul_g, one step per (u, v != 1).
+    An oracle for the class blocks and their q = 0 walk, which must equal
+    the block of each of their colors."""
+    w0, one, step = alg.w0, alg.field.one, alg._rmul_g
     order = []
     for v in sorted(alg.perms, key=alg._len.__getitem__)[1:]:
         i = alg._rword[v][-1]
         order.append((v, alg._rstep[i][v][0], i))
     blocks = {c: {} for c in alg.colors}
     for u in alg.perms:
-        prods = {alg.ident: {u: dict.fromkeys(alg.colors, one)}}
+        prods = {alg.ident: {(chi, u): one for chi in alg.colors}}
         for v, shorter, i in order:
             prods[v] = step(prods[shorter], i)
         rows = {chi: {} for chi in alg.colors}
         for v, p in prods.items():
-            if w0 in p:
-                for chi, c in p[w0].items():
+            for (chi, w), c in p.items():
+                if w == w0:
                     rows[chi][v] = c
         for chi, row in rows.items():
             blocks[tuple(chi[k - 1] for k in u)][u] = row

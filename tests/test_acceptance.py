@@ -204,6 +204,12 @@ def test_criterion_05_frobenius_form(capsys):
                 failures.append(f"{(r, n)}: some basis element has no dual witness")
             if (r, n) == (2, 3) and took >= 180:
                 failures.append(f"(2,3) pass took {took:.1f}s, budget 180s")
+        for r, n in ((2, 2), (1, 3)):
+            # the Gram read off the q = 0 walk is tau of the algebra's own
+            # products, sign by sign: the walk of another quadratic pair,
+            # as at (q, q - 1) = (0, 1), passes the checks above as well
+            if structure.gram_matrix(H.yalg(r, n)) != H.pairwise_gram(H.yalg(r, n)):
+                failures.append(f"{(r, n)}: a Gram entry is not tau of its product")
     except Exception as exc:
         failures.append(f"crash: {exc!r}")
         raise

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from yoklab import NilAlgebra, cli, modrep
+from yoklab.algebra import SparseAlgebra
 from yoklab.exactla import Subspace
 
 import _helpers as H
@@ -27,6 +28,24 @@ def test_dim(capsys):
     assert code == 0 and "48" in out
     code, out, _ = run(capsys, "dim", "--r", "2", "--n", "2", "--json")
     assert json.loads(out)["dimension"] == 8
+
+
+def test_dim_builds_no_algebra(monkeypatch, capsys):
+    # r^n n! from the formula alone, so a size past the guard answers at
+    # once; every payload as before
+    def refused(self, *args, **kwargs):
+        raise AssertionError("dim built an algebra")
+
+    monkeypatch.setattr(SparseAlgebra, "__init__", refused)
+    for r, n, nil, field, dim in [(2, 3, [], "cyclotomic", 48), (2, 3, ["--nil"], "fp:13", 48),
+                                  (3, 4, [], "fp:13", 1944), (1, 1, ["--nil"], "cyclotomic", 1),
+                                  (2, 9, [], "fp:13", 185794560)]:
+        args = ["dim", "--r", str(r), "--n", str(n), "--field", field, "--allow-large", *nil]
+        code, out, _ = run(capsys, *args)
+        assert (code, out) == (0, f"dimension = {dim}\n")
+        code, out, _ = run(capsys, *args, "--json")
+        assert code == 0
+        assert json.loads(out) == {"schema": "yoklab/1", "r": r, "n": n, "dimension": dim}
 
 
 def test_limits_guard(capsys):
@@ -171,13 +190,14 @@ def test_gram_export_pinned(tmp_path, capsys, r, n, nil):
 
 
 def test_gram_export_unwritable(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["gram", "--r", "2", "--n", "2", "--export",
-                  str(tmp_path / "missing" / "x.json")])
-    assert exc.value.code == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    # the empty path too is a path that cannot be written, not an absent one
+    for path in (str(tmp_path / "missing" / "x.json"), ""):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gram", "--r", "2", "--n", "2", "--export", path])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
 
 def test_gram_names_the_singular_block(monkeypatch, capsys):
@@ -347,6 +367,24 @@ def test_mult_rejects_wrong_length_exponents(capsys):
                                                "coeff": "1"}]})
     mult_rejects(capsys, {**GOOD_T, "terms": [{"a": [0, 1, 0], "w": [2, 1],
                                                "coeff": "1"}]})
+
+
+def test_mult_rejects_non_integer_parameters(capsys):
+    # r and n of an element follow the vector rule: 2.0 and true are no
+    # integers, though they compare equal to 2 and 1
+    for r, n, bad in [(2, 3, {"r": 2.0}), (2, 3, {"n": 3.0}), (1, 3, {"r": True}),
+                      (2, 1, {"n": True}), (2, 3, {"n": "3"})]:
+        good = {"basis": "T", "terms": [{"a": [0] * n, "w": list(range(1, n + 1)),
+                                         "coeff": "1"}]}
+        code, out, err = run(capsys, "mult", "--r", str(r), "--n", str(n),
+                             "--lhs", json.dumps({**good, **bad}), "--rhs", json.dumps(good))
+        assert code == 2
+        assert out == ""
+        assert err == "error: element parameters do not match this algebra\n"
+        # the same element with integer parameters multiplies
+        code, _, _ = run(capsys, "mult", "--r", str(r), "--n", str(n),
+                         "--lhs", json.dumps({**good, "r": r, "n": n}), "--rhs", json.dumps(good))
+        assert code == 0
 
 
 @pytest.mark.parametrize("r,field", [("2", "bogus"), ("4", "fp:7"), ("2", "fp:x"),

@@ -460,19 +460,42 @@ FROBENIUS_SIZES = ([(r, n, H.FP13) for r in (1, 2, 3) for n in (1, 2, 3)] + [(2,
                    + [(r, n, H.CYC) for r in (1, 2, 3) for n in (1, 2, 3)])
 
 
+def _assert_gram_refused(alg):
+    """Every Gram check of structure raises ValueError on alg, Y at some
+    q != 0, since the walk of gram_blocks holds at q = 0 alone; the sampled
+    Nakayama check, which multiplies elements, still runs."""
+    for check in (structure.gram_blocks, frobenius_check, structure.gram_entries,
+                  gram_matrix, lambda alg: nakayama_check(alg, exhaustive=True)):
+        with pytest.raises(ValueError, match="q = 0"):
+            check(alg)
+    assert nakayama_check(alg, samples=5)["mode"] == "sampled"
+
+
 def _gram_alg(engine, r, n, kind):
-    """Y at q = 0, Y at q = 1 (where q - 1 = 0, so every color shares one
-    block), Y at q = 5 (where the grouped steps of gram_blocks meet and
-    merge) or nil."""
+    """Y at q = 0 or nil.  For Y at q = 1 (where q - 1 = 0) and at q = 5,
+    whose Gram values the q = 0 walk does not give, None after
+    _assert_gram_refused, and the caller has nothing more to compare."""
     if engine == "nil":
         return H.nilalg(r, n, kind)
-    return H.yalg(r, n, kind, q={"y": 0, "y-q1": 1, "y-q5": 5}[engine])
+    alg = H.yalg(r, n, kind, q={"y": 0, "y-q1": 1, "y-q5": 5}[engine])
+    if engine == "y":
+        return alg
+    _assert_gram_refused(alg)
+    return None
+
+
+@pytest.mark.parametrize("q", [1, 5])
+@pytest.mark.parametrize("r,n", [(1, 2), (2, 3), (3, 2)])
+def test_gram_checks_refuse_q_other_than_0(r, n, q):
+    _assert_gram_refused(H.yalg(r, n, H.FP13, q=q))
 
 
 @pytest.mark.parametrize("engine", ["y", "y-q5", "nil"])
 @pytest.mark.parametrize("r,n,kind", FROBENIUS_SIZES)
 def test_gram_blocks_match_dense_oracle(monkeypatch, engine, r, n, kind):
     alg = _gram_alg(engine, r, n, kind)
+    if alg is None:
+        return
     expect = {"dimension": alg.dimension, "gram_invertible": True, "witness_ok": True}
     assert frobenius_check(alg) == H.dense_frobenius(alg) == expect
     assert structure.singular_block(alg, structure.gram_blocks(alg)) is None
@@ -525,6 +548,8 @@ def test_gram_blocks_match_one_term_tables(engine, r, n, kind):
     # the class and row by row: each class block holds the values of every
     # one of its colors
     alg = _gram_alg(engine, r, n, kind)
+    if alg is None:
+        return
     f = H.one_term_gram_tables(alg)
     blocks = structure.gram_blocks(alg)
     assert list(blocks) == list(structure.color_classes(alg))
@@ -544,25 +569,45 @@ def test_gram_blocks_make_one_right_multiplication_per_step(monkeypatch, engine,
     # Y has one class per set partition of the n positions into at most r
     # parts; the nil algebra, with q - 1 = 0, has one
     classes = {(1, 1): 1, (2, 3): 4, (3, 4): 14}[r, n] if engine is YAlgebra else 1
+    nf, one = len(alg.perms), alg.field.one
+    # one step per (u, v != 1) whose shorter product has not vanished,
+    # counted on the flat products of the class representatives
+    order = []
+    for v in sorted(alg.perms, key=alg._len.__getitem__)[1:]:
+        i = alg._rword[v][-1]
+        order.append((v, alg._rstep[i][v][0], i))
+    expected = 0
+    for u in alg.perms:
+        prods = {alg.ident: {((alg.act(u, p) if p else p), u): one
+                             for p in structure.color_classes(alg)}}
+        for v, shorter, i in order:
+            expected += bool(prods[shorter])
+            prods[v] = alg._rmul_g(prods[shorter], i)
     calls = []
-    real = alg._rmul_g_groups
+    real = alg._rmul_g_group
 
-    def counted(groups, i):
-        calls.append([len(colors) for colors in groups.values()])
-        return real(groups, i)
+    def counted(group, i):
+        calls.append(len(group[1]))
+        return real(group, i)
 
     def refused(terms, i):
         raise AssertionError("gram_blocks called _rmul_g")
 
-    monkeypatch.setattr(alg, "_rmul_g_groups", counted)
+    monkeypatch.setattr(alg, "_rmul_g_group", counted)
     monkeypatch.setattr(alg, "_rmul_g", refused)
     structure.gram_blocks(alg)
-    nf = len(alg.perms)
-    # one grouped step per (u, v != 1)
-    assert len(calls) == nf * (nf - 1)
-    if nf > 1:
-        # each pass starts from one group of one color per class
-        assert calls[::nf - 1] == [[classes]] * nf
+    assert len(calls) == expected
+    if engine is YAlgebra:
+        # the constant class passes every color test, so no product
+        # vanishes: one step per (u, v != 1), each pass starting from one
+        # group of one color per class
+        assert expected == nf * (nf - 1)
+        if nf > 1:
+            assert calls[::nf - 1] == [classes] * nf
+    else:
+        # a down step kills the one color, so some steps are skipped
+        assert calls == [1] * expected
+        assert expected < nf * (nf - 1) or nf == 1
 
 
 def test_color_classes_are_the_equality_patterns():
@@ -600,6 +645,8 @@ def test_class_blocks_equal_the_all_color_blocks(engine, r, n, kind):
     # the block of every color, through its class, against the pass that
     # carries all r^n colors
     alg = _gram_alg(engine, r, n, kind)
+    if alg is None:
+        return
     blocks = structure.gram_blocks(alg)
     oracle = H.all_color_gram_blocks(alg)
     assert list(blocks) == list(structure.color_classes(alg))
@@ -616,6 +663,8 @@ def test_per_pattern_flip_matches_the_all_color_flip(monkeypatch, engine, r, n, 
     # phi without the color reversal, which only a non-constant color shows
     # (where every color shares one block too)
     alg = _gram_alg(engine, r, n, kind)
+    if alg is None:
+        return
     blocks = structure.gram_blocks(alg)
     oracle = H.all_color_gram_blocks(alg)
     assert structure._flip_holds(alg, blocks) is H.all_color_flip_holds(alg, oracle) is True

@@ -394,42 +394,38 @@ def test_q0_kernel_matches_the_relation(engine, r, n, kind):
     assert _kernel_mismatches(alg) == []
 
 
-def _grouped_cases(alg, rng):
-    """Inputs of the grouped right step, as (groups, i): for each w, one
-    group holding every color and two on random color subsets with random
-    coefficients; for each w and i, the two groups on w and w s_i, whose
-    images meet at w, with the second coefficient 1, 2 or -(q - 1) (so the
-    kept colors cancel where they meet)."""
+def _group_cases(alg, rng):
+    """Inputs of the q = 0 right step, as (group, i): for each w and i, the
+    group on w holding every color with coefficient 1, and two on random
+    color subsets with random coefficients."""
     f = alg.field
-    one = f.one
     cases = []
     for w in alg.perms:
         for i in range(1, alg.n):
-            cases.append(({w: dict.fromkeys(alg.colors, one)}, i))
+            cases.append(((w, dict.fromkeys(alg.colors, f.one)), i))
             for _ in range(2):
                 sub = {chi: f.from_int(rng.randrange(1, 13)) for chi in alg.colors
                        if rng.random() < 0.5}
                 if sub:
-                    cases.append(({w: sub}, i))
-            for b in [b for b in (one, f.from_int(2), -alg.qm1) if not b.is_zero()]:
-                cases.append(({w: dict.fromkeys(alg.colors, one),
-                               sg.right_mult_s(w, i): dict.fromkeys(alg.colors, b)}, i))
+                    cases.append(((w, sub), i))
     return cases
 
 
-def _grouped_mismatches(alg) -> list:
-    """(groups, i) wherever the grouped step, flattened, leaves _rmul_g on
-    the flattened input, stores an empty group, or changes its input."""
-    def flat(groups):
-        return {(chi, w): a for w, colors in groups.items() for chi, a in colors.items()}
+def _group_mismatches(alg) -> list:
+    """(group, i) wherever the q = 0 step, flattened, leaves _rmul_g on the
+    flattened group, returns an empty group rather than None, copies the
+    colors of an up step, or changes its input."""
+    def flat(group):
+        return {} if group is None else {(chi, group[0]): a for chi, a in group[1].items()}
 
     bad = []
-    for groups, i in _grouped_cases(alg, random.Random(11)):
-        before = {w: dict(colors) for w, colors in groups.items()}
-        got = alg._rmul_g_groups(groups, i)
-        if (flat(got) != alg._rmul_g(flat(groups), i) or not all(got.values())
-                or groups != before):
-            bad.append((groups, i))
+    for group, i in _group_cases(alg, random.Random(11)):
+        before = dict(group[1])
+        got = alg._rmul_g_group(group, i)
+        up = alg._rstep[i][group[0]][1]
+        if (flat(got) != alg._rmul_g(flat(group), i) or (got is not None and not got[1])
+                or (up and got[1] is not group[1]) or group[1] != before):
+            bad.append((group, i))
     return bad
 
 
@@ -437,11 +433,8 @@ def _grouped_mismatches(alg) -> list:
 @pytest.mark.parametrize("kind", [H.FP13, H.CYC])
 @pytest.mark.parametrize("engine", [YAlgebra, NilAlgebra])
 def test_grouped_right_step_matches_rmul_g(engine, r, n, kind):
-    # one fresh algebra per quadratic pair (q, q - 1), each entry zero or
-    # not: Y at (0, -1), (1, 0) and (5, 4), where a down step moves its
-    # group as well, and nil at (0, 0)
-    f = H.field(kind, r)
-    algs = ([engine(r, n, field=f)] if engine is NilAlgebra
-            else [engine(r, n, field=f, q=q) for q in (0, 1, 5)])
-    for alg in algs:
-        assert _grouped_mismatches(alg) == [], alg
+    # the q = 0 step on one group against the flat step: Y at (q, q - 1) =
+    # (0, -1), where a down step negates the colors that pass the test,
+    # and nil at (0, 0), where it kills the group
+    alg = engine(r, n, field=H.field(kind, r))
+    assert _group_mismatches(alg) == []

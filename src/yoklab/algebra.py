@@ -31,7 +31,7 @@ from .scalars import FieldSpec, make_field
 __all__ = ["SparseAlgebra", "SparseElement", "element_json_terms", "index_maps",
            "relation_report", "torus_relations", "generator_torus_relations",
            "braid_relations", "far_relations", "idempotent_relations", "color_orbits",
-           "sum_block_dims"]
+           "equality_pattern", "color_patterns", "sum_block_dims"]
 
 
 def element_json_terms(obj, r: int, n: int, vec_names: dict) -> tuple[str, list]:
@@ -144,7 +144,7 @@ def idempotent_relations(idems: dict, name: str, index: str) -> list:
     return rels
 
 
-# -- central color blocks ---------------------------------------------------
+# -- color blocks -----------------------------------------------------------
 
 def color_orbits(colors) -> list[list]:
     """The S_n-orbits of the color vectors in colors, each in the order of
@@ -153,6 +153,22 @@ def color_orbits(colors) -> list[list]:
     for c in colors:
         orbits.setdefault(tuple(sorted(c)), []).append(c)
     return list(orbits.values())
+
+
+def equality_pattern(c: tuple) -> tuple:
+    """The equality pattern of the color c, written as its first-occurrence
+    relabeling, itself a color: (2, 3, 2) -> (1, 2, 1)."""
+    seen: dict = {}
+    return tuple(seen.setdefault(x, len(seen) + 1) for x in c)
+
+
+def color_patterns(colors) -> dict:
+    """{p: the colors of equality pattern p, in the order of colors}, the
+    patterns in the order of their first colors."""
+    out: dict = {}
+    for c in colors:
+        out.setdefault(equality_pattern(c), []).append(c)
+    return out
 
 
 def sum_block_dims(blocks) -> list[int]:

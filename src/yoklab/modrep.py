@@ -10,29 +10,27 @@ The label count is sum over c of 2^(n - runs(c)), and the package checks it
 three independent ways: the label enumeration, a brute-force sweep over all
 scalar systems, and the codimension of the commutator ideal.
 
-The commutator ideal J and its powers are computed block by block.  For an
-S_n-orbit O of color vectors, e_O = sum_{chi in O} E_chi is a central
-idempotent (g_i sends E_chi to E_{s_i chi} inside O), so Y is the direct sum
-of the blocks Y e_O, and J and each J^k split the same way.  In the E basis
-the structure constants see only which colors of a key are equal, so a
-bijection of the color alphabet is an isomorphism between blocks: every
-orbit of one shape (the multiplicities of its colors, a partition of n into
-at most r parts) has the same ideal, up to relabeling.  One block per shape
-is closed and powered; its power dimensions count once per orbit of that
-shape, and its rows, relabeled, give the blocks of J for the other orbits.
-Before relying on the split, an exact check confirms that every e_O
-commutes with every generator (SparseAlgebra.central_color_blocks) and
-raises ArithmeticError if one does not.
+The commutator ideal J and its powers are computed one right ideal per
+equality pattern of colors.  The E_chi are orthogonal idempotents that sum
+to 1, so J is the direct sum of the right ideals E_chi J, and each J^k
+splits the same way.  In the E basis the structure constants see only which
+colors of a key are equal, so a bijection of the color values, applied to
+the colors of the keys, is an automorphism of Y that keeps J; one that
+carries chi to c carries E_chi J^k onto E_c J^k.  So E_p J and its powers
+are computed only for the first color p of each pattern: the rows of E_p J
+with p written as c are the rows of E_c J, and the power dimensions of
+E_p J count once per color of the pattern.
 
-The blocked closure (block_ideal) and the blocked powers (block_power_dims)
-take one function words(a, c): the products of a row a of right color c
-with the generators of the ideal that it meets, as words in the right
-generator maps.  On the unit E_chi these words are the generators
-themselves, so the closure is seeded by them, and a power step takes each
-row to its words: an ideal's generators are written once, and both serve
-any Y engine at q = 0.  The commutator ideal passes commutator_words; the
-nil algebra, the Y engine with quadratic pair (0, 0), passes the words
-a -> a T_i to get its radical.  No power step forms a product.
+The right ideals (block_ideal) and their powers (block_power_dims) take one
+function words(a, c): the products of a row a of right color c with the
+generators of the ideal that it meets, as words in the right generator
+maps.  E_p J is the right ideal generated by the products of the E_p g_w
+with the generators, so the closure is seeded by the words of the E_p g_w,
+and a power step takes each row to its words: an ideal's generators are
+written once, and both serve any Y engine at q = 0.  The commutator ideal
+passes commutator_words; the nil algebra, the Y engine with quadratic pair
+(0, 0), passes the words a -> a T_i to get its radical.  No power step
+forms a product, and every closure runs under the right g_i maps alone.
 block_ideal and block_power_dims build each Subspace from rows that are
 already reduced, through exactla.Subspace(field, rows), which indexes them;
 nothing here writes the rows of a Subspace.
@@ -43,10 +41,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import Counter, namedtuple
+from collections import namedtuple
 
 from . import exactla, symgroup as sg
-from .algebra import sum_block_dims
+from .algebra import color_patterns, sum_block_dims
 from .ycore import YAlgebra
 
 __all__ = [
@@ -187,67 +185,31 @@ def enumerate_one_dim_bruteforce(alg: YAlgebra) -> list[OneDimRep]:
     return found
 
 
-def _shape(c) -> tuple:
-    """Multiplicities of the colors of c, largest first: a partition of n
-    into at most r parts, the same for every vector in the orbit of c."""
-    return tuple(sorted(Counter(c).values(), reverse=True))
-
-
-def _shape_groups(alg: YAlgebra) -> list[list]:
-    """The central color blocks of alg grouped by shape, one list of orbits
-    per shape; the first orbit of each group is the one computed."""
-    groups: dict = {}
-    for orbit in alg.central_color_blocks():
-        groups.setdefault(_shape(orbit[0]), []).append(orbit)
-    return list(groups.values())
-
-
-def _relabel(rows: dict, source: list, target: list) -> dict:
-    """Rows of the block of orbit source carried to the block of target.
-
-    A bijection sigma of the color alphabet that matches colors of equal
-    multiplicity carries source onto target, and (chi, w) -> (sigma chi, w)
-    is then an isomorphism of the blocks.  It keeps the order of the keys
-    (chi, w) of fixed chi, so a reduced echelon basis of rows that each have
-    one left color is carried to the reduced echelon basis of the image.
-    """
-    def by_multiplicity(c):
-        counts = Counter(c)
-        return sorted(counts, key=lambda x: (-counts[x], x))
-
-    sigma = dict(zip(by_multiplicity(source[0]), by_multiplicity(target[0])))
-    image = {chi: tuple(sigma[x] for x in chi) for chi in source}
-    return {(image[p[0]], p[1]): {(image[chi], w): c for (chi, w), c in row.items()}
-            for p, row in rows.items()}
-
-
-def _unit_seeds(alg: YAlgebra, words, orbit) -> list[dict]:
-    """words(E_chi, chi) for each chi in orbit.  E_chi s = s for each
-    generator s of the block whose left color is chi, so these are the
-    block's generators."""
-    one = alg.field.one
-    return [v for chi in orbit for v in words({(chi, alg.ident): one}, chi)]
-
-
 def block_ideal(alg: YAlgebra, words) -> exactla.Subspace:
     """Two-sided ideal J, in the E basis, whose generators are the step
-    words of block_power_dims applied to the units: the block J e_O is
-    generated by words(E_chi, chi) for chi in O, vectors with one (left
-    color, right color) pair each, given alike for every orbit up to
-    relabeling the colors.
+    words of block_power_dims applied to the units E_chi, assembled from
+    its right ideals E_c J as in the module docstring.
 
-    One closure per shape, under left and right multiplication by the g_i,
-    carried to every orbit of that shape.  The g_i maps keep a vector at one
-    color pair, so the closure is stable under the t_j and the E_chi
-    projections too.  The blocks have disjoint supports, so the union of
-    their reduced bases is the reduced basis of J."""
+    E_p J is one closure under the right g_i maps of the words of every
+    row E_p g_w, whose right color is w^-1.p, for the first color p of
+    each equality pattern.  The words and the g_i maps keep a vector at
+    one color pair, so the closure is stable under the t_j and the E_chi
+    projections too.  Every key of E_p J has left color p, and writing c
+    for p keeps the order of the keys of each row, so it carries the
+    reduced echelon basis of E_p J to that of E_c J for each color c of
+    the pattern.  The blocks have disjoint supports, so the union of their
+    bases is that of J.  The classes are the equality patterns at every q:
+    the words read the colors even where the Gram walk does not."""
+    one = alg.field.one
+    images = alg.span_images()
     rows: dict = {}
-    images = alg.span_images(left=True)
-    for orbits in _shape_groups(alg):
-        seeds = _unit_seeds(alg, words, orbits[0])
-        block = exactla.tagged_closure(alg.field, images, [(None, seeds)])[None]
-        for orbit in orbits:
-            rows.update(_relabel(block.rows, orbits[0], orbit))
+    for members in color_patterns(alg.colors).values():
+        p = members[0]
+        seeds = (v for w in alg.perms for v in words({(p, w): one}, alg.act(alg._inv[w], p)))
+        block = exactla.tagged_closure(alg.field, images, [(None, seeds)])[None].rows
+        for c in members:
+            rows.update({(c, w): {(c, v): x for (_, v), x in row.items()}
+                         for (_, w), row in block.items()})
     return exactla.Subspace(alg.field, rows)
 
 
@@ -279,8 +241,8 @@ def commutator_words(alg: YAlgebra, row: dict, c: tuple) -> list[dict]:
     R_i of the block's rows; if not, c_{i+1} != c_{i+2}, and R_{i+1}(row)
     is itself a word.  So both braid words lie in the closure under the
     R_j of the words of the block's rows, which block_power_dims always
-    runs.  On a unit E_c, a = E_c g_{i+1} = g_{i+1} E_{s_{i+1} c}, and the
-    left maps of block_ideal's two-sided closure take its place.
+    runs.  The seed rows E_p g_w of block_ideal span E_p Y, which holds
+    a = R_{i+1}(E_p g_w), so the same closure there holds both.
 
     The words come in order: R_i(row) for each i with c_i != c_{i+1}, then
     the braid difference for each i <= n - 2 with c_i = c_{i+1} = c_{i+2}.
@@ -307,13 +269,12 @@ def block_power_dims(alg: YAlgebra, sub: exactla.Subspace, words) -> list[int]:
     """Power dimensions down to zero of a q = 0 ideal sub from block_ideal.
 
     Runs the recurrence J^(k+1) = closure(J^k . seeds) under right
-    multiplication by the g_i on the block of sub for one orbit per shape,
-    and counts each shape once per orbit.  The seeds and rows of a block
-    each have one (left color, right color) pair, and so do their products
-    and the images under the g_i, so the right t_j and E_chi maps add
-    nothing to the closure.  Right multiplication keeps the left color, so
-    each right ideal E_chi J^k of the block is computed on its own, in a
-    Subspace that holds only its rows.
+    multiplication by the g_i on the right ideal E_p J of the first color
+    p of each equality pattern, in a Subspace that holds only its rows, and
+    counts it once per color of the pattern (see the module docstring).
+    The seeds and rows each have one (left color, right color) pair, and so
+    do their products and the images under the g_i, so the right t_j and
+    E_chi maps add nothing to the closure.
 
     No seed product is formed.  E_chi g_w = g_w E_{w^-1 chi}, so a row a
     whose right color is c meets only the seeds s whose left color is c,
@@ -327,18 +288,18 @@ def block_power_dims(alg: YAlgebra, sub: exactla.Subspace, words) -> list[int]:
             chi, w = next(iter(row))
             yield from words(row, alg.act(alg._inv[w], chi))
 
-    by_left: dict = {}
-    for p, row in sub.rows.items():
-        by_left.setdefault(p[0], {})[p] = row
-    images = alg.span_images(left=False)
+    classes = {members[0]: len(members) for members in color_patterns(alg.colors).values()}
+    by_left: dict = {p: {} for p in classes}
+    for k, row in sub.rows.items():
+        if k[0] in by_left:
+            by_left[k[0]][k] = row
+    images = alg.span_images()
     blocks = []
-    for orbits in _shape_groups(alg):
-        for chi in orbits[0]:
-            part = exactla.Subspace(alg.field, by_left.get(chi, {}))
-            dims = exactla.tagged_power_dims(alg.field, {None: part},
-                                             lambda subs: [(None, vecs(subs[None].rows.values()))],
-                                             images)
-            blocks.append((len(orbits), dims))
+    for p, count in classes.items():
+        dims = exactla.tagged_power_dims(alg.field, {None: exactla.Subspace(alg.field, by_left[p])},
+                                         lambda subs: [(None, vecs(subs[None].rows.values()))],
+                                         images)
+        blocks.append((count, dims))
     return sum_block_dims(blocks)
 
 

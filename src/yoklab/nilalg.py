@@ -17,15 +17,15 @@ monomial or zero,
                        = 0                    otherwise.
 
 The radical is the two-sided ideal generated by T_1..T_{n-1}, the span of
-all t^a T_w with w != identity.  It and its powers are computed by the
-color-orbit blocks of modrep from one function, radical_words, which takes
-a row a to the words a T_i: a power step applies it to every row, and each
-block is seeded by its values on the units E_chi, the monomials E_chi T_i
-with chi in the orbit.  The tests hold them against the closed form: J^k
-is spanned by the keys with length(w) >= k, so the nilpotency index is
-length(w0) + 1.  The one-dimensional simples come from modrep's sweep
-over scalar systems, Y's relation check run at the pair (0, 0): a scalar
-image x of T_i has x^2 = 0, so only the r^n torus characters t_i ->
+all t^a T_w with w != identity.  It and its powers are computed by modrep,
+one right ideal E_p J per equality pattern, from one function,
+radical_words, which takes a row a to the words a T_i: a power step
+applies it to every row, and E_p J is seeded by its values on the rows
+E_p T_w, the monomials E_p T_w T_i.  The tests hold them against the closed
+form: J^k is spanned by the keys with length(w) >= k, so the nilpotency
+index is length(w0) + 1.  The one-dimensional simples come from modrep's
+sweep over scalar systems, Y's relation check run at the pair (0, 0): a
+scalar image x of T_i has x^2 = 0, so only the r^n torus characters t_i ->
 zeta^{c_i}, T_i -> 0 survive.  Each color chi yields a one-dimensional
 two-sided ideal on E_chi T_{w0}.  The trace, Gram, Frobenius, Nakayama,
 flip and cell checks in structure serve both engines.

@@ -49,7 +49,7 @@ from __future__ import annotations
 import random
 
 from . import exactla, symgroup as sg
-from .algebra import SparseAlgebra, SparseElement
+from .algebra import SparseAlgebra, SparseElement, color_patterns, equality_pattern
 from .exactla import _acc
 from .modrep import enumerate_labels, require_q0
 from .ycore import YAlgebra, torus_to_T
@@ -57,7 +57,6 @@ from .ycore import YAlgebra, torus_to_T
 __all__ = [
     "tau",
     "tau_terms",
-    "equality_pattern",
     "color_class",
     "color_classes",
     "gram_blocks",
@@ -101,13 +100,6 @@ def t_basis_keys(alg: SparseAlgebra) -> list:
     return sorted((a, w) for a in alg.exponents for w in alg.perms)
 
 
-def equality_pattern(c: tuple) -> tuple:
-    """The equality pattern of the color c, written as its first-occurrence
-    relabeling, itself a color: (2, 3, 2) -> (1, 2, 1)."""
-    seen: dict = {}
-    return tuple(seen.setdefault(x, len(seen) + 1) for x in c)
-
-
 def color_class(alg: YAlgebra, c: tuple) -> tuple:
     """class(c), the key of the Gram block of the color c in gram_blocks:
     its equality pattern, or the single class () when q - 1 = 0, as on the
@@ -117,12 +109,9 @@ def color_class(alg: YAlgebra, c: tuple) -> tuple:
 
 
 def color_classes(alg: YAlgebra) -> dict:
-    """{p: the colors of class p, in alg.colors order}, from one scan of
-    alg.colors; the classes come in the order of their first colors."""
-    out: dict = {}
-    for c in alg.colors:
-        out.setdefault(color_class(alg, c), []).append(c)
-    return out
+    """{p: the colors of class p, in alg.colors order}; the classes come in
+    the order of their first colors."""
+    return {(): alg.colors} if alg._qm1 is None else color_patterns(alg.colors)
 
 
 def gram_blocks(alg: YAlgebra) -> dict:
@@ -281,7 +270,7 @@ def _flip_holds(alg: YAlgebra, blocks: dict) -> bool:
     color of b's pattern when they agree for b."""
     one, act, inv = alg.field.one, alg.act, alg._inv
     classes = {c: color_class(alg, c) for c in alg.colors}
-    for b in dict.fromkeys(map(equality_pattern, alg.colors)):
+    for b in color_patterns(alg.colors):
         columns = {v: {} for v in alg.perms}
         for u, row in blocks[classes[b]].items():
             x = (act(u, b), u)

@@ -35,8 +35,8 @@ one-to-one, so moved keys never meet, and a down step moves its key to a
 shorter one, never to a kept key.  Two images meet only when an up step
 lands on a kept key, so the kept keys are merged last, the only sums
 formed.  At q = 0 a one-term row therefore has, on either side, only its
-up-step image besides multiples of itself, and span_images yields only
-those to a closure.
+up-step image besides multiples of itself, and span_images, the right
+closure of modrep's ideals, yields only those.
 
 At q = 0 the right step has a second layout, _rmul_g_group, on the terms
 of one permutation held as (w, {chi: a}).  The up-step test, and the
@@ -296,20 +296,18 @@ class YAlgebra(SparseAlgebra):
             _acc(out, key, a * qm1)
         return out
 
-    def span_images(self, left: bool):
+    def span_images(self):
         """The images function of exactla.tagged_closure for one untagged
-        span, under the right g_i maps and, with left, the left ones too.
+        span under the right g_i maps.
 
-        At q = 0 the image of a one-term row {(chi, w): a} under g_i on
-        either side is its key moved up, with coefficient a, or a multiple
-        of the row or 0, which adds nothing to a span that holds the row.
-        So a one-term row yields only its up-step images and calls no map;
-        longer rows, and every row when q != 0, go through the maps."""
-        gens = range(1, self.n)
-        maps = (index_maps(self._lmul_g, gens) if left else []) + index_maps(self._rmul_g, gens)
+        At q = 0 the image of a one-term row {(chi, w): a} under g_i is its
+        key moved up, with coefficient a, or a multiple of the row or 0,
+        which adds nothing to a span that holds the row.  So a one-term row
+        yields only its up-step images and calls no map; longer rows, and
+        every row when q != 0, go through the maps."""
+        maps = index_maps(self._rmul_g, range(1, self.n))
         keyed = self._q is None
-        rsteps = self._rstep[1:]
-        lsteps = list(enumerate(self._lstep[1:], 1)) if left else []
+        steps = self._rstep[1:]
 
         def images(rows):
             for v in rows:
@@ -318,11 +316,7 @@ class YAlgebra(SparseAlgebra):
                         yield f(v)
                     continue
                 ((chi, w), a), = v.items()
-                for i, step in lsteps:
-                    siw, up = step[w]
-                    if up:
-                        yield {(_swap(chi, i), siw): a}
-                for step in rsteps:
+                for step in steps:
                     wsi, up = step[w]
                     if up:
                         yield {(chi, wsi): a}

@@ -1,7 +1,8 @@
-"""The color-orbit blocks of the q = 0 ideals against the whole-algebra
-routes, the power steps as right-generator words, the AKS ordered-composition
-classes, the centrality and relabeling guards, and the closed form at the
-CLI frontier."""
+"""The q = 0 ideals assembled from one right ideal per color pattern
+against the whole-algebra routes, the seeds and power steps as
+right-generator words, the AKS orbit blocks and ordered-composition
+classes, the AKS centrality and relabeling guards, and the closed form at
+the CLI frontier."""
 
 import itertools
 import json
@@ -11,7 +12,7 @@ from collections import Counter
 import pytest
 
 from yoklab import YAlgebra, aks, algebra, cli, exactla, modrep, symgroup as sg
-from yoklab.exactla import Subspace, closure_under
+from yoklab.exactla import Subspace, _acc, closure_under
 
 import _helpers as H
 
@@ -28,13 +29,63 @@ def test_blocked_power_dims_match_full_route(r, n, kind):
     assert modrep.power_dims(alg, ideal) == H.y_full_power_dims(r, n, kind)
 
 
-@pytest.mark.parametrize("r,n", [(2, 3), (3, 3)])
-@pytest.mark.parametrize("kind", [H.FP13, H.CYC])
+# ids as kind-r-n, the form of the ids of the tests below
+Y_ORACLE_IDS = [f"{kind}-{r}-{n}" for r, n, kind in Y_ORACLE_SIZES]
+
+
+@pytest.mark.parametrize("r,n,kind", Y_ORACLE_SIZES, ids=Y_ORACLE_IDS)
 def test_assembled_ideal_rows_match_full_route(r, n, kind):
     # the reduced echelon basis with least-key pivots is unique, so the
-    # blocks carried to every orbit give the whole route's rows exactly
+    # right ideal of each pattern, carried to every color of it, gives the
+    # whole route's rows exactly, for Y's commutator ideal and nil's radical
     assert modrep.commutator_ideal(H.yalg(r, n, kind)).rows == \
         H.y_full_ideal(r, n, kind).rows
+    assert H.nilalg(r, n, kind).radical().rows == H.nil_full_radical(r, n, kind).rows
+
+
+def _order_rmul_g(alg, terms, i):
+    """YAlgebra._rmul_g with its color test read by order, chi[w(i)] <
+    chi[w(i+1)], not by equality."""
+    out: dict = {}
+    for (chi, w), a in terms.items():
+        wsi, up = alg._rstep[i][w]
+        if up:
+            _acc(out, (chi, wsi), a)
+            continue
+        if alg._q is not None:
+            _acc(out, (chi, wsi), a * alg._q)
+        if alg._qm1 is not None and chi[w[i - 1] - 1] < chi[w[i] - 1]:
+            _acc(out, (chi, w), a * alg._qm1)
+    return out
+
+
+def _order_words(real):
+    """commutator_words with its generator words R_i(row) kept only where
+    c_i < c_{i+1}, not wherever c_i != c_{i+1}."""
+    def words(alg, row, c):
+        got = real(alg, row, c)
+        gens = [i for i in range(1, alg.n) if c[i - 1] != c[i]]
+        return [v for i, v in zip(gens, got) if c[i - 1] < c[i]] + got[len(gens):]
+    return words
+
+
+@pytest.mark.parametrize("mutant", ["rmul_g", "words"])
+def test_order_reading_steps_break_the_pattern_rows(monkeypatch, mutant):
+    # a step that reads colors by order, not equality, is caught by the
+    # rows against the whole route.  The right step: the whole route also
+    # closes under the left maps, which keep the equality test, and the
+    # right ideals only under the mutant's right maps.  The words: a color's
+    # words, and so its right ideal, now change under a bijection of the
+    # color values, and the rows carried from the first color of a pattern
+    # are not those of its other colors
+    alg = H.yalg(2, 3, H.FP13)
+    if mutant == "rmul_g":
+        monkeypatch.setattr(YAlgebra, "_rmul_g", _order_rmul_g)
+        full = closure_under(alg.field, alg.all_generator_maps(), H.y_full_seeds(alg))
+    else:
+        monkeypatch.setattr(modrep, "commutator_words", _order_words(modrep.commutator_words))
+        full = H.y_full_ideal(2, 3, H.FP13)
+    assert modrep.commutator_ideal(alg).rows != full.rows
 
 
 def _right_color(alg, row):
@@ -87,11 +138,8 @@ def _word_cases(r, n, kind):
              _nil_word_seeds, lambda o: H.nil_block_seeds(nil, o))]
 
 
-def _g_maps(alg, left=True):
-    """The right g_i maps, after the left ones when left is set."""
-    gens = range(1, alg.n)
-    return ((algebra.index_maps(alg._lmul_g, gens) if left else [])
-            + algebra.index_maps(alg._rmul_g, gens))
+def _right_g_maps(alg):
+    return algebra.index_maps(alg._rmul_g, range(1, alg.n))
 
 
 def _oracle_powers(alg, ideal, seeds_of, depth=None):
@@ -122,7 +170,7 @@ def test_step_words_are_seed_products(r, n, kind):
     # the block's generators whose left color is c
     for alg, ideal, words, reference, word_seeds, seeds_of in _word_cases(r, n, kind):
         checked = 0
-        right = _g_maps(alg, left=False)
+        right = _right_g_maps(alg)
         for seeds, powers in _oracle_powers(alg, ideal, seeds_of, depth=2):
             for power in powers:
                 steps, products = [], []
@@ -161,7 +209,7 @@ def test_dropped_braid_words_lie_in_the_closure(r, n):
         full = H.y_commutator_words_reference(alg, unit, chi)
         dropped += len(full) - len(modrep.commutator_words(alg, unit, chi))
         assert all(ideal.contains(v) for v in full)
-    right = _g_maps(alg, left=False)
+    right = _right_g_maps(alg)
     by_left: dict = {}
     for p, row in ideal.rows.items():
         by_left.setdefault(p[0], {})[p] = row
@@ -184,21 +232,20 @@ def test_dropped_braid_words_lie_in_the_closure(r, n):
 @pytest.mark.parametrize("kind", [H.FP13, H.CYC])
 def test_keyed_images_span_the_map_images(r, n, kind):
     # at q = 0 a one-term row yields only its up-step keys; with the row,
-    # they span what its images under the g_i maps span
+    # they span what its images under the right g_i maps span
     y, nil = H.yalg(r, n, kind), H.nilalg(r, n, kind)
     checked = 0
     for alg, ideal in ((y, modrep.commutator_ideal(y)), (nil, nil.radical())):
-        for left in (True, False):
-            images = alg.span_images(left)
-            maps = _g_maps(alg, left)
-            for row in ideal.rows.values():
-                if len(row) != 1:
-                    continue
-                keyed = [v for _, vs in images({None: [row]}) for v in vs]
-                assert all(len(v) == 1 for v in keyed)
-                assert closure_under(alg.field, [], [row, *keyed]).rows == \
-                    closure_under(alg.field, [], [row, *(f(row) for f in maps)]).rows
-                checked += 1
+        images = alg.span_images()
+        maps = _right_g_maps(alg)
+        for row in ideal.rows.values():
+            if len(row) != 1:
+                continue
+            keyed = [v for _, vs in images({None: [row]}) for v in vs]
+            assert all(len(v) == 1 for v in keyed)
+            assert closure_under(alg.field, [], [row, *keyed]).rows == \
+                closure_under(alg.field, [], [row, *(f(row) for f in maps)]).rows
+            checked += 1
     assert checked or n == 1
 
 
@@ -232,58 +279,59 @@ def _generator_word_count(alg, c):
     return sum(c[i - 1] != c[i] for i in range(1, alg.n))
 
 
-def _unit_seed_mismatches(r, n, kind):
-    """(engine, first color) of every orbit block whose seeds, the step
-    words applied to the block's units, do not generate exactly its
-    definitional generators: y_block_seeds for Y, E_chi T_i for nil, and
-    for AKS the Peirce pieces of commutator_seeds() cut to the orbit,
-    against the piece steps of the units L_c.  For Y, whose unit words
-    leave out the braid words of non-constant triples, both sides are
-    closed under the left and right g_i, as in block_ideal; for nil and
-    AKS their spans are compared."""
+def _seed_mismatches(r, n, kind):
+    """(engine, color) of every right ideal E_c J of Y's commutator ideal
+    or of the nil radical, and (engine, first color) of every AKS orbit
+    block, that its seeds do not generate exactly.  For Y and nil the seeds
+    are the step words on every E_c g_w, as block_ideal seeds them, closed
+    under the right g_i, against the rows of left color c of the whole
+    route (y_full_ideal, nil_full_radical); for AKS the piece steps of the
+    units L_c of an orbit against the Peirce pieces of commutator_seeds()
+    cut to it, as spans."""
     y, nil, a = H.yalg(r, n, kind), H.nilalg(r, n, kind), H.aksalg(r, n, kind)
+    bad = []
+    for name, alg, words, full in (
+            ("y", y, lambda row, c: modrep.commutator_words(y, row, c), H.y_full_ideal(r, n, kind)),
+            ("nil", nil, nil.radical_words, H.nil_full_radical(r, n, kind))):
+        one, right = alg.field.one, _right_g_maps(alg)
+        for c in alg.colors:
+            seeds = [v for w in alg.perms for v in words({(c, w): one}, alg.act(alg._inv[w], c))]
+            rows = {p: row for p, row in full.rows.items() if p[0] == c}
+            if closure_under(alg.field, right, seeds).rows != rows:
+                bad.append((name, c))
     aks_seeds = a.commutator_seeds()
     one = a.field.one
-    cases = [("y", y, lambda o: modrep._unit_seeds(
-                  y, lambda row, c: modrep.commutator_words(y, row, c), o),
-              lambda o: H.y_block_seeds(y, o), _g_maps(y)),
-             ("nil", nil, lambda o: modrep._unit_seeds(nil, nil.radical_words, o),
-              lambda o: H.nil_block_seeds(nil, o), []),
-             ("aks", a, lambda o: [x for c in o for _, xs in a._piece_step(c, {(c, a.ident): one})
-                                 for x in xs],
-              lambda o: [x for s in H.aks_cut_seeds(a, o, aks_seeds)
-                         for _, x in H.aks_pieces(a, s, o)], [])]
-    bad = []
-    for name, alg, seeds_of, generators_of, maps in cases:
-        for orbit in alg.central_color_blocks():
-            span = closure_under(alg.field, maps, seeds_of(orbit)).rows
-            if span != closure_under(alg.field, maps, generators_of(orbit)).rows:
-                bad.append((name, orbit[0]))
+    for orbit in a.central_color_blocks():
+        steps = [x for c in orbit for _, xs in a._piece_step(c, {(c, a.ident): one}) for x in xs]
+        generators = [x for s in H.aks_cut_seeds(a, orbit, aks_seeds)
+                      for _, x in H.aks_pieces(a, s, orbit)]
+        if closure_under(a.field, [], steps).rows != closure_under(a.field, [], generators).rows:
+            bad.append(("aks", orbit[0]))
     return bad
 
 
 @pytest.mark.parametrize("r,n", [(r, n) for r in (1, 2, 3) for n in (1, 2, 3)] + [(2, 4)])
 @pytest.mark.parametrize("kind", [H.FP13, H.CYC])
 def test_unit_words_span_the_block_generators(r, n, kind):
-    assert _unit_seed_mismatches(r, n, kind) == []
+    assert _seed_mismatches(r, n, kind) == []
 
 
 def test_unit_seeds_need_the_braid_words(monkeypatch):
-    # a mutant that drops the braid words from the seeds alone: on a unit
-    # E_c it keeps only the E_c g_i, and on every row of J, which holds no
-    # unit, it is the real step; a unit keeps a braid word only where its
-    # color is constant on three places in a row
+    # a mutant that drops the braid words on the seed rows alone: on a
+    # one-term row with coefficient 1, as every seed row E_p g_w is, it
+    # keeps only the generator words, and the seeds of a color keep a braid
+    # word only where it is constant on three places in a row
     real = modrep.commutator_words
 
     def mutant(alg, row, c):
         words = real(alg, row, c)
-        if row == {(c, alg.ident): alg.field.one}:
+        if len(row) == 1 and next(iter(row.values())) == alg.field.one:
             return words[:_generator_word_count(alg, c)]
         return words
 
     monkeypatch.setattr(modrep, "commutator_words", mutant)
-    assert ("y", (1, 1, 1)) in _unit_seed_mismatches(1, 3, H.FP13)
-    assert ("y", (2, 2, 2)) in _unit_seed_mismatches(2, 3, H.FP13)
+    assert ("y", (1, 1, 1)) in _seed_mismatches(1, 3, H.FP13)
+    assert ("y", (2, 2, 2)) in _seed_mismatches(2, 3, H.FP13)
 
 
 def test_braid_words_are_needed(monkeypatch, capsys):
@@ -481,6 +529,8 @@ def test_aks_step_words_match_seed_products(r, n, kind):
 
 
 def test_centrality_guard_raises(monkeypatch, capsys):
+    # only the AKS engine splits off central orbit blocks, so only it and
+    # aks-compare, which runs it after the Y ideal, meet the guard
     real = algebra.color_orbits
 
     def broken(colors):
@@ -490,10 +540,8 @@ def test_centrality_guard_raises(monkeypatch, capsys):
 
     monkeypatch.setattr(algebra, "color_orbits", broken)
     with pytest.raises(ArithmeticError, match="not central"):
-        modrep.commutator_ideal(H.yalg(2, 2, H.FP13))
-    with pytest.raises(ArithmeticError, match="not central"):
         H.aksalg(2, 2, H.FP13).commutator_power_dims()
-    code = cli.main(["radical", "--r", "2", "--n", "3", "--field", "fp:13"])
+    code = cli.main(["aks-compare", "--r", "2", "--n", "3", "--field", "fp:13"])
     out = capsys.readouterr()
     assert code == 1
     assert out.out == ""

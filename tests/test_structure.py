@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from yoklab import NilAlgebra, SparseElement, YAlgebra, structure, symgroup as sg
+from yoklab import NilAlgebra, SparseElement, YAlgebra, algebra, structure, symgroup as sg
 from yoklab.exactla import _acc
 from yoklab.modrep import count_labels
 from yoklab.structure import (
@@ -611,9 +611,10 @@ def test_gram_blocks_make_one_right_multiplication_per_step(monkeypatch, engine,
 
 
 def test_color_classes_are_the_equality_patterns():
-    assert structure.equality_pattern((2, 3, 2)) == (1, 2, 1)
-    assert structure.equality_pattern((3, 3, 1, 2)) == (1, 1, 2, 3)
+    assert algebra.equality_pattern((2, 3, 2)) == (1, 2, 1)
+    assert algebra.equality_pattern((3, 3, 1, 2)) == (1, 1, 2, 3)
     alg = H.yalg(3, 3, H.FP13)
+    assert structure.color_classes(alg) == algebra.color_patterns(alg.colors)
     pairs = [(i, j) for i in range(3) for j in range(3)]
     for c in alg.colors:
         p = structure.color_class(alg, c)

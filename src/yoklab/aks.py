@@ -25,7 +25,11 @@ relation at s_i d, into its pieces at s_i d and d with no straightening.
 One function, _piece_step, gives the pieces of the products of a row with
 the commutator seeds as words in the right maps: applied to the units L_c
 it gives the block's generators, and a power step applies it to every row,
-so no seed product is formed.
+so no seed product is formed.  As in Y's commutator_words, it keeps the
+braid words of constant-color triples alone, and the closure that follows
+supplies the others.  Orbits of one ordered-composition class share their
+block's powers once _check_relabeling has matched the h_i maps, the only
+maps the closure calls, under the monotone relabeling of the colors.
 """
 
 from __future__ import annotations
@@ -288,30 +292,45 @@ class AKSAlgebra(SparseAlgebra):
                         yield e, (y,)
 
     def _piece_step(self, d, a: dict) -> list:
-        """The pieces (e, [a s L_e]) of a . s over the commutator seeds s, for
-        a row a of a piece of right color d, as words in the right maps.
+        """The pieces (e, [a s L_e]) of a . s over enough commutator seeds
+        s, for a row a of a piece of right color d, as words in the right
+        maps, that their closure under _right_images, over the rows of a
+        block, holds every such product.
 
         a = a L_d.  So a [h_i, h_(i+1)] = (a h_i) h_(i+1) - (a h_(i+1)) h_i,
         a [h_i, L_e] = (a h_i) L_e for e != d, and a [h_i, L_d] =
         (a h_i) L_d - a h_i is minus the sum of those, so it adds nothing to
         the span.  Far h_i commute, and L_e kills a and a h_i for e outside
-        the orbit of d.  The pieces of each a h_i are formed once, and
-        _h_pieces splits each product by h_i of a piece."""
+        the orbit of d.
+
+        The braid word a [h_i, h_(i+1)] is emitted only when d_i = d_(i+1)
+        = d_(i+2); then s_i and s_(i+1) fix d, and it is one piece at d.
+        Let N be the closure of the kept words.  For a piece m of tag d'
+        with d'_j != d'_(j+1), (m h_j) L_(s_j d') is a kept word and the
+        rest of m h_j is (q - 1)[d'_j < d'_(j+1)] m (_h_pieces), so modulo
+        N, h_j acts on m as a scalar.  In a non-constant triple one of h_i
+        and h_(i+1), say h, so acts on a, by l, and also on a h' for the
+        other one, h': by the same rule when h' keeps the tag d, that is
+        when its pair is equal, and else because h' then acts on a as a
+        scalar too.  N is stable under the right h_j, so (a h) h' = l a h'
+        = (a h') h modulo N, and the commutator lies in N.  In a power step
+        every piece m lies in the span of the rows of its tag, as J^k is an
+        ideal, and the word is linear in m.  On the unit seeds of
+        _orbit_pieces the closure is two-sided, so it holds
+        m . ((L_d' h_j) L_(s_j d')), the kept word of the unit L_d'
+        left-multiplied by m, which is (m h_j) L_(s_j d').  The pieces of
+        each a h_i are formed once, and _h_pieces splits each product by
+        h_i of a piece."""
         minus_one = -self.field.one
         by_h = [None] + [self._h_pieces(d, a, i) for i in range(1, self.n)]
         out = []
         for i in range(1, self.n - 1):
-            word: dict = {}
-            for e, y in by_h[i]:
-                for f, z in self._h_pieces(e, y, i + 1):
-                    # a fresh piece starts its tag's sum; a second one adds
-                    cur = word.setdefault(f, z)
-                    if cur is not z:
-                        vec_addmul(cur, self.field.one, z)
-            for e, y in by_h[i + 1]:
-                for f, z in self._h_pieces(e, y, i):
-                    vec_addmul(word.setdefault(f, {}), minus_one, z)
-            out += [(f, [z]) for f, z in word.items() if z]
+            if d[i - 1] == d[i] == d[i + 1]:
+                # s_i and s_(i+1) fix d: by_h holds a h_i and a h_(i+1) at d
+                word = self._rmul_h(dict(by_h[i]).get(d, {}), i + 1)
+                vec_addmul(word, minus_one, self._rmul_h(dict(by_h[i + 1]).get(d, {}), i))
+                if word:
+                    out.append((d, [word]))
         for i in range(1, self.n):
             out += [(e, [y]) for e, y in by_h[i] if e != d]
         return out
@@ -353,9 +372,16 @@ class AKSAlgebra(SparseAlgebra):
         relabeling of the colors of the orbit source onto those of the orbit
         target, is an isomorphism of their blocks: it carries source onto
         target, and for every basis key x of the block of source and each
-        generator map f of that block, sigma(f(x)) is the matching map (the
-        same h_i, L_(sigma c) for L_c) of sigma(x).  Raises ArithmeticError
-        on the first failure."""
+        h_i, sigma(x h_i) = sigma(x) h_i and sigma(h_i x) = h_i sigma(x).
+        Raises ArithmeticError on the first failure, naming the key and the
+        map.
+
+        These are the maps the block closure calls, beside order tests on
+        tags, which sigma keeps as it is monotone.  The L maps follow:
+        _lmul_L is a filter by left color, and _rmul_L reads
+        _straightened, a fold of _lmul_h over keys that stay in the orbit,
+        so both commute with sigma (L_c going to L_(sigma c)) once _lmul_h
+        does.  So the check proves sigma an isomorphism of the blocks."""
         sigma = _monotone_relabeling(source[0], target[0])
         moved = {c: tuple(sigma[x] for x in c) for c in source}
         if set(moved.values()) != set(target):
@@ -365,14 +391,15 @@ class AKSAlgebra(SparseAlgebra):
         def relabel(v):
             return {(moved[c], w): a for (c, w), a in v.items()}
 
-        left, right = self._block_maps(source)
-        moved_left, moved_right = self._block_maps(list(moved.values()))
-        pairs = list(zip(left + right, moved_left + moved_right))
         one = self.field.one
-        for x in ({(c, w): one} for c in source for w in self.perms):
-            if any(relabel(f(x)) != g(relabel(x)) for f, g in pairs):
-                raise ArithmeticError(f"the relabeling {sigma} is not an isomorphism "
-                                      f"of the blocks of {source[0]} and {target[0]}")
+        for key in itertools.product(source, self.perms):
+            x = {key: one}
+            for i in range(1, self.n):
+                for side, f in (("left", self._lmul_h), ("right", self._rmul_h)):
+                    if relabel(f(x, i)) != f(relabel(x), i):
+                        raise ArithmeticError(
+                            f"the relabeling {sigma} is not an isomorphism of the blocks "
+                            f"of {source[0]} and {target[0]}: h_{i} ({side}) on {key}")
 
     def commutator_power_dims(self) -> list[int]:
         """Power dimensions of the commutator ideal J, one block per

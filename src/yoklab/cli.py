@@ -117,18 +117,20 @@ def _nil_simples_verdict(alg):
 
 
 def _radical_verdict(alg):
-    """(ok, ideal, power dims, codim) of the nil radical or Y's commutator
-    ideal: ok when the codimension counts the simples and the powers reach 0."""
+    """(ok, blocks, power dims, codim) of the nil radical or Y's commutator
+    ideal, from its right ideals per color pattern (modrep.pattern_ideals),
+    whose rows are never written out for every color: ok when the
+    codimension counts the simples and the powers reach 0."""
     if isinstance(alg, NilAlgebra):
-        ideal = alg.radical()
-        dims = modrep.block_power_dims(alg, ideal, alg.radical_words)
+        blocks = alg.radical_blocks()
+        dims = modrep.block_power_dims(alg, blocks, alg.radical_words)
         simples = alg.r ** alg.n
     else:
-        ideal = modrep.commutator_ideal(alg)
-        dims = modrep.power_dims(alg, ideal)
+        blocks = modrep.commutator_blocks(alg)
+        dims = modrep.power_dims(alg, blocks)
         simples = modrep.count_labels(alg.r, alg.n)
-    codim = alg.dimension - ideal.dim()
-    return codim == simples and dims[-1] == 0, ideal, dims, codim
+    codim = alg.dimension - dims[0]
+    return codim == simples and dims[-1] == 0, blocks, dims, codim
 
 
 def _gram_verdict(alg, blocks=None):
@@ -214,14 +216,14 @@ def cmd_simples(args, field):
 
 
 def cmd_radical(args, field):
-    ok, ideal, dims, codim = _radical_verdict(_algebra(args, field))
+    ok, _, dims, codim = _radical_verdict(_algebra(args, field))
     name = "radical" if args.nil else "commutator ideal"
-    lines = [f"{name} dimension = {ideal.dim()} (codim {codim})",
+    lines = [f"{name} dimension = {dims[0]} (codim {codim})",
              f"power dimensions: {dims}",
              f"nilpotency index = {1 if dims[0] == 0 else len(dims)}"]
     return ok, lines, {"power_dims": dims, "ok": ok,
                        **({"nil": True} if args.nil else
-                          {"ideal_dim": ideal.dim(), "codim": codim})}
+                          {"ideal_dim": dims[0], "codim": codim})}
 
 
 def cmd_gram(args, field):
@@ -284,7 +286,7 @@ def cmd_aks_compare(args, field):
         ("one_dim", "one-dimensional reps",
          len(modrep.enumerate_one_dim_bruteforce(y)), len(a.one_dim_reps())),
         ("ideal_powers", "commutator ideal powers",
-         modrep.power_dims(y, modrep.commutator_ideal(y)), a.commutator_power_dims()),
+         modrep.power_dims(y, modrep.commutator_blocks(y)), a.commutator_power_dims()),
     ]
     ok = all(yv == av for _, _, yv, av in rows)
     lines = [f"{title}: {yv} vs {av} ({'ok' if yv == av else 'MISMATCH'})"
@@ -303,8 +305,8 @@ def cmd_report(args, field) -> int:
     p4 = aks.verify_presentation()["all_zero"]
     pn = nil.verify_presentation()["all_zero"]
 
-    rad_ok, ideal, dims, _ = _radical_verdict(y)
-    cert = modrep.semisimplicity_certificate(y, ideal=ideal)
+    rad_ok, blocks, dims, _ = _radical_verdict(y)
+    cert = modrep.semisimplicity_certificate(y, ideal=modrep.block_ideal(y, blocks))
     frob_ok, frob = _gram_verdict(y)
     naka = structure.nakayama_check(y, samples=50, seed=args.seed)
     cells_ok, tri, match = _cells_verdict(y)

@@ -19,9 +19,12 @@ the colors of the keys, is an automorphism of Y that keeps J; one that
 carries chi to c carries E_chi J^k onto E_c J^k.  So E_p J and its powers
 are computed only for the first color p of each pattern: the rows of E_p J
 with p written as c are the rows of E_c J, and the power dimensions of
-E_p J count once per color of the pattern.
+E_p J count once per color of the pattern.  The dimensions of J and its
+powers thus come from the pattern blocks alone; block_ideal writes out the
+rows of all r^n colors only for a reader of the rows, the semisimplicity
+certificate.
 
-The right ideals (block_ideal) and their powers (block_power_dims) take one
+The right ideals (pattern_ideals) and their powers (block_power_dims) take one
 function words(a, c): the products of a row a of right color c with the
 generators of the ideal that it meets, as words in the right generator
 maps.  E_p J is the right ideal generated by the products of the E_p g_w
@@ -31,9 +34,9 @@ written once, and both serve any Y engine at q = 0.  The commutator ideal
 passes commutator_words; the nil algebra, the Y engine with quadratic pair
 (0, 0), passes the words a -> a T_i to get its radical.  No power step
 forms a product, and every closure runs under the right g_i maps alone.
-block_ideal and block_power_dims build each Subspace from rows that are
-already reduced, through exactla.Subspace(field, rows), which indexes them;
-nothing here writes the rows of a Subspace.
+block_ideal builds its Subspace from rows that are already reduced,
+through exactla.Subspace(field, rows), which indexes them; nothing here
+writes the rows of a Subspace.
 """
 
 from __future__ import annotations
@@ -56,9 +59,11 @@ __all__ = [
     "rep_of_label",
     "check_one_dim",
     "enumerate_one_dim_bruteforce",
+    "pattern_ideals",
     "block_ideal",
     "commutator_words",
     "block_power_dims",
+    "commutator_blocks",
     "commutator_ideal",
     "power_dims",
     "nilpotency_index",
@@ -185,31 +190,39 @@ def enumerate_one_dim_bruteforce(alg: YAlgebra) -> list[OneDimRep]:
     return found
 
 
-def block_ideal(alg: YAlgebra, words) -> exactla.Subspace:
-    """Two-sided ideal J, in the E basis, whose generators are the step
-    words of block_power_dims applied to the units E_chi, assembled from
-    its right ideals E_c J as in the module docstring.
+def pattern_ideals(alg: YAlgebra, words) -> list:
+    """[(colors, E_p J)] over the equality patterns of colors, in the order
+    of their first colors p = colors[0], for the two-sided ideal J whose
+    generators are the step words of block_power_dims applied to the units
+    E_chi (see the module docstring).
 
     E_p J is one closure under the right g_i maps of the words of every
-    row E_p g_w, whose right color is w^-1.p, for the first color p of
-    each equality pattern.  The words and the g_i maps keep a vector at
-    one color pair, so the closure is stable under the t_j and the E_chi
-    projections too.  Every key of E_p J has left color p, and writing c
-    for p keeps the order of the keys of each row, so it carries the
-    reduced echelon basis of E_p J to that of E_c J for each color c of
-    the pattern.  The blocks have disjoint supports, so the union of their
-    bases is that of J.  The classes are the equality patterns at every q:
-    the words read the colors even where the Gram walk does not."""
+    row E_p g_w, whose right color is w^-1.p.  The words and the g_i maps
+    keep a vector at one color pair, so the closure is stable under the t_j
+    and the E_chi projections too.  Every key of E_p J has left color p.
+    The classes are the equality patterns at every q: the words read the
+    colors even where the Gram walk does not."""
     one = alg.field.one
     images = alg.span_images()
-    rows: dict = {}
+    blocks = []
     for members in color_patterns(alg.colors).values():
         p = members[0]
         seeds = (v for w in alg.perms for v in words({(p, w): one}, alg.act(alg._inv[w], p)))
-        block = exactla.tagged_closure(alg.field, images, [(None, seeds)])[None].rows
+        blocks.append((members, exactla.tagged_closure(alg.field, images, [(None, seeds)])[None]))
+    return blocks
+
+
+def block_ideal(alg: YAlgebra, blocks) -> exactla.Subspace:
+    """The ideal J assembled from its right ideals E_p J, blocks as
+    pattern_ideals returns them.  Writing c for p keeps the order of the
+    keys of each row, so it carries the reduced echelon basis of E_p J to
+    that of E_c J for each color c of the pattern.  The E_c J have disjoint
+    supports, so the union of their bases is that of J."""
+    rows: dict = {}
+    for members, block in blocks:
         for c in members:
             rows.update({(c, w): {(c, v): x for (_, v), x in row.items()}
-                         for (_, w), row in block.items()})
+                         for (_, w), row in block.rows.items()})
     return exactla.Subspace(alg.field, rows)
 
 
@@ -241,7 +254,7 @@ def commutator_words(alg: YAlgebra, row: dict, c: tuple) -> list[dict]:
     R_i of the block's rows; if not, c_{i+1} != c_{i+2}, and R_{i+1}(row)
     is itself a word.  So both braid words lie in the closure under the
     R_j of the words of the block's rows, which block_power_dims always
-    runs.  The seed rows E_p g_w of block_ideal span E_p Y, which holds
+    runs.  The seed rows E_p g_w of pattern_ideals span E_p Y, which holds
     a = R_{i+1}(E_p g_w), so the same closure there holds both.
 
     The words come in order: R_i(row) for each i with c_i != c_{i+1}, then
@@ -265,16 +278,16 @@ def commutator_words(alg: YAlgebra, row: dict, c: tuple) -> list[dict]:
     return words
 
 
-def block_power_dims(alg: YAlgebra, sub: exactla.Subspace, words) -> list[int]:
-    """Power dimensions down to zero of a q = 0 ideal sub from block_ideal.
+def block_power_dims(alg: YAlgebra, blocks, words) -> list[int]:
+    """Power dimensions down to zero of a q = 0 ideal J, from its right
+    ideals E_p J, blocks as pattern_ideals returns them.
 
     Runs the recurrence J^(k+1) = closure(J^k . seeds) under right
-    multiplication by the g_i on the right ideal E_p J of the first color
-    p of each equality pattern, in a Subspace that holds only its rows, and
-    counts it once per color of the pattern (see the module docstring).
-    The seeds and rows each have one (left color, right color) pair, and so
-    do their products and the images under the g_i, so the right t_j and
-    E_chi maps add nothing to the closure.
+    multiplication by the g_i on each E_p J, in a Subspace that holds only
+    its rows, and counts it once per color of the pattern (see the module
+    docstring).  The seeds and rows each have one (left color, right
+    color) pair, and so do their products and the images under the g_i, so
+    the right t_j and E_chi maps add nothing to the closure.
 
     No seed product is formed.  E_chi g_w = g_w E_{w^-1 chi}, so a row a
     whose right color is c meets only the seeds s whose left color is c,
@@ -288,34 +301,34 @@ def block_power_dims(alg: YAlgebra, sub: exactla.Subspace, words) -> list[int]:
             chi, w = next(iter(row))
             yield from words(row, alg.act(alg._inv[w], chi))
 
-    classes = {members[0]: len(members) for members in color_patterns(alg.colors).values()}
-    by_left: dict = {p: {} for p in classes}
-    for k, row in sub.rows.items():
-        if k[0] in by_left:
-            by_left[k[0]][k] = row
     images = alg.span_images()
-    blocks = []
-    for p, count in classes.items():
-        dims = exactla.tagged_power_dims(alg.field, {None: exactla.Subspace(alg.field, by_left[p])},
-                                         lambda subs: [(None, vecs(subs[None].rows.values()))],
-                                         images)
-        blocks.append((count, dims))
-    return sum_block_dims(blocks)
+    return sum_block_dims([
+        (len(members), exactla.tagged_power_dims(
+            alg.field, {None: block}, lambda subs: [(None, vecs(subs[None].rows.values()))],
+            images))
+        for members, block in blocks])
+
+
+def commutator_blocks(alg: YAlgebra) -> list:
+    """The right ideals E_p J of the commutator ideal J, by pattern_ideals."""
+    return pattern_ideals(alg, functools.partial(commutator_words, alg))
 
 
 def commutator_ideal(alg: YAlgebra) -> exactla.Subspace:
     """Two-sided ideal generated by commutators of generators, in the E basis."""
-    return block_ideal(alg, lambda row, c: commutator_words(alg, row, c))
+    return block_ideal(alg, commutator_blocks(alg))
 
 
-def power_dims(alg: YAlgebra, sub: exactla.Subspace) -> list[int]:
-    """Power dimensions of the commutator ideal sub down to zero."""
-    return block_power_dims(alg, sub, lambda row, c: commutator_words(alg, row, c))
+def power_dims(alg: YAlgebra, blocks) -> list[int]:
+    """Power dimensions of the commutator ideal down to zero, from its
+    commutator_blocks."""
+    return block_power_dims(alg, blocks, functools.partial(commutator_words, alg))
 
 
-def nilpotency_index(alg: YAlgebra, sub: exactla.Subspace) -> int:
-    """Smallest k with J^k = 0 (k = 1 when J itself is zero)."""
-    dims = power_dims(alg, sub)
+def nilpotency_index(alg: YAlgebra, blocks) -> int:
+    """Smallest k with J^k = 0 (k = 1 when J itself is zero), J the
+    commutator ideal given by its commutator_blocks."""
+    dims = power_dims(alg, blocks)
     return 1 if dims[0] == 0 else len(dims)
 
 

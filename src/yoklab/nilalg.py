@@ -18,7 +18,7 @@ monomial or zero,
 
 The radical is the two-sided ideal generated by T_1..T_{n-1}, the span of
 all t^a T_w with w != identity.  It and its powers are computed by modrep,
-one right ideal E_p J per equality pattern, from one function,
+one right ideal E_p J per equality pattern (radical_blocks), from one function,
 radical_words, which takes a row a to the words a T_i: a power step
 applies it to every row, and E_p J is seeded by its values on the rows
 E_p T_w, the monomials E_p T_w T_i.  The tests hold them against the closed
@@ -67,11 +67,15 @@ class NilAlgebra(YAlgebra):
         it meets, as right maps.  On row = E_c they are those generators."""
         return [self._rmul_g(row, i) for i in range(1, self.n)]
 
+    def radical_blocks(self) -> list:
+        """The right ideals E_p J of the radical J, by modrep.pattern_ideals."""
+        return modrep.pattern_ideals(self, self.radical_words)
+
     def radical(self) -> exactla.Subspace:
-        return modrep.block_ideal(self, self.radical_words)
+        return modrep.block_ideal(self, self.radical_blocks())
 
     def radical_power_dims(self) -> list[int]:
-        return modrep.block_power_dims(self, self.radical(), self.radical_words)
+        return modrep.block_power_dims(self, self.radical_blocks(), self.radical_words)
 
     def __repr__(self):
         return f"NilAlgebra(r={self.r}, n={self.n}, {self.field!r})"

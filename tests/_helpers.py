@@ -14,7 +14,7 @@ from yoklab.scalars import FieldSpec, _parse_terms, cyclotomic_polynomial
 from yoklab import modrep, structure, symgroup as sg
 from yoklab.algebra import (SparseElement, braid_relations, far_relations,
                             idempotent_relations, relation_report, sum_block_dims)
-from yoklab.aks import _straightening
+from yoklab.aks import _monotone_relabeling, _straightening
 from yoklab.exactla import Subspace, _acc, closure_under, ideal_power_dims, vec_addmul
 
 FP13 = "fp13"
@@ -51,8 +51,9 @@ def classification_analysis(r: int, n: int, kind: str = CYC) -> dict:
     certificate.  Brute force is skipped for (3,3) over the rationals only
     when unaffordable; here it is affordable everywhere required."""
     alg = yalg(r, n, kind)
-    ideal = modrep.commutator_ideal(alg)
-    dims = modrep.power_dims(alg, ideal)
+    blocks = modrep.commutator_blocks(alg)
+    ideal = modrep.block_ideal(alg, blocks)
+    dims = modrep.power_dims(alg, blocks)
     cert = modrep.semisimplicity_certificate(alg, ideal=ideal)
     return {
         "dimension": alg.dimension,
@@ -62,7 +63,7 @@ def classification_analysis(r: int, n: int, kind: str = CYC) -> dict:
         "ideal_dim": ideal.dim(),
         "power_dims": dims,
         "nilpotent": dims[-1] == 0,
-        "index": modrep.nilpotency_index(alg, ideal),
+        "index": modrep.nilpotency_index(alg, blocks),
         "certified": cert["certified"],
         "certificate": cert,
     }
@@ -955,3 +956,48 @@ def y_commutator_words_reference(alg, row: dict, c: tuple) -> list:
         else:
             words += [up, down]
     return words
+
+
+def aks_piece_step_reference(a, d, x: dict) -> list:
+    """The full piece-word list of AKSAlgebra._piece_step for a row x of
+    right color d: the pieces of x [h_i, h_(i+1)] for every i, then the
+    pieces (x h_i) L_e with e != d.  Each is x times one commutator seed,
+    cut to a piece, so this is the reference that _piece_step, which emits
+    the braid words of constant-color triples alone, is checked against."""
+    one, minus_one = a.field.one, -a.field.one
+    by_h = [None] + [a._h_pieces(d, x, i) for i in range(1, a.n)]
+    out = []
+    for i in range(1, a.n - 1):
+        word: dict = {}
+        for (first, second), coeff in (((i, i + 1), one), ((i + 1, i), minus_one)):
+            for e, y in by_h[first]:
+                for f, z in a._h_pieces(e, y, second):
+                    vec_addmul(word.setdefault(f, {}), coeff, z)
+        out += [(f, [z]) for f, z in word.items() if z]
+    for i in range(1, a.n):
+        out += [(e, [y]) for e, y in by_h[i] if e != d]
+    return out
+
+
+def aks_relabeling_L_mismatches(a, source, target) -> list:
+    """(map, key) for every basis key (c, w) of the block of the orbit
+    source, and each L_e with e in source, at which the monotone relabeling
+    sigma onto the orbit target fails to commute with left or right
+    multiplication by L_e, L_e going to L_(sigma e): the L pairs that
+    AKSAlgebra._check_relabeling leaves out, as an oracle that they follow
+    from the h pairs."""
+    sigma = _monotone_relabeling(source[0], target[0])
+    moved = {c: tuple(sigma[x] for x in c) for c in source}
+
+    def relabel(v):
+        return {(moved[c], w): x for (c, w), x in v.items()}
+
+    one = a.field.one
+    bad = []
+    for c, w in ((c, w) for c in source for w in a.perms):
+        x = {(c, w): one}
+        for e in source:
+            for side, f in (("left", a._lmul_L), ("right", a._rmul_L)):
+                if relabel(f(x, e)) != f(relabel(x), moved[e]):
+                    bad.append((f"L_{e} ({side})", (c, w)))
+    return bad

@@ -24,9 +24,9 @@ Y_ORACLE_SIZES = ([(r, n, H.FP13) for r in (1, 2, 3) for n in (1, 2, 3, 4)]
 @pytest.mark.parametrize("r,n,kind", Y_ORACLE_SIZES)
 def test_blocked_power_dims_match_full_route(r, n, kind):
     alg = H.yalg(r, n, kind)
-    ideal = modrep.commutator_ideal(alg)
-    assert ideal.dim() == H.y_full_ideal(r, n, kind).dim()
-    assert modrep.power_dims(alg, ideal) == H.y_full_power_dims(r, n, kind)
+    blocks = modrep.commutator_blocks(alg)
+    assert modrep.block_ideal(alg, blocks).dim() == H.y_full_ideal(r, n, kind).dim()
+    assert modrep.power_dims(alg, blocks) == H.y_full_power_dims(r, n, kind)
 
 
 # ids as kind-r-n, the form of the ids of the tests below
@@ -228,6 +228,39 @@ def test_dropped_braid_words_lie_in_the_closure(r, n):
     assert (dropped > 0) == (r > 1 and n > 2)
 
 
+def _word_count(groups) -> int:
+    return sum(len(xs) for _, xs in groups)
+
+
+@pytest.mark.parametrize("r,n", AKS_ORACLE_SIZES)
+def test_dropped_aks_braid_words_lie_in_the_closure(r, n):
+    # the braid words of non-constant triples that AKSAlgebra._piece_step
+    # leaves out: on the units they lie in the block J L_O, and on the rows
+    # of J and J^2 in the closure of the kept words under _right_images
+    a = H.aksalg(r, n, H.FP13)
+    one = a.field.one
+    dropped = 0
+    for orbit in a.central_color_blocks():
+        block = a._orbit_pieces(orbit)
+        for c in orbit:
+            unit = {(c, a.ident): one}
+            full = H.aks_piece_step_reference(a, c, unit)
+            dropped += _word_count(full) - _word_count(a._piece_step(c, unit))
+            assert all(e in block and block[e].contains(y) for e, ys in full for y in ys)
+        cur = block
+        for _ in range(2):
+            steps, full = [], []
+            for d, sub in cur.items():
+                for row in sub.rows.values():
+                    steps += a._piece_step(d, row)
+                    full += H.aks_piece_step_reference(a, d, row)
+            cur = exactla.tagged_closure(a.field, a._right_images, steps)
+            dropped += _word_count(full) - _word_count(steps)
+            assert all(e in cur and cur[e].contains(y) for e, ys in full for y in ys)
+    # non-constant triples occur from r = 2, n = 3 on
+    assert (dropped > 0) == (r > 1 and n > 2)
+
+
 @pytest.mark.parametrize("r,n", [(r, n) for r in (1, 2, 3) for n in (1, 2, 3)])
 @pytest.mark.parametrize("kind", [H.FP13, H.CYC])
 def test_keyed_images_span_the_map_images(r, n, kind):
@@ -287,7 +320,9 @@ def _seed_mismatches(r, n, kind):
     under the right g_i, against the rows of left color c of the whole
     route (y_full_ideal, nil_full_radical); for AKS the piece steps of the
     units L_c of an orbit against the Peirce pieces of commutator_seeds()
-    cut to it, as spans."""
+    cut to it, each closed under the left and right block maps, as the
+    unit seeds are in AKSAlgebra._orbit_pieces: the steps keep the braid
+    words of constant-color triples alone, so their plain span is smaller."""
     y, nil, a = H.yalg(r, n, kind), H.nilalg(r, n, kind), H.aksalg(r, n, kind)
     bad = []
     for name, alg, words, full in (
@@ -305,7 +340,9 @@ def _seed_mismatches(r, n, kind):
         steps = [x for c in orbit for _, xs in a._piece_step(c, {(c, a.ident): one}) for x in xs]
         generators = [x for s in H.aks_cut_seeds(a, orbit, aks_seeds)
                       for _, x in H.aks_pieces(a, s, orbit)]
-        if closure_under(a.field, [], steps).rows != closure_under(a.field, [], generators).rows:
+        maps = [f for side in a._block_maps(orbit) for f in side]
+        if closure_under(a.field, maps, steps).rows != \
+                closure_under(a.field, maps, generators).rows:
             bad.append(("aks", orbit[0]))
     return bad
 
@@ -362,14 +399,14 @@ def test_right_closure_changes_y_powers(monkeypatch):
     # braid word, and 210 with the step words, which leave the braid words
     # of non-constant triples to the closure
     alg = YAlgebra(2, 5, H.field(H.FP13, 2))
-    ideal = modrep.commutator_ideal(alg)
-    assert modrep.power_dims(alg, ideal)[:2] == [3678, 3210]
+    blocks = modrep.commutator_blocks(alg)
+    assert modrep.power_dims(alg, blocks)[:2] == [3678, 3210]
     real = exactla.tagged_power_dims
     monkeypatch.setattr(exactla, "tagged_power_dims",
                         lambda field, subs, step, images: real(field, subs, step, lambda new: []))
-    assert modrep.power_dims(alg, ideal)[:2] == [3678, 3000]
+    assert modrep.power_dims(alg, blocks)[:2] == [3678, 3000]
     monkeypatch.setattr(modrep, "commutator_words", H.y_commutator_words_reference)
-    assert modrep.power_dims(alg, ideal)[:2] == [3678, 3206]
+    assert modrep.power_dims(alg, blocks)[:2] == [3678, 3206]
 
 
 @pytest.mark.parametrize("r,n,kind", [(r, n, kind) for r, n in [(2, 3), (3, 3), (2, 4)]
@@ -388,6 +425,16 @@ def test_aks_word_powers_match_mul_terms_products(r, n, kind):
         H.aks_orbit_power_dims(r, n, kind)
 
 
+def _aks_classes(a) -> list:
+    """The orbits of a, grouped by the multiplicities of their colors in
+    color order, as AKSAlgebra.commutator_power_dims groups them."""
+    classes: dict = {}
+    for orbit in a.central_color_blocks():
+        counts = Counter(orbit[0])
+        classes.setdefault(tuple(counts[x] for x in sorted(counts)), []).append(orbit)
+    return list(classes.values())
+
+
 @pytest.mark.parametrize("r,n", [(2, 3), (3, 3), (2, 4)])
 @pytest.mark.parametrize("kind", [H.FP13, H.CYC])
 def test_aks_orbits_match_their_class(r, n, kind):
@@ -396,13 +443,10 @@ def test_aks_orbits_match_their_class(r, n, kind):
     # orbit's tagged rows are Peirce pieces of its block from the cut seeds,
     # as many as its dimension
     a = H.aksalg(r, n, kind)
-    classes: dict = {}
-    for orbit in a.central_color_blocks():
-        counts = Counter(orbit[0])
-        classes.setdefault(tuple(counts[x] for x in sorted(counts)), []).append(orbit)
+    classes = _aks_classes(a)
     if (r, n) == (3, 3):
         assert (len(a.central_color_blocks()), len(classes)) == (10, 4)
-    for orbits in classes.values():
+    for orbits in classes:
         first = a._orbit_power_dims(orbits[0])
         for orbit in orbits[1:]:
             a._check_relabeling(orbits[0], orbit)
@@ -451,6 +495,64 @@ def test_relabeling_guard_raises(monkeypatch, capsys):
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("r,n", [(r, n) for r in (1, 2, 3) for n in (1, 2, 3)])
+@pytest.mark.parametrize("kind", [H.FP13, H.CYC])
+def test_relabeling_l_pairs_follow_from_the_h_pairs(r, n, kind):
+    # _check_relabeling tests the h_i maps alone; on every pair of orbits of
+    # one class the L_e maps, left and right, commute with the relabeling too
+    a = aks.AKSAlgebra(r, n, H.field(kind, r))
+    pairs = 0
+    for orbits in _aks_classes(a):
+        for orbit in orbits[1:]:
+            a._check_relabeling(orbits[0], orbit)
+            assert H.aks_relabeling_L_mismatches(a, orbits[0], orbit) == []
+            pairs += 1
+    assert (pairs > 0) == (r > 1)
+
+
+def _value_reading_lmul_h(alg, terms: dict, i: int) -> dict:
+    """AKSAlgebra._lmul_h with the straightening term applied only where
+    c_i = 1: it reads a color value where the relation reads an order."""
+    out: dict = {}
+    for (c, w), a in terms.items():
+        sc = sg.right_mult_s(c, i)
+        siw, up = alg._lstep[i][w]
+        if up:
+            _acc(out, (sc, siw), a)
+        else:
+            _acc(out, (sc, siw), a * alg.q)
+            _acc(out, (sc, w), a * alg.qm1)
+        if c[i - 1] == 1 and c[i] != 1:
+            _acc(out, (c, w), a * alg.qm1)
+    return out
+
+
+def test_relabeling_check_names_the_failing_key(monkeypatch, capsys):
+    # a left h_i that reads the color 1 commutes with a relabeling that
+    # fixes 1 and not with one that moves it; the error names the first
+    # key and map that fail, here and on the CLI, and the L pairs that the
+    # check leaves out fail with it, as _rmul_L folds _lmul_h
+    a = aks.AKSAlgebra(3, 3, H.field(H.FP13, 3))
+    orbits = {orbit[0]: orbit for orbit in a.central_color_blocks()}
+    source = orbits[(1, 1, 2)]
+    a._check_relabeling(source, orbits[(2, 2, 3)])
+    monkeypatch.setattr(aks.AKSAlgebra, "_lmul_h", _value_reading_lmul_h)
+    a._check_relabeling(source, orbits[(1, 1, 3)])
+    with pytest.raises(ArithmeticError) as err:
+        a._check_relabeling(source, orbits[(2, 2, 3)])
+    assert str(err.value) == ("the relabeling {1: 2, 2: 3} is not an isomorphism of the "
+                              "blocks of (1, 1, 2) and (2, 2, 3): h_2 (left) on "
+                              "((1, 1, 2), (1, 2, 3))")
+    assert H.aks_relabeling_L_mismatches(a, source, orbits[(2, 2, 3)]) != []
+    monkeypatch.undo()
+    monkeypatch.setattr(aks, "_monotone_relabeling", lambda source, target: dict(
+        zip(sorted(set(source)), sorted(set(target), reverse=True))))
+    assert cli.main(["aks-compare", "--r", "3", "--n", "2", "--field", "fp:13"]) == 1
+    assert capsys.readouterr().err == (
+        "error: the relabeling {1: 3, 2: 1} is not an isomorphism of the blocks of (1, 2) "
+        "and (1, 3): h_1 (left) on ((1, 2), (1, 2))\n")
+
+
 @pytest.mark.parametrize("kind", [H.FP13, H.CYC])
 def test_aks_right_rules_match_mul_terms(kind):
     a = H.aksalg(2, 3, kind)
@@ -493,21 +595,25 @@ def test_h_pieces_match_rmul_L(r, n, kind, q):
 
 
 def _tag_spans(a, groups) -> dict:
-    """{tag: reduced rows of the span of its vectors} of (tag, vectors)
-    groups."""
+    """{tag: span of its vectors} of (tag, vectors) groups."""
     vecs: dict = {}
     for tag, xs in groups:
         vecs.setdefault(tag, []).extend(xs)
-    return {tag: closure_under(a.field, [], xs).rows for tag, xs in vecs.items()}
+    return {tag: closure_under(a.field, [], xs) for tag, xs in vecs.items()}
+
+
+def _tag_rows(a, groups) -> dict:
+    return {tag: span.rows for tag, span in _tag_spans(a, groups).items()}
 
 
 @pytest.mark.parametrize("r,n", [(2, 3), (3, 3), (2, 4)])
 @pytest.mark.parametrize("kind", [H.FP13, H.CYC])
 def test_aks_step_words_match_seed_products(r, n, kind):
     # on each orbit and at each power of the block from the cut seeds, the
-    # piece step of each Peirce piece of a row spans, tag by tag, the
-    # pieces of its products with the cut seeds, and the right pieces
-    # close the steps to the next power
+    # full piece-word list of each Peirce piece of a row spans, tag by tag,
+    # the pieces of its products with the cut seeds, and the piece step
+    # lies in that span; over the rows of a power the right pieces close
+    # the steps to the next power
     a = H.aksalg(r, n, kind)
     for orbit in a.central_color_blocks():
         cut, right, cur = H.aks_orbit_block(a, orbit)
@@ -518,7 +624,10 @@ def test_aks_step_words_match_seed_products(r, n, kind):
                     step = a._piece_step(d, x)
                     products = [(e, [y]) for s in cut
                                 for e, y in H.aks_pieces(a, H.aks_right_product(a, x, s), orbit)]
-                    assert _tag_spans(a, step) == _tag_spans(a, products)
+                    spans = _tag_spans(a, products)
+                    assert _tag_rows(a, H.aks_piece_step_reference(a, d, x)) == \
+                        {tag: span.rows for tag, span in spans.items()}
+                    assert all(e in spans and spans[e].contains(y) for e, ys in step for y in ys)
                     steps += step
                 by_seeds += [H.aks_right_product(a, row, s) for s in cut]
             nxt = closure_under(a.field, right, by_seeds)

@@ -286,22 +286,26 @@ def _drop_a_nil_simple(monkeypatch):
 
 
 def _drop_a_nil_radical_row(monkeypatch):
-    radical = NilAlgebra.radical
+    # the verdicts read the radical from its right ideal per color pattern
+    radical_blocks = NilAlgebra.radical_blocks
 
     def dropped(self):
-        rows = dict(radical(self).rows)
+        blocks = radical_blocks(self)
+        members, block = blocks[0]
+        rows = dict(block.rows)
         del rows[next(iter(rows))]
-        return Subspace(self.field, rows)
+        return [(members, Subspace(self.field, rows)), *blocks[1:]]
 
-    monkeypatch.setattr(NilAlgebra, "radical", dropped)
+    monkeypatch.setattr(NilAlgebra, "radical_blocks", dropped)
     return ["radical", "--nil"]
 
 
 @pytest.mark.parametrize("plant", [_drop_a_nil_simple, _drop_a_nil_radical_row])
 def test_report_judges_the_nil_values_it_prints(monkeypatch, capsys, plant):
-    # one nil simple too few, or a radical one row short (codimension
-    # r^n + 1): report prints the wrong value and fails on it, as the
-    # subcommand that shares its verdict does
+    # one nil simple too few, or a radical one row short in the right
+    # ideal of its first pattern, (1, 1), which counts for both of its
+    # colors (codimension r^n + 2): report prints the wrong value and fails
+    # on it, as the subcommand that shares its verdict does
     size = ["--r", "2", "--n", "2", "--field", "fp:13"]
     code, out, _ = run(capsys, "report", *size)
     assert code == 0

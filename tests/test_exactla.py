@@ -105,9 +105,9 @@ def test_power_dims_nonnilpotent_raises():
 def test_seeded_recurrence_matches_pairwise():
     # the seeded recurrence against the pairwise products of the test oracle
     y = H.yalg(2, 3)
-    y_ideal = modrep.commutator_ideal(y)
-    assert H.pairwise_power_dims(y.field, y.mul_terms, y_ideal) \
-        == modrep.power_dims(y, y_ideal) == [30, 10, 0]
+    y_blocks = modrep.commutator_blocks(y)
+    assert H.pairwise_power_dims(y.field, y.mul_terms, modrep.block_ideal(y, y_blocks)) \
+        == modrep.power_dims(y, y_blocks) == [30, 10, 0]
 
     nil = H.nilalg(2, 3)
     assert H.pairwise_power_dims(nil.field, nil.mul_terms, nil.radical()) \

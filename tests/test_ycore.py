@@ -336,7 +336,7 @@ def test_zero_quadratic_terms_are_skipped(monkeypatch):
     nil = NilAlgebra(3, 3, field=f)
     assert nil.radical_power_dims() == H.nil_analysis(3, 3, H.FP13)["power_dims"]
     y = YAlgebra(3, 3, field=f)
-    assert modrep.power_dims(y, modrep.commutator_ideal(y)) == \
+    assert modrep.power_dims(y, modrep.commutator_blocks(y)) == \
         H.classification_analysis(3, 3, H.FP13)["power_dims"]
     assert zeros == []
 

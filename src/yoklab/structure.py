@@ -37,15 +37,19 @@ count the pairs before a Nakayama failure.
 
 Cells: basis monomials (chi, w) are ranked by (length(w), w, chi).  At q = 0
 multiplication by any generator sends a basis monomial to monomials of the
-same or higher rank, and the square of E_chi g_w touches the (chi, w)
-coefficient itself in a single scalar beta, which vanishes unless w.chi =
-chi, so beta is formed only at those keys.  The keys with nonzero beta are
-predicted by the simple-module labels: (c, longest element of the Young
-subgroup of the flattened run compositions).
+same or higher rank.  triangularity_check applies the generator maps at
+the keys of one color per equality pattern, which is exact for maps that
+commute with relabeling the colors, as Y's do, and reruns the loop over
+every color only to name a failure.  The square of E_chi g_w touches the
+(chi, w) coefficient itself in a single scalar beta, which vanishes unless
+w.chi = chi, so beta is formed only at those keys.  The keys with nonzero
+beta are predicted by the simple-module labels: (c, longest element of the
+Young subgroup of the flattened run compositions).
 """
 
 from __future__ import annotations
 
+import operator
 import random
 
 from . import exactla, symgroup as sg
@@ -373,24 +377,19 @@ def cell_rank(alg: YAlgebra, key):
     return (alg._len[w], w, chi)
 
 
-def triangularity_check(alg: YAlgebra) -> dict:
-    """Every generator, acting on either side of a basis monomial, only
-    produces monomials of the same or higher cell rank.
-
-    Runs over the basis keys (c, w), colors outer and permutations inner.
-    Each key's one-term dict is built once and every map of
-    all_generator_maps is applied to it.  cell_rank orders by (length, w)
-    first, so each permutation's position in that order is read from a
-    table built once, and colors are compared only when the permutations
-    tie.  Returns {"ok": bool, "witness": None or the first offending
-    (key, image key)}.
-    """
-    require_q0(alg)
+def _first_lowering(alg: YAlgebra, colors, tie):
+    """The first key (c, w), colors outer and permutations inner, that a
+    map of all_generator_maps sends to an image (c2, w2) with w2 of lower
+    cell rank, or with w2 = w and tie(c2, c).  Each key's one-term dict is
+    built once and every map is applied to it.  cell_rank orders by
+    (length, w) first, so each permutation's position in that order is read
+    from a table built once, and colors are compared only when the
+    permutations tie.  Returns (key, image key), or None."""
     one = alg.field.one
     maps = alg.all_generator_maps()
     order = sorted(alg.perms, key=lambda w: (alg._len[w], w))
     pos = {w: k for k, w in enumerate(order)}
-    for c in alg.colors:
+    for c in colors:
         for w in alg.perms:
             key = (c, w)
             x = {key: one}
@@ -398,9 +397,36 @@ def triangularity_check(alg: YAlgebra) -> dict:
             for f in maps:
                 for c2, w2 in f(x):
                     r2 = pos[w2]
-                    if r2 < rank or (r2 == rank and c2 < c):
-                        return {"ok": False, "witness": (key, (c2, w2))}
-    return {"ok": True, "witness": None}
+                    if r2 < rank or (r2 == rank and tie(c2, c)):
+                        return key, (c2, w2)
+    return None
+
+
+def triangularity_check(alg: YAlgebra) -> dict:
+    """Every generator, acting on either side of a basis monomial, only
+    produces monomials of the same or higher cell rank.
+
+    The maps of all_generator_maps read a color only by an equality test
+    of two entries, a swap of two entries and a nonzero factor zeta^c, so
+    they commute with every relabeling sigma of the color values: the image
+    keys of (sigma c, w) are sigma applied to the image keys of (c, w).
+    Every color c is sigma p for its equality pattern p, the keys of
+    color_patterns, so the maps are first applied at the patterns alone.
+    Lex order on colors does not commute with sigma, so there an image
+    (c2, w2) of (p, w) is flagged when w2 has lower rank, or w2 = w and
+    c2 != p: an offending image (c2, w2) of (sigma p, w) is sigma of the
+    image (sigma^-1 c2, w2) of (p, w), and c2 < sigma p gives sigma^-1 c2
+    != p.  If no pattern is flagged the check passes.  Otherwise the same
+    loop over every color, with the tie c2 < c, decides and returns the
+    first offending key in the order colors outer, permutations inner.
+    Returns {"ok": bool, "witness": None or the first offending (key,
+    image key)}.
+    """
+    require_q0(alg)
+    witness = _first_lowering(alg, color_patterns(alg.colors), operator.ne)
+    if witness is not None:
+        witness = _first_lowering(alg, alg.colors, operator.lt)
+    return {"ok": witness is None, "witness": witness}
 
 
 def _nonzero_betas(alg: YAlgebra) -> dict:

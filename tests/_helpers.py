@@ -555,6 +555,28 @@ def all_keys_nonzero_betas(alg) -> dict:
     return out
 
 
+def all_colors_triangularity(alg) -> dict:
+    """The triangularity check at every basis key (c, w), colors outer and
+    permutations inner: every map of all_generator_maps applied to each
+    key, an image (c2, w2) offending when w2 comes before w in (length, w)
+    order, or w2 = w and c2 < c.  An oracle for structure.triangularity_check,
+    which applies the maps at one color per equality pattern first."""
+    one = alg.field.one
+    maps = alg.all_generator_maps()
+    order = sorted(alg.perms, key=lambda w: (alg._len[w], w))
+    pos = {w: k for k, w in enumerate(order)}
+    for c in alg.colors:
+        for w in alg.perms:
+            key = (c, w)
+            rank = pos[w]
+            for f in maps:
+                for c2, w2 in f({key: one}):
+                    r2 = pos[w2]
+                    if r2 < rank or (r2 == rank and c2 < c):
+                        return {"ok": False, "witness": (key, (c2, w2))}
+    return {"ok": True, "witness": None}
+
+
 def cycle_count(w) -> int:
     """Number of cycles of the permutation w, singletons included."""
     seen, count = set(), 0

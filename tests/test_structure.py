@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -23,6 +24,7 @@ from yoklab.structure import (
     tau,
     triangularity_check,
 )
+from yoklab.ycore import _swap
 
 import _helpers as H
 
@@ -227,6 +229,53 @@ def test_triangularity_catches_a_lowering_map(monkeypatch, r, name, mutate, witn
     assert triangularity_check(alg)["ok"]
     monkeypatch.setattr(YAlgebra, name, mutate(getattr(YAlgebra, name)))
     assert triangularity_check(alg) == {"ok": False, "witness": witness}
+    assert H.all_colors_triangularity(alg) == {"ok": False, "witness": witness}
+
+
+def _lmul_g_relabeling(lmul_g):
+    """Y's left g_i map plus (s_i chi, w) on every length-down step with
+    chi_i != chi_(i+1).  It commutes with relabeling the colors, and the
+    added key is lower in the order of colors exactly when chi_i > chi_(i+1),
+    which at n = 2 no equality pattern, (1, 1) or (1, 2), satisfies."""
+    def mutant(self, terms, i):
+        out = dict(lmul_g(self, terms, i))
+        for (chi, w), a in terms.items():
+            if not self._lstep[i][w][1] and chi[i - 1] != chi[i]:
+                _acc(out, (_swap(chi, i), w), a)
+        return out
+    return mutant
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_triangularity_catches_a_lowering_only_off_the_patterns(monkeypatch, r):
+    alg = YAlgebra(r, 2, field=H.field(H.FP13, r))
+    monkeypatch.setattr(YAlgebra, "_lmul_g", _lmul_g_relabeling(YAlgebra._lmul_g))
+    want = {"ok": False, "witness": (((2, 1), (2, 1)), ((1, 2), (2, 1)))}
+    assert triangularity_check(alg) == want
+    assert H.all_colors_triangularity(alg) == want
+
+
+@pytest.mark.parametrize("kind", [H.FP13, H.CYC])
+@pytest.mark.parametrize("r,n", [(r, n) for r in range(1, 4) for n in range(1, 4)] + [(4, 4)])
+def test_triangularity_matches_the_all_color_oracle(r, n, kind):
+    alg = H.yalg(r, n, kind)
+    assert triangularity_check(alg) == H.all_colors_triangularity(alg)
+
+
+@pytest.mark.parametrize("r,n", [(r, n) for r in range(1, 4) for n in range(1, 4)] + [(4, 3)])
+def test_generator_maps_commute_with_relabeling_the_colors(r, n):
+    """The premise of triangularity_check: for every generator map f, every
+    key (c, w) and every permutation sigma of the color values, the image
+    keys of (sigma c, w) are sigma applied to the image keys of (c, w)."""
+    alg = H.yalg(r, n)
+    one = alg.field.one
+    for f in alg.all_generator_maps():
+        images = {(c, w): set(f({(c, w): one})) for c in alg.colors for w in alg.perms}
+        for perm in itertools.permutations(range(1, r + 1)):
+            sigma = dict(zip(range(1, r + 1), perm))
+            for (c, w), keys in images.items():
+                moved = {(tuple(sigma[x] for x in c2), w2) for c2, w2 in keys}
+                assert images[tuple(sigma[x] for x in c), w] == moved
 
 
 def test_cells_match_labels():

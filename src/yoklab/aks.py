@@ -17,19 +17,20 @@ the Hecke rule on w alone, and by L_d the straightening of h_w L_d, cached
 per (w, d).  Both h_i maps read w s_i or s_i w from the permutation tables
 of SparseAlgebra, and skip a term whose coefficient q or q - 1 is zero.
 
-The commutator ideal J is closed and powered one orbit block J L_O at a
-time, over its Peirce pieces L_c J L_d with c, d in O.  Each row lies in
-one piece and is tagged with its right color d.  L_e acts on a row x by 1
-or 0 from either side, h_i x keeps the tag d, and x h_i splits, by the
-relation at s_i d, into its pieces at s_i d and d with no straightening.
-One function, _piece_step, gives the pieces of the products of a row with
-the commutator seeds as words in the right maps: applied to the units L_c
-it gives the block's generators, and a power step applies it to every row,
-so no seed product is formed.  As in Y's commutator_words, it keeps the
-braid words of constant-color triples alone, and the closure that follows
-supplies the others.  Orbits of one ordered-composition class share their
-block's powers once _check_relabeling has matched the h_i maps, the only
-maps the closure calls, under the monotone relabeling of the colors.
+The commutator ideal J is closed and powered one right ideal L_c J at a
+time.  Each row has left color c and is tagged with its right color d:
+L_e acts on it by 1 or 0, and x h_i splits, by the relation at s_i d,
+into its pieces at s_i d and d with no straightening.  L_c A is the
+closure of the unit L_c under these right images alone.  One function,
+_piece_step, gives the pieces of the products of a row with the commutator
+seeds as words in the right maps, and a power step applies it to every
+row: from L_c A it gives L_c J, and from L_c J^k the next power, so no
+seed product is formed.  As in Y's commutator_words, it keeps the braid
+words of constant-color triples alone, and the closure that follows
+supplies the others.  The colors of the orbits of one ordered-composition
+class share their powers once _check_relabeling has matched the pieces of
+the right h_i, the only map the closure calls, under the monotone
+relabeling of the colors.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ import itertools
 from collections import Counter
 
 from . import symgroup as sg
-from .algebra import (SparseAlgebra, SparseElement, braid_relations, far_relations,
-                      idempotent_relations, index_maps, relation_report, sum_block_dims)
+from .algebra import (SparseAlgebra, SparseElement, braid_relations, color_orbits,
+                      far_relations, idempotent_relations, index_maps, relation_report,
+                      sum_block_dims)
 from .exactla import _acc, tagged_closure, tagged_power_dims, vec_addmul
 
 __all__ = ["AKSAlgebra"]
@@ -249,19 +251,6 @@ class AKSAlgebra(SparseAlgebra):
         return (index_maps(self._lmul_h, gens) + index_maps(self._lmul_L, orbit),
                 index_maps(self._rmul_h, gens) + index_maps(self._rmul_L, orbit))
 
-    def _left_images(self, new: dict):
-        """(d, [L_e h_i x]) for each row x of new, {d: rows of right color
-        d}, and each h_i, over the left colors e that h_i x meets: h_i x
-        lies in A L_d, and its keys of left color e make its piece L_e h_i x.
-        Lazy, so each image is dropped once it is inserted."""
-        for d, xs in new.items():
-            for x in xs:
-                for i in range(1, self.n):
-                    split: dict = {}
-                    for k, v in self._lmul_h(x, i).items():
-                        split.setdefault(k[0], {})[k] = v
-                    yield d, split.values()
-
     def _h_pieces(self, d, x: dict, i: int) -> list:
         """The pieces (e, x h_i L_e) of x h_i with e = s_i d or d, for x
         with x = x L_d, with no straightening.
@@ -295,7 +284,7 @@ class AKSAlgebra(SparseAlgebra):
         """The pieces (e, [a s L_e]) of a . s over enough commutator seeds
         s, for a row a of a piece of right color d, as words in the right
         maps, that their closure under _right_images, over the rows of a
-        block, holds every such product.
+        right ideal L_c J^k (J^0 = A), holds every such product.
 
         a = a L_d.  So a [h_i, h_(i+1)] = (a h_i) h_(i+1) - (a h_(i+1)) h_i,
         a [h_i, L_e] = (a h_i) L_e for e != d, and a [h_i, L_d] =
@@ -313,14 +302,10 @@ class AKSAlgebra(SparseAlgebra):
         other one, h': by the same rule when h' keeps the tag d, that is
         when its pair is equal, and else because h' then acts on a as a
         scalar too.  N is stable under the right h_j, so (a h) h' = l a h'
-        = (a h') h modulo N, and the commutator lies in N.  In a power step
-        every piece m lies in the span of the rows of its tag, as J^k is an
-        ideal, and the word is linear in m.  On the unit seeds of
-        _orbit_pieces the closure is two-sided, so it holds
-        m . ((L_d' h_j) L_(s_j d')), the kept word of the unit L_d'
-        left-multiplied by m, which is (m h_j) L_(s_j d').  The pieces of
-        each a h_i are formed once, and _h_pieces splits each product by
-        h_i of a piece."""
+        = (a h') h modulo N, and the commutator lies in N.  Every piece m lies
+        in the span of the rows of its tag, as L_c J^k is a right ideal, and
+        the word is linear in m.  The pieces of each a h_i are formed once,
+        and _h_pieces splits each product by h_i of a piece."""
         minus_one = -self.field.one
         by_h = [None] + [self._h_pieces(d, a, i) for i in range(1, self.n)]
         out = []
@@ -335,53 +320,49 @@ class AKSAlgebra(SparseAlgebra):
             out += [(e, [y]) for e, y in by_h[i] if e != d]
         return out
 
-    def _orbit_power_dims(self, orbit) -> list[int]:
-        """Power dimensions of the block J L_O, O = orbit, of the commutator
-        ideal J, from its _orbit_pieces.  A power step takes each row to its
-        _piece_step, and the closure of those under the _right_images is
-        the next power, as the step is linear and its vectors span the
-        pieces of the products of the row with the generators of J."""
-        return tagged_power_dims(
-            self.field, self._orbit_pieces(orbit),
-            lambda subs: [g for d, sub in subs.items() for a in sub.rows.values()
-                          for g in self._piece_step(d, a)],
-            self._right_images)
+    def _power_step(self, subs: dict) -> list:
+        """The _piece_step groups of every row of subs, {d: span of its rows
+        of right color d}, read in place."""
+        return [g for d, sub in subs.items() for a in sub.rows.values()
+                for g in self._piece_step(d, a)]
 
-    def _orbit_pieces(self, orbit) -> dict:
-        """The block J L_O, O = orbit, as {d: span of its pieces of right
-        color d}.
+    def _color_ideal(self, c) -> dict:
+        """The right ideal L_c J of the commutator ideal J, as {d: span of
+        its rows of right color d}.
 
-        L_O is central and the L_c are orthogonal idempotents, so J L_O is
-        the direct sum of its Peirce pieces L_c J L_d over c, d in O.  Every
-        row lies in one piece, tagged with its right color d, and its keys
-        all have left color c.  Rows of one tag and different left colors
-        share no key, so the span of a tag holds its pieces side by side,
-        and elimination never crosses pieces.  L_e x and x L_e are x or 0
-        on a piece, so only the h_i act: _left_images and _right_images
-        split their images back into pieces.  J L_O is generated by the
-        L_c s over c in O and the commutator seeds s, so the block is the
-        closure of the _piece_step of each unit L_c, tagged c."""
-        one = self.field.one
-        seeds = [piece for c in orbit
-                 for piece in self._piece_step(c, {(c, self.ident): one})]
-        return tagged_closure(self.field, lambda new: itertools.chain(
-            self._left_images(new), self._right_images(new)), seeds)
+        L_c A is the closure of the unit L_c, tagged c, under _right_images:
+        A is generated by the h_i and the L_e, and L_e acts on a row of tag
+        d by 1 or 0.  Every key of a row has left color c, and its tag is
+        its right color.  L_c J = (L_c A) J is one power step from L_c A."""
+        unit = [(c, [{(c, self.ident): self.field.one}])]
+        left = tagged_closure(self.field, self._right_images, unit)
+        return tagged_closure(self.field, self._right_images, self._power_step(left))
+
+    def _color_power_dims(self, c) -> list[int]:
+        """Power dimensions of L_c J.  A power step takes each row of
+        L_c J^k to its _piece_step, and the closure of those under
+        _right_images is L_c J^(k+1)."""
+        return tagged_power_dims(self.field, self._color_ideal(c), self._power_step,
+                                 self._right_images)
 
     def _check_relabeling(self, source, target) -> None:
         """Exact check that (c, w) -> (sigma c, w), with sigma the monotone
         relabeling of the colors of the orbit source onto those of the orbit
-        target, is an isomorphism of their blocks: it carries source onto
-        target, and for every basis key x of the block of source and each
-        h_i, sigma(x h_i) = sigma(x) h_i and sigma(h_i x) = h_i sigma(x).
-        Raises ArithmeticError on the first failure, naming the key and the
-        map.
+        target, carries the right ideals L_c J^k, c in source, onto the
+        L_(sigma c) J^k: it carries source onto target, and for every key
+        (d, w) with d in source and each h_i it carries the pieces
+        _h_pieces(d, {(d, w): 1}, i), tags included, onto those of the
+        image key at sigma d.  Raises ArithmeticError on the first failure,
+        naming the key and the map.
 
-        These are the maps the block closure calls, beside order tests on
-        tags, which sigma keeps as it is monotone.  The L maps follow:
-        _lmul_L is a filter by left color, and _rmul_L reads
-        _straightened, a fold of _lmul_h over keys that stay in the orbit,
-        so both commute with sigma (L_c going to L_(sigma c)) once _lmul_h
-        does.  So the check proves sigma an isomorphism of the blocks."""
+        _h_pieces is the one map that _color_power_dims calls: _right_images
+        splits by it, and _piece_step reads each a h_i from it and applies
+        _rmul_h, the sum of its pieces.  It carries the left color of a key
+        along and reads only w and the tag, so the keys (d, w) stand for
+        those of every left color.  Beside it, the closure tests tags for
+        equality, which sigma keeps, and orders keys, which sigma keeps as
+        it is monotone.  So the check proves that sigma carries the
+        computation for c onto that for sigma c."""
         sigma = _monotone_relabeling(source[0], target[0])
         moved = {c: tuple(sigma[x] for x in c) for c in source}
         if set(moved.values()) != set(target):
@@ -393,38 +374,41 @@ class AKSAlgebra(SparseAlgebra):
 
         one = self.field.one
         for key in itertools.product(source, self.perms):
+            d = key[0]
             x = {key: one}
             for i in range(1, self.n):
-                for side, f in (("left", self._lmul_h), ("right", self._rmul_h)):
-                    if relabel(f(x, i)) != f(relabel(x), i):
-                        raise ArithmeticError(
-                            f"the relabeling {sigma} is not an isomorphism of the blocks "
-                            f"of {source[0]} and {target[0]}: h_{i} ({side}) on {key}")
+                if [(moved[e], relabel(y)) for e, y in self._h_pieces(d, x, i)] != \
+                        self._h_pieces(moved[d], relabel(x), i):
+                    raise ArithmeticError(
+                        f"the relabeling {sigma} is not an isomorphism of the blocks "
+                        f"of {source[0]} and {target[0]}: h_{i} (right) on {key}")
 
     def commutator_power_dims(self) -> list[int]:
-        """Power dimensions of the commutator ideal J, one block per
-        ordered-composition class of orbits.
+        """Power dimensions of the commutator ideal J, one right ideal L_c J
+        per color c of one orbit per ordered-composition class.
 
-        For an orbit O of colors, L_O = sum_{c in O} L_c is central, so
-        J = (+)_O J L_O.  D_i(c) depends only on whether c_i is <, = or >
-        c_{i+1}, so a relabeling of the colors that is monotone on those of
-        O carries the block of O, and its commutator seeds, onto the block
-        of the image orbit.  Orbits whose colors have the same
-        multiplicities in color order (the same composition of n) thus have
-        isomorphic blocks.  The first orbit of each class is closed and
+        The L_c are orthogonal idempotents that sum to 1, as
+        verify_presentation checks, so each J^k is the direct sum of the
+        right ideals L_c J^k, and no block of colors needs to be central.
+        D_i(c) depends only on whether c_i is <, = or > c_{i+1}, so a
+        relabeling of the colors that is monotone on those of an orbit O
+        carries the L_c J^k with c in O, the block of O, onto the block of
+        the image orbit.  Orbits whose colors have the same multiplicities
+        in color order (the same composition of n) thus have blocks of the
+        same powers.  Each color of the first orbit of a class is closed and
         powered, and counted once per orbit of its class once
-        _check_relabeling has confirmed each isomorphism.  Nothing is
+        _check_relabeling has confirmed each relabeling.  Nothing is
         carried over from the Y engine.
         """
         classes: dict = {}
-        for orbit in self.central_color_blocks():
+        for orbit in color_orbits(self.colors):
             counts = Counter(orbit[0])
             classes.setdefault(tuple(counts[x] for x in sorted(counts)), []).append(orbit)
         blocks = []
         for orbits in classes.values():
             for orbit in orbits[1:]:
                 self._check_relabeling(orbits[0], orbit)
-            blocks.append((len(orbits), self._orbit_power_dims(orbits[0])))
+            blocks += [(len(orbits), self._color_power_dims(c)) for c in orbits[0]]
         return sum_block_dims(blocks)
 
     def __repr__(self):

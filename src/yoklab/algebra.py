@@ -284,21 +284,6 @@ class SparseAlgebra:
     def all_generator_maps(self):
         return self.lmul_gen_maps() + self.rmul_gen_maps()
 
-    def central_color_blocks(self) -> list[list]:
-        """The S_n-orbits O of color vectors, after an exact check that each
-        e_O = sum_{c in O} (c, 1) in a color-keyed mul_basis commutes with
-        every generator; raises ArithmeticError on the first that does not.
-        Each central e_O splits the algebra and its ideals off block by block.
-        """
-        one = self.field.one
-        pairs = list(zip(self.lmul_gen_maps(), self.rmul_gen_maps()))
-        orbits = color_orbits(self.colors)
-        for orbit in orbits:
-            e = {(c, self.ident): one for c in orbit}
-            if any(lm(e) != rm(e) for lm, rm in pairs):
-                raise ArithmeticError(f"the color block of {orbit[0]} is not central")
-        return orbits
-
     # -- element JSON ----------------------------------------------------------
 
     def element_to_json(self, x: "SparseElement") -> dict:

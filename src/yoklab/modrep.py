@@ -66,7 +66,6 @@ __all__ = [
     "commutator_blocks",
     "commutator_ideal",
     "power_dims",
-    "nilpotency_index",
     "semisimplicity_certificate",
     "label_to_json",
     "label_from_json",
@@ -323,13 +322,6 @@ def power_dims(alg: YAlgebra, blocks) -> list[int]:
     """Power dimensions of the commutator ideal down to zero, from its
     commutator_blocks."""
     return block_power_dims(alg, blocks, functools.partial(commutator_words, alg))
-
-
-def nilpotency_index(alg: YAlgebra, blocks) -> int:
-    """Smallest k with J^k = 0 (k = 1 when J itself is zero), J the
-    commutator ideal given by its commutator_blocks."""
-    dims = power_dims(alg, blocks)
-    return 1 if dims[0] == 0 else len(dims)
 
 
 def semisimplicity_certificate(alg: YAlgebra, ideal=None) -> dict:

@@ -12,9 +12,9 @@ from functools import lru_cache
 from yoklab import AKSAlgebra, NilAlgebra, YAlgebra, make_field
 from yoklab.scalars import FieldSpec, _parse_terms, cyclotomic_polynomial
 from yoklab import modrep, structure, symgroup as sg
-from yoklab.algebra import (SparseElement, braid_relations, far_relations,
+from yoklab.algebra import (SparseElement, braid_relations, color_orbits, far_relations,
                             idempotent_relations, relation_report, sum_block_dims)
-from yoklab.aks import _monotone_relabeling, _straightening
+from yoklab.aks import _straightening
 from yoklab.exactla import Subspace, _acc, closure_under, ideal_power_dims, vec_addmul
 
 FP13 = "fp13"
@@ -63,7 +63,7 @@ def classification_analysis(r: int, n: int, kind: str = CYC) -> dict:
         "ideal_dim": ideal.dim(),
         "power_dims": dims,
         "nilpotent": dims[-1] == 0,
-        "index": modrep.nilpotency_index(alg, blocks),
+        "index": 1 if dims[0] == 0 else len(dims),
         "certified": cert["certified"],
         "certificate": cert,
     }
@@ -152,10 +152,18 @@ def y_full_power_dims(r: int, n: int, kind: str = CYC) -> list:
 
 
 @lru_cache(maxsize=None)
+def aks_full_ideal(r: int, n: int, kind: str = CYC) -> Subspace:
+    """The AKS commutator ideal as the two-sided closure of the product
+    seeds, commutator_seeds(), on the whole algebra: an oracle for the
+    right ideals L_c J of AKSAlgebra._color_ideal."""
+    a = aksalg(r, n, kind)
+    return closure_under(a.field, a.all_generator_maps(), a.commutator_seeds())
+
+
+@lru_cache(maxsize=None)
 def aks_ideal_power_dims(r: int, n: int, kind: str = CYC) -> list:
     a = aksalg(r, n, kind)
-    ideal = closure_under(a.field, a.all_generator_maps(), a.commutator_seeds())
-    return ideal_power_dims(a.field, a.mul_terms, ideal,
+    return ideal_power_dims(a.field, a.mul_terms, aks_full_ideal(r, n, kind),
                             seeds=a.commutator_seeds(),
                             right_maps=a.rmul_gen_maps())
 
@@ -223,7 +231,7 @@ def aks_orbit_power_dims(r: int, n: int, kind: str = CYC) -> list:
     for the word step on one orbit per class."""
     a = aksalg(r, n, kind)
     blocks = []
-    for orbit in a.central_color_blocks():
+    for orbit in color_orbits(a.colors):
         cut, right, ideal = aks_orbit_block(a, orbit)
         blocks.append((1, ideal_power_dims(a.field, a.mul_terms, ideal, cut, right)))
     return sum_block_dims(blocks)
@@ -1000,26 +1008,3 @@ def aks_piece_step_reference(a, d, x: dict) -> list:
         out += [(e, [y]) for e, y in by_h[i] if e != d]
     return out
 
-
-def aks_relabeling_L_mismatches(a, source, target) -> list:
-    """(map, key) for every basis key (c, w) of the block of the orbit
-    source, and each L_e with e in source, at which the monotone relabeling
-    sigma onto the orbit target fails to commute with left or right
-    multiplication by L_e, L_e going to L_(sigma e): the L pairs that
-    AKSAlgebra._check_relabeling leaves out, as an oracle that they follow
-    from the h pairs."""
-    sigma = _monotone_relabeling(source[0], target[0])
-    moved = {c: tuple(sigma[x] for x in c) for c in source}
-
-    def relabel(v):
-        return {(moved[c], w): x for (c, w), x in v.items()}
-
-    one = a.field.one
-    bad = []
-    for c, w in ((c, w) for c in source for w in a.perms):
-        x = {(c, w): one}
-        for e in source:
-            for side, f in (("left", a._lmul_L), ("right", a._rmul_L)):
-                if relabel(f(x, e)) != f(relabel(x), moved[e]):
-                    bad.append((f"L_{e} ({side})", (c, w)))
-    return bad

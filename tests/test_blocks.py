@@ -1,8 +1,8 @@
 """The q = 0 ideals assembled from one right ideal per color pattern
 against the whole-algebra routes, the seeds and power steps as
-right-generator words, the AKS orbit blocks and ordered-composition
-classes, the AKS centrality and relabeling guards, and the closed form at
-the CLI frontier."""
+right-generator words, the AKS right ideals per color and
+ordered-composition classes, the AKS relabeling guard, and the closed form
+at the CLI frontier."""
 
 import itertools
 import json
@@ -147,7 +147,7 @@ def _oracle_powers(alg, ideal, seeds_of, depth=None):
     bases of E_chi J, E_chi J^2, ... (the first depth of them), each power
     from the products of every row of the last one with every seed, closed
     under the right generator maps."""
-    for orbit in alg.central_color_blocks():
+    for orbit in algebra.color_orbits(alg.colors):
         seeds = seeds_of(orbit)
         for chi in orbit:
             cur = Subspace(alg.field, {p: row for p, row in ideal.rows.items() if p[0] == chi})
@@ -187,7 +187,7 @@ def test_step_words_are_seed_products(r, n, kind):
                 assert closure_under(alg.field, right, steps).rows == \
                     closure_under(alg.field, right, products).rows
         assert checked
-        for orbit in alg.central_color_blocks():
+        for orbit in algebra.color_orbits(alg.colors):
             seeds = seeds_of(orbit)
             for c in orbit:
                 meeting = [s for s in seeds if next(iter(s))[0] == c]
@@ -235,20 +235,16 @@ def _word_count(groups) -> int:
 @pytest.mark.parametrize("r,n", AKS_ORACLE_SIZES)
 def test_dropped_aks_braid_words_lie_in_the_closure(r, n):
     # the braid words of non-constant triples that AKSAlgebra._piece_step
-    # leaves out: on the units they lie in the block J L_O, and on the rows
-    # of J and J^2 in the closure of the kept words under _right_images
+    # leaves out: on the rows of L_c A, the unit L_c among them, of L_c J
+    # and of L_c J^2, they lie in the closure of the kept words under
+    # _right_images, the next power
     a = H.aksalg(r, n, H.FP13)
     one = a.field.one
     dropped = 0
-    for orbit in a.central_color_blocks():
-        block = a._orbit_pieces(orbit)
-        for c in orbit:
-            unit = {(c, a.ident): one}
-            full = H.aks_piece_step_reference(a, c, unit)
-            dropped += _word_count(full) - _word_count(a._piece_step(c, unit))
-            assert all(e in block and block[e].contains(y) for e, ys in full for y in ys)
-        cur = block
-        for _ in range(2):
+    for c in a.colors:
+        cur = exactla.tagged_closure(a.field, a._right_images, [(c, [{(c, a.ident): one}])])
+        assert cur[c].rows[(c, a.ident)] == {(c, a.ident): one}
+        for _ in range(3):
             steps, full = [], []
             for d, sub in cur.items():
                 for row in sub.rows.values():
@@ -320,9 +316,9 @@ def _seed_mismatches(r, n, kind):
     under the right g_i, against the rows of left color c of the whole
     route (y_full_ideal, nil_full_radical); for AKS the piece steps of the
     units L_c of an orbit against the Peirce pieces of commutator_seeds()
-    cut to it, each closed under the left and right block maps, as the
-    unit seeds are in AKSAlgebra._orbit_pieces: the steps keep the braid
-    words of constant-color triples alone, so their plain span is smaller."""
+    cut to it, each closed under the left and right block maps: the steps
+    keep the braid words of constant-color triples alone, so their plain
+    span is smaller."""
     y, nil, a = H.yalg(r, n, kind), H.nilalg(r, n, kind), H.aksalg(r, n, kind)
     bad = []
     for name, alg, words, full in (
@@ -336,7 +332,7 @@ def _seed_mismatches(r, n, kind):
                 bad.append((name, c))
     aks_seeds = a.commutator_seeds()
     one = a.field.one
-    for orbit in a.central_color_blocks():
+    for orbit in algebra.color_orbits(a.colors):
         steps = [x for c in orbit for _, xs in a._piece_step(c, {(c, a.ident): one}) for x in xs]
         generators = [x for s in H.aks_cut_seeds(a, orbit, aks_seeds)
                       for _, x in H.aks_pieces(a, s, orbit)]
@@ -429,7 +425,7 @@ def _aks_classes(a) -> list:
     """The orbits of a, grouped by the multiplicities of their colors in
     color order, as AKSAlgebra.commutator_power_dims groups them."""
     classes: dict = {}
-    for orbit in a.central_color_blocks():
+    for orbit in algebra.color_orbits(a.colors):
         counts = Counter(orbit[0])
         classes.setdefault(tuple(counts[x] for x in sorted(counts)), []).append(orbit)
     return list(classes.values())
@@ -439,26 +435,54 @@ def _aks_classes(a) -> list:
 @pytest.mark.parametrize("kind", [H.FP13, H.CYC])
 def test_aks_orbits_match_their_class(r, n, kind):
     # orbits whose colors have the same multiplicities in color order have
-    # isomorphic blocks: each orbit's own powers are its class's; and each
-    # orbit's tagged rows are Peirce pieces of its block from the cut seeds,
-    # as many as its dimension
+    # isomorphic blocks: the right ideals L_c J of each orbit's colors,
+    # summed, have its class's powers, and as many dimensions as its block
+    # from the cut seeds
     a = H.aksalg(r, n, kind)
     classes = _aks_classes(a)
     if (r, n) == (3, 3):
-        assert (len(a.central_color_blocks()), len(classes)) == (10, 4)
+        assert (len(algebra.color_orbits(a.colors)), len(classes)) == (10, 4)
     for orbits in classes:
-        first = a._orbit_power_dims(orbits[0])
+        first = _orbit_power_dims(a, orbits[0])
         for orbit in orbits[1:]:
             a._check_relabeling(orbits[0], orbit)
-            assert a._orbit_power_dims(orbit) == first
+            assert _orbit_power_dims(a, orbit) == first
         for orbit in orbits:
-            block = H.aks_orbit_block(a, orbit)[2]
-            pieces = a._orbit_pieces(orbit)
-            assert sum(sub.dim() for sub in pieces.values()) == block.dim() == first[0]
-            for d, sub in pieces.items():
-                for x in sub.rows.values():
-                    assert block.contains(x)
-                    assert H.aks_pieces(a, x, orbit) == [(d, x)]
+            assert H.aks_orbit_block(a, orbit)[2].dim() == first[0]
+
+
+def _orbit_power_dims(a, orbit) -> list:
+    return algebra.sum_block_dims([(1, a._color_power_dims(c)) for c in orbit])
+
+
+@pytest.mark.parametrize("r,n", [(r, n) for r in (1, 2, 3) for n in (1, 2, 3)] + [(2, 4)])
+@pytest.mark.parametrize("kind", [H.FP13, H.CYC])
+def test_aks_color_ideals_match_the_full_ideal(r, n, kind):
+    # at every color, not only the class representatives: each tagged row
+    # of L_c J lies in the two-sided closure of commutator_seeds(), with
+    # left color c and in the piece of its tag; the rows span exactly the
+    # closure's rows of left color c; and the color's own powers are those
+    # of its class representative, the color that the relabeling carries
+    # onto it
+    a = H.aksalg(r, n, kind)
+    full = H.aks_full_ideal(r, n, kind)
+    for c in a.colors:
+        ideal = a._color_ideal(c)
+        for d, sub in ideal.items():
+            for x in sub.rows.values():
+                assert full.contains(x)
+                assert {k[0] for k in x} == {c} and a._rmul_L(x, d) == x
+        rows = [x for sub in ideal.values() for x in sub.rows.values()]
+        assert closure_under(a.field, [], rows).rows == \
+            {p: row for p, row in full.rows.items() if p[0] == c}
+    powers = {c: a._color_power_dims(c) for c in a.colors}
+    for orbits in _aks_classes(a):
+        for orbit in orbits:
+            back = aks._monotone_relabeling(orbit[0], orbits[0][0])
+            for c in orbit:
+                rep = tuple(back[x] for x in c)
+                assert rep in orbits[0]
+                assert powers[c] == powers[rep]
 
 
 @pytest.mark.parametrize("r,n", [(2, 3), (3, 3), (2, 4)])
@@ -469,7 +493,7 @@ def test_aks_piece_dims_count_permutations(r, n, kind):
     a = H.aksalg(r, n, kind)
     one = a.field.one
     pieces = 0
-    for orbit in a.central_color_blocks():
+    for orbit in algebra.color_orbits(a.colors):
         for c, d in itertools.product(orbit, repeat=2):
             span = closure_under(a.field, [], [a._rmul_L({(c, w): one}, d) for w in a.perms])
             assert span.dim() == sum(sg.act_on_colors(a._inv[w], c) == d for w in a.perms)
@@ -495,62 +519,43 @@ def test_relabeling_guard_raises(monkeypatch, capsys):
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("r,n", [(r, n) for r in (1, 2, 3) for n in (1, 2, 3)])
-@pytest.mark.parametrize("kind", [H.FP13, H.CYC])
-def test_relabeling_l_pairs_follow_from_the_h_pairs(r, n, kind):
-    # _check_relabeling tests the h_i maps alone; on every pair of orbits of
-    # one class the L_e maps, left and right, commute with the relabeling too
-    a = aks.AKSAlgebra(r, n, H.field(kind, r))
-    pairs = 0
-    for orbits in _aks_classes(a):
-        for orbit in orbits[1:]:
-            a._check_relabeling(orbits[0], orbit)
-            assert H.aks_relabeling_L_mismatches(a, orbits[0], orbit) == []
-            pairs += 1
-    assert (pairs > 0) == (r > 1)
-
-
-def _value_reading_lmul_h(alg, terms: dict, i: int) -> dict:
-    """AKSAlgebra._lmul_h with the straightening term applied only where
-    c_i = 1: it reads a color value where the relation reads an order."""
-    out: dict = {}
-    for (c, w), a in terms.items():
-        sc = sg.right_mult_s(c, i)
-        siw, up = alg._lstep[i][w]
-        if up:
-            _acc(out, (sc, siw), a)
-        else:
-            _acc(out, (sc, siw), a * alg.q)
-            _acc(out, (sc, w), a * alg.qm1)
-        if c[i - 1] == 1 and c[i] != 1:
-            _acc(out, (c, w), a * alg.qm1)
-    return out
+def _value_reading_h_pieces(alg, d, x: dict, i: int) -> list:
+    """AKSAlgebra._h_pieces with the low piece split off only where
+    d_i = 1: it reads a color value where the relation reads an order."""
+    xh = alg._rmul_h(x, i)
+    pieces = [(sg.right_mult_s(d, i), xh)]
+    if d[i - 1] == 1 < d[i]:
+        low = {k: v * alg.qm1 for k, v in x.items()}
+        for k, v in low.items():
+            _acc(xh, k, -v)
+        pieces.append((d, low))
+    return [piece for piece in pieces if piece[1]]
 
 
 def test_relabeling_check_names_the_failing_key(monkeypatch, capsys):
-    # a left h_i that reads the color 1 commutes with a relabeling that
-    # fixes 1 and not with one that moves it; the error names the first
-    # key and map that fail, here and on the CLI, and the L pairs that the
-    # check leaves out fail with it, as _rmul_L folds _lmul_h
+    # a right h_i split that reads the color 1 commutes with a relabeling
+    # that fixes 1 and not with one that moves it; the error names the
+    # first key and map that fail, here and on the CLI
     a = aks.AKSAlgebra(3, 3, H.field(H.FP13, 3))
-    orbits = {orbit[0]: orbit for orbit in a.central_color_blocks()}
+    orbits = {orbit[0]: orbit for orbit in algebra.color_orbits(a.colors)}
     source = orbits[(1, 1, 2)]
     a._check_relabeling(source, orbits[(2, 2, 3)])
-    monkeypatch.setattr(aks.AKSAlgebra, "_lmul_h", _value_reading_lmul_h)
+    monkeypatch.setattr(aks.AKSAlgebra, "_h_pieces", _value_reading_h_pieces)
     a._check_relabeling(source, orbits[(1, 1, 3)])
+    message = ("the relabeling {1: 2, 2: 3} is not an isomorphism of the blocks of "
+               "(1, 1, 2) and (2, 2, 3): h_2 (right) on ((1, 1, 2), (1, 2, 3))")
     with pytest.raises(ArithmeticError) as err:
         a._check_relabeling(source, orbits[(2, 2, 3)])
-    assert str(err.value) == ("the relabeling {1: 2, 2: 3} is not an isomorphism of the "
-                              "blocks of (1, 1, 2) and (2, 2, 3): h_2 (left) on "
-                              "((1, 1, 2), (1, 2, 3))")
-    assert H.aks_relabeling_L_mismatches(a, source, orbits[(2, 2, 3)]) != []
+    assert str(err.value) == message
+    assert cli.main(["aks-compare", "--r", "3", "--n", "3", "--field", "fp:13"]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
     monkeypatch.undo()
     monkeypatch.setattr(aks, "_monotone_relabeling", lambda source, target: dict(
         zip(sorted(set(source)), sorted(set(target), reverse=True))))
     assert cli.main(["aks-compare", "--r", "3", "--n", "2", "--field", "fp:13"]) == 1
     assert capsys.readouterr().err == (
         "error: the relabeling {1: 3, 2: 1} is not an isomorphism of the blocks of (1, 2) "
-        "and (1, 3): h_1 (left) on ((1, 2), (1, 2))\n")
+        "and (1, 3): h_1 (right) on ((1, 2), (1, 2))\n")
 
 
 @pytest.mark.parametrize("kind", [H.FP13, H.CYC])
@@ -615,7 +620,7 @@ def test_aks_step_words_match_seed_products(r, n, kind):
     # lies in that span; over the rows of a power the right pieces close
     # the steps to the next power
     a = H.aksalg(r, n, kind)
-    for orbit in a.central_color_blocks():
+    for orbit in algebra.color_orbits(a.colors):
         cut, right, cur = H.aks_orbit_block(a, orbit)
         while cur.dim():
             steps, by_seeds = [], []
@@ -635,26 +640,6 @@ def test_aks_step_words_match_seed_products(r, n, kind):
             assert sum(sub.dim() for sub in pieces.values()) == nxt.dim()
             assert all(nxt.contains(x) for sub in pieces.values() for x in sub.rows.values())
             cur = nxt
-
-
-def test_centrality_guard_raises(monkeypatch, capsys):
-    # only the AKS engine splits off central orbit blocks, so only it and
-    # aks-compare, which runs it after the Y ideal, meet the guard
-    real = algebra.color_orbits
-
-    def broken(colors):
-        orbits = real(colors)
-        k = next(i for i, o in enumerate(orbits) if len(o) > 1)
-        return orbits[:k] + [[c] for c in orbits[k]] + orbits[k + 1:]
-
-    monkeypatch.setattr(algebra, "color_orbits", broken)
-    with pytest.raises(ArithmeticError, match="not central"):
-        H.aksalg(2, 2, H.FP13).commutator_power_dims()
-    code = cli.main(["aks-compare", "--r", "2", "--n", "3", "--field", "fp:13"])
-    out = capsys.readouterr()
-    assert code == 1
-    assert out.out == ""
-    assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
 
 def test_certificate_sees_a_missing_orbit_block():
